@@ -24,13 +24,13 @@ from .group import (
     _bits,
     all_subgroups,
     core_of,
+    has_normal_sylow,
     is_normal,
     is_solvable,
     is_subnormal,
     left_coset_mask,
     prime_quotient_series,
     quotient_group,
-    sylow_subgroup,
 )
 
 # hard caps for the exhaustive explorers; exactness over coverage
@@ -151,52 +151,6 @@ def _require_nontrivial_uniform(cover: CosetSystem) -> WeightProfile:
     if prof.is_trivial:
         raise ValueError("system is trivial (every subgroup is the whole group)")
     return prof
-
-
-# ----------------------------------------------------- cached group queries
-#
-# The sweeps below hit the same subgroups over and over; results are parked
-# on the parent group's cache dict keyed by member mask, never by Subgroup
-# identity.
-
-
-def _subnormal(G: FiniteGroup, sub: Subgroup) -> bool:
-    key = ("gcover.subnormal", sub.mask)
-    if key not in G._cache:
-        G._cache[key] = is_subnormal(G, sub).is_subnormal
-    return G._cache[key]
-
-
-def _core_mask(G: FiniteGroup, sub: Subgroup) -> int:
-    key = ("gcover.core", sub.mask)
-    if key not in G._cache:
-        G._cache[key] = core_of(G, sub).mask
-    return G._cache[key]
-
-
-def _quotient_by_mask(G: FiniteGroup, normal_mask: int) -> FiniteGroup:
-    key = ("gcover.quotient", normal_mask)
-    if key not in G._cache:
-        G._cache[key] = quotient_group(G, Subgroup(G, normal_mask))
-    return G._cache[key]
-
-
-def _core_quotient(G: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    return _quotient_by_mask(G, _core_mask(G, sub))
-
-
-def _sylow_is_normal(Q: FiniteGroup, p: int) -> bool:
-    key = ("gcover.sylow_normal", p)
-    if key not in Q._cache:
-        Q._cache[key] = is_normal(Q, sylow_subgroup(Q, p))
-    return Q._cache[key]
-
-
-def _has_series(G: FiniteGroup, H: Subgroup) -> bool:
-    key = ("gcover.series", H.mask)
-    if key not in G._cache:
-        G._cache[key] = prime_quotient_series(G, H) is not None
-    return G._cache[key]
 
 
 def _normalize_entries(
@@ -335,9 +289,9 @@ def check_union_lower_bound(
         met.add(cmask & -cmask)
     ns = tuple(sub.index for _, sub in pairs)
     rhs = sum(1 for n in range(h) if any(n % d == 0 for d in ns))
-    if all(_subnormal(G, sub) for _, sub in pairs):
+    if all(is_subnormal(G, sub).is_subnormal for _, sub in pairs):
         hyp = "subnormal"
-    elif _has_series(G, H):
+    elif prime_quotient_series(G, H) is not None:
         hyp = "series"
     else:
         hyp = "none"
@@ -390,24 +344,24 @@ def check_aligned_union_bound(
     rhs = mult * sum(Fraction(1, d) for d in divisor_list(ratio))
 
     all_normal = all(is_normal(G, sub) for _, sub in pairs)
-    all_subn = all_normal or all(_subnormal(G, sub) for _, sub in pairs)
+    all_subn = all_normal or all(is_subnormal(G, sub).is_subnormal for _, sub in pairs)
     h_normal = is_normal(G, H)
     case = "none"
     d_both = False
     if all_subn and h_normal:
         case = "a"
-    elif all_normal and _subnormal(G, H):
+    elif all_normal and is_subnormal(G, H).is_subnormal:
         case = "b"
     elif all_normal:
         inter = G.full_mask()
         for _, sub in pairs:
             inter &= sub.mask
-        if is_solvable(_quotient_by_mask(G, inter)):
+        if is_solvable(quotient_group(G, Subgroup(G, inter))):
             case = "c"
     if case == "none" and h_normal:
-        gh_solvable = is_solvable(_quotient_by_mask(G, H.mask))
+        gh_solvable = is_solvable(quotient_group(G, H))
         cores_solvable = all(
-            is_solvable(_core_quotient(G, sub)) for _, sub in pairs
+            is_solvable(quotient_group(G, core_of(G, sub))) for _, sub in pairs
         )
         if gh_solvable or cores_solvable:
             case = "d"
@@ -537,29 +491,32 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
 
     top = [sub for (_, sub), o in zip(cover.entries, orders) if o > 0]
     rest = [sub for (_, sub), o in zip(cover.entries, orders) if o == 0]
-    subn_top = all(_subnormal(G, s) for s in top)
+    distinct = {sub.mask: sub for _, sub in cover.entries}
+    subnormal = {m: is_subnormal(G, sub).is_subnormal for m, sub in distinct.items()}
+    subn_top = all(subnormal[s.mask] for s in top)
     cond_a_vacuous = False
     if subn_top:
         cond_a = True
     else:
-        solv_top = all(is_solvable(_core_quotient(G, s)) for s in top)
-        solv_rest = all(is_solvable(_core_quotient(G, s)) for s in rest)
+        solv_top = all(is_solvable(quotient_group(G, core_of(G, s))) for s in top)
+        solv_rest = all(is_solvable(quotient_group(G, core_of(G, s))) for s in rest)
         cond_a = solv_top or solv_rest
         cond_a_vacuous = cond_a and not solv_top and not rest
 
     cond_b = True
     for sub in rest:
-        if sub.index > p_r and not _subnormal(G, sub):
-            if not _sylow_is_normal(_core_quotient(G, sub), p_r):
+        if sub.index > p_r and not subnormal[sub.mask]:
+            if not has_normal_sylow(quotient_group(G, core_of(G, sub)), p_r):
                 cond_b = False
                 break
 
     icore = G.full_mask()
-    for _, sub in cover.entries:
-        icore &= _core_mask(G, sub)
-    Q = _quotient_by_mask(G, icore)
+    for sub in distinct.values():
+        icore &= core_of(G, sub).mask
+    Q = quotient_group(G, Subgroup(G, icore))
     p_bar = factorize(Q.order).pairs[-1][0]
-    cond_c = is_solvable(Q) and _sylow_is_normal(Q, p_bar)
+    q_solvable = is_solvable(Q)
+    cond_c = q_solvable and has_normal_sylow(Q, p_bar)
 
     squarefree = None
     if factorize(G.order).is_squarefree():
@@ -575,11 +532,9 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
             multiplicity=top_mult,
         )
 
-    big_subn = all(
-        _subnormal(G, sub) for _, sub in cover.entries if sub.index >= p_r
-    )
+    big_subn = all(subnormal[sub.mask] for _, sub in cover.entries if sub.index >= p_r)
     via_subnormal = p_r > r and big_subn
-    via_sylow = p_r > r and is_solvable(Q) and _sylow_is_normal(Q, p_r)
+    via_sylow = p_r > r and q_solvable and has_normal_sylow(Q, p_r)
     pair = None
     if top_mult >= 2:
         witness = next(
@@ -654,7 +609,9 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
         n_max=n_max,
         multiplicity=sum(1 for n in ns if n == n_max),
         least_prime=least_prime(n_max),
-        all_subnormal=all(_subnormal(G, sub) for _, sub in cover.entries),
+        all_subnormal=all(
+            is_subnormal(G, sub).is_subnormal for _, sub in cover.entries
+        ),
     )
 
 

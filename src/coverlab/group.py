@@ -3,13 +3,28 @@
 Element ids are 0..n-1 with 0 the identity.  Groups built from
 permutation generators number elements by breadth-first discovery from
 the identity, so the numbering is a function of the generator list
-alone.  Subgroups are immutable bitmasks over element ids; the subgroup
-lattice of a group is enumerated once and cached on the group.
+alone, and their tables are filled along the generator graph rather than
+by composing permutations.  Subgroups are immutable bitmasks over element
+ids.
 
-Construction always verifies the identity row and column and the Latin
-square property, and verifies associativity over all triples for orders
-up to 256.  Groups we build bigger than that come from closures that are
-associative by construction, but nothing here ever gets close.
+Every fact derived from a group -- closures, generating sets, cores,
+quotients, normality, subnormality, normal Sylow subgroups,
+prime-quotient series, solvability, abelianness, pyramidality and the
+subgroup lattice -- lives in one memo on the group, keyed by (fact, mask)
+and read through FiniteGroup.memo.  A fact about the whole group is keyed
+by its full mask.  The quotient by the trivial subgroup is the group
+itself, so its lattice is never enumerated twice.
+
+Closures use Dimino's coset extension over a reduced generating set: each
+element of the mask that is not yet in the subgroup grows it by whole
+right cosets.  The lattice is built by cyclic extension: each join
+extends a known subgroup by the generator of a cyclic subgroup.
+
+Construction verifies the identity row and column, the Latin square
+property and associativity, the last by Light's test over a generating
+set: (a*b)*g = a*(b*g) for all a, b and each generator g.  The elements
+passing that test are closed under products, so it is exact for every
+table and costs O(n^2 log n).
 """
 
 from __future__ import annotations
@@ -21,14 +36,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime
 from .errors import BudgetError
 
 DEFAULT_CLOSURE_CAP = 5000
 DEFAULT_ORDER_CAP = 200
-_ASSOC_CHECK_MAX = 256
 
 
 def _bits(mask: int):
@@ -38,10 +52,85 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _right_reach(table, gens: Sequence[int]) -> int:
+    """Bitmask of the elements reached from the identity by right
+    multiplication with gens."""
+    reached, seen = [0], 1
+    i = 0
+    while i < len(reached):
+        row = table[reached[i]]
+        for g in gens:
+            y = row[g]
+            if not seen >> y & 1:
+                seen |= 1 << y
+                reached.append(y)
+        i += 1
+    return seen
+
+
+def _check_associative(table) -> None:
+    """Light's test over a greedy generating set: (a*b)*g == a*(b*g) for
+    all a, b and each generator g.  The g that pass are closed under
+    products and the generators reach every element, so the table is
+    associative.  Raises ValueError at the first failing triple."""
+    n = len(table)
+    gens: list[int] = []
+    seen = 1
+    for g in range(n):
+        if seen >> g & 1:
+            continue
+        col = [row[g] for row in table]  # b -> b*g
+        for a, ra in enumerate(table):
+            if [col[v] for v in ra] != [ra[v] for v in col]:
+                b = next(b for b in range(n) if col[ra[b]] != ra[col[b]])
+                raise ValueError(f"associativity fails at a={a}, b={b}, c={g}")
+        gens.append(g)
+        seen = _right_reach(table, gens)
+
+
+def _extend(table, elems: list[int], mask: int, gens: tuple[int, ...], g: int):
+    """Dimino's coset extension.  elems/mask is a subgroup H generated by
+    gens and g lies outside it; returns (elements, mask) of <H, g>.
+
+    The join is grown as a union of right cosets H*x: for each coset
+    representative r and each generator s, a product r*s outside the
+    union so far adds its whole coset.  A union of right cosets of H that
+    is closed under right multiplication by every generator is the
+    subgroup they generate.
+    """
+    out = list(elems)
+    gens = gens + (g,)
+    reps = [0]
+    i = 0
+    while i < len(reps):
+        row = table[reps[i]]
+        for s in gens:
+            x = row[s]
+            if not mask >> x & 1:
+                reps.append(x)
+                for h in elems:
+                    y = table[h][x]
+                    out.append(y)
+                    mask |= 1 << y
+        i += 1
+    return out, mask
+
+
+def _generate(table, mask: int) -> tuple[tuple[int, ...], int]:
+    """(reduced generators, closure mask) of the elements set in mask:
+    only elements outside the subgroup built so far extend it."""
+    elems, sub, gens = [0], 1, ()
+    for g in _bits(mask):
+        if not sub >> g & 1:
+            elems, sub = _extend(table, elems, sub, gens, g)
+            gens += (g,)
+    return gens, sub
+
+
 class FiniteGroup:
     """Immutable finite group on element ids 0..order-1 given by its table."""
 
-    __slots__ = ("order", "table", "inv", "name", "labels", "perms", "_cache")
+    __slots__ = ("order", "table", "inv", "name", "labels", "perms", "_memo")
 
     def __init__(self, table, name=None, labels=None, perms=None):
         table = tuple(tuple(row) for row in table)
@@ -58,14 +147,7 @@ class FiniteGroup:
         for i in rng:
             if set(table[i]) != full or {table[j][i] for j in rng} != full:
                 raise ValueError(f"table is not a Latin square at line {i}")
-        if n <= _ASSOC_CHECK_MAX:
-            for a in rng:
-                ra = table[a]
-                for b in rng:
-                    rab = table[ra[b]]
-                    rb = table[b]
-                    if any(rab[c] != ra[rb[c]] for c in rng):
-                        raise ValueError(f"associativity fails at a={a}, b={b}")
+        _check_associative(table)
         inv = [None] * n
         for i in rng:
             inv[i] = table[i].index(0)
@@ -75,7 +157,22 @@ class FiniteGroup:
         self.name = name or f"group{n}"
         self.labels = tuple(labels) if labels else None
         self.perms = tuple(perms) if perms else None
-        self._cache = {}
+        self._memo = {}
+
+    def memo(self, fact: str, mask: int, compute: Callable, *args):
+        """The value of fact at the subgroup mask, computed once as
+        compute(*args).
+
+        The one cache of derived facts: keys are (fact, mask), facts about
+        the whole group use the full mask, and a fact that takes a further
+        parameter, such as a prime, carries it in its name.
+        """
+        key = (fact, mask)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(*args)
+            return value
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -95,38 +192,24 @@ class FiniteGroup:
         return self.labels[a] if self.labels else str(a)
 
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            t = self.table
-            self._cache["abelian"] = all(
-                t[a][b] == t[b][a] for a in range(self.order) for b in range(a)
-            )
-        return self._cache["abelian"]
+        t = self.table
+        rng = range(self.order)
+        return self.memo(
+            "abelian",
+            self.full_mask(),
+            lambda: all(t[a][b] == t[b][a] for a in rng for b in range(a)),
+        )
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
     def closure_mask(self, mask: int) -> int:
         """Bitmask of the subgroup generated by the elements set in mask."""
-        cache = self._cache.setdefault("closure", {})
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        table = self.table
-        members = {0} | set(_bits(mask))
-        queue = list(members)
-        while queue:
-            x = queue.pop()
-            row = table[x]
-            for y in tuple(members):
-                for z in (row[y], table[y][x]):
-                    if z not in members:
-                        members.add(z)
-                        queue.append(z)
-        out = 0
-        for x in members:
-            out |= 1 << x
-        cache[mask] = out
-        return out
+        return self.memo("closure", mask, lambda: _generate(self.table, mask)[1])
+
+    def generators(self, mask: int) -> tuple[int, ...]:
+        """A reduced generating set of the subgroup mask."""
+        return self.memo("generators", mask, lambda: _generate(self.table, mask)[0])
 
     def conj_mask(self, g: int, mask: int) -> int:
         out = 0
@@ -138,22 +221,31 @@ class FiniteGroup:
         return mask & 1 == 1 and self.closure_mask(mask) == mask
 
     def normal_in(self, sub_mask: int, over_mask: int) -> bool:
-        """Is the subgroup sub_mask normal inside the subgroup over_mask."""
+        """Is the subgroup sub_mask normal inside the subgroup over_mask.
+
+        Conjugating generators of sub_mask by generators of over_mask
+        settles it: a finite subgroup mapped into itself by each
+        generator's conjugation is normalized by the group they generate.
+        """
+        subs = self.generators(sub_mask)
         return all(
-            self.conj_mask(g, sub_mask) == sub_mask for g in _bits(over_mask)
+            sub_mask >> self.conj(g, h) & 1
+            for g in self.generators(over_mask)
+            for h in subs
         )
 
     def normal_closure_in(self, over_mask: int, seed_mask: int) -> int:
         """Smallest subgroup containing seed_mask that is normal in over_mask."""
+        over = self.generators(over_mask)
         cur = self.closure_mask(seed_mask)
         while True:
             grown = cur
-            for g in _bits(over_mask):
-                grown |= self.conj_mask(g, cur)
-            grown = self.closure_mask(grown)
+            for h in self.generators(cur):
+                for g in over:
+                    grown |= 1 << self.conj(g, h)
             if grown == cur:
                 return cur
-            cur = grown
+            cur = self.closure_mask(grown)
 
     def derived_mask(self, mask: int) -> int:
         """Commutator subgroup of the subgroup mask."""
@@ -318,22 +410,33 @@ def group_from_generators(
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
+    # right[j][x] = x*gens[j]; element y > 0 was first reached as
+    # parent[y]*gens[via[y]]
+    right = [[] for _ in gens]
+    parent, via = [0], [0]
     pos = 0
     while pos < len(elems):
         x = elems[pos]
-        for g in gens:
+        for j, g in enumerate(gens):
             y = tuple(x[g[i]] for i in range(degree))
             if y not in index:
                 if len(elems) >= cap:
                     raise BudgetError(f"closure exceeded cap {cap}")
                 index[y] = len(elems)
                 elems.append(y)
+                parent.append(pos)
+                via.append(j)
+            right[j].append(index[y])
         pos += 1
     n = len(elems)
-    table = [
-        tuple(index[tuple(a[b[i]] for i in range(degree))] for b in elems)
-        for a in elems
-    ]
+    # a*(x*g) = (a*x)*g, so each row follows the BFS tree in O(n) lookups
+    steps = [(y, parent[y], right[via[y]]) for y in range(1, n)]
+    table = []
+    for a in range(n):
+        row = [a] * n
+        for y, x, r in steps:
+            row[y] = r[row[x]]
+        table.append(row)
     labels = [cycles_str(p) for p in elems]
     return FiniteGroup(table, name=name, labels=labels, perms=elems)
 
@@ -349,32 +452,44 @@ def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
 # ------------------------------------------------------------ lattice and core
 
 def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
-    """Every subgroup, sorted by (size, mask).  Cached on the group.
+    """Every subgroup, sorted by (size, mask).  Memoized on the group.
 
     Seeds are the cyclic subgroups; the set is closed under joins with
     the seeds, which reaches every subgroup since each is generated by
-    finitely many of its cyclic subgroups.
+    finitely many of its cyclic subgroups.  A join extends the known
+    subgroup by the seed's generator (cyclic extension), and lands in
+    the closure memo under the mask of the union it generates.
     """
     if G.order > cap:
         raise BudgetError(f"subgroup lattice capped at order {cap}, group has {G.order}")
-    if "subgroups" not in G._cache:
-        cyclics = {G.closure_mask(1 << g) for g in range(G.order)}
-        subs = {1} | cyclics
-        frontier = set(subs)
-        while frontier:
-            new = set()
-            for h in frontier:
-                for c in cyclics:
-                    if c & ~h:
-                        j = G.closure_mask(h | c)
-                        if j not in subs and j not in new:
-                            new.add(j)
-            subs |= new
-            frontier = new
-        G._cache["subgroups"] = tuple(
-            Subgroup(G, m) for m in sorted(subs, key=lambda m: (m.bit_count(), m))
-        )
-    return G._cache["subgroups"]
+    return G.memo("lattice", G.full_mask(), _lattice, G)
+
+
+def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    table = G.table
+    cyclics: dict[int, int] = {}  # cyclic subgroup mask -> its least generator
+    for g in range(G.order):
+        cyclics.setdefault(G.closure_mask(1 << g), g)
+    gens = {c: (g,) for c, g in cyclics.items()}
+    gens[1] = ()
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for h in frontier:
+            elems = list(_bits(h))
+            for c, g in cyclics.items():
+                if h >> g & 1:
+                    continue
+                j = G.memo(
+                    "closure", h | c, lambda: _extend(table, elems, h, gens[h], g)[1]
+                )
+                if j not in gens:
+                    gens[j] = gens[h] + (g,)
+                    new.append(j)
+        frontier = new
+    return tuple(
+        Subgroup(G, m) for m in sorted(gens, key=lambda m: (m.bit_count(), m))
+    )
 
 
 def _require_same_parent(G: FiniteGroup, H: Subgroup) -> None:
@@ -384,12 +499,16 @@ def _require_same_parent(G: FiniteGroup, H: Subgroup) -> None:
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     _require_same_parent(G, H)
-    return G.normal_in(H.mask, G.full_mask())
+    return G.memo("normal", H.mask, G.normal_in, H.mask, G.full_mask())
 
 
 def core_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """Largest normal subgroup of G inside H: intersection of conjugates."""
     _require_same_parent(G, H)
+    return G.memo("core", H.mask, _core, G, H)
+
+
+def _core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     mask = H.mask
     for g in range(G.order):
         mask &= G.conj_mask(g, H.mask)
@@ -414,9 +533,10 @@ class SubnormalityReport:
 
 def is_subnormal(G: FiniteGroup, H: Subgroup) -> SubnormalityReport:
     _require_same_parent(G, H)
-    cache = G._cache.setdefault("subnormality", {})
-    if H.mask in cache:
-        return cache[H.mask]
+    return G.memo("subnormal", H.mask, _subnormality, G, H)
+
+
+def _subnormality(G: FiniteGroup, H: Subgroup) -> SubnormalityReport:
     masks = [G.full_mask()]
     while True:
         nxt = G.normal_closure_in(masks[-1], H.mask)
@@ -427,13 +547,11 @@ def is_subnormal(G: FiniteGroup, H: Subgroup) -> SubnormalityReport:
         if not G.normal_in(sub, over):
             raise RuntimeError("normal-closure chain failed its own recheck")
     found = masks[-1] == H.mask
-    report = SubnormalityReport(
+    return SubnormalityReport(
         is_subnormal=found,
         chain=tuple(Subgroup(G, m) for m in masks),
         defect=len(masks) - 1 if found else None,
     )
-    cache[H.mask] = report
-    return report
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -445,6 +563,14 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         if H.size == target:
             return H
     raise RuntimeError(f"no subgroup of order {target} found")  # Sylow forbids this
+
+
+def has_normal_sylow(G: FiniteGroup, p: int) -> bool:
+    """Is a Sylow p-subgroup of G normal.  A normal one is the only one,
+    so testing the first in lattice order settles it."""
+    return G.memo(
+        f"normal-sylow-{p}", G.full_mask(), lambda: is_normal(G, sylow_subgroup(G, p))
+    )
 
 
 def hall_subgroup(G: FiniteGroup, omega: Iterable[int]) -> Optional[Subgroup]:
@@ -474,9 +600,7 @@ def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    if "solvable" not in G._cache:
-        G._cache["solvable"] = derived_series(G)[-1].mask == 1
-    return G._cache["solvable"]
+    return G.memo("solvable", G.full_mask(), lambda: derived_series(G)[-1].mask == 1)
 
 
 def pyramidal_chain(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
@@ -512,9 +636,7 @@ def pyramidal_chain(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
 
 
 def is_pyramidal(G: FiniteGroup) -> bool:
-    if "pyramidal" not in G._cache:
-        G._cache["pyramidal"] = pyramidal_chain(G) is not None
-    return G._cache["pyramidal"]
+    return G.memo("pyramidal", G.full_mask(), lambda: pyramidal_chain(G) is not None)
 
 
 def prime_quotient_series(
@@ -525,6 +647,14 @@ def prime_quotient_series(
     p_first must come before every step of any other index (reading the
     chain upward from H).  H = G gives the one-node chain."""
     _require_same_parent(G, H)
+    return G.memo(
+        f"series-{p_first}", H.mask, lambda: _prime_quotient_series(G, H, p_first)
+    )
+
+
+def _prime_quotient_series(
+    G: FiniteGroup, H: Subgroup, p_first: Optional[int]
+) -> Optional[tuple[Subgroup, ...]]:
     subs = all_subgroups(G)
     full = G.full_mask()
     dead: set[tuple[int, bool]] = set()
@@ -563,11 +693,18 @@ def prime_quotient_series(
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
-    """G/N as a coset table.  Cosets are numbered by their least element,
-    ascending, so the identity coset is element 0."""
+    """G/N as a coset table, memoized on G.  Cosets are numbered by their
+    least element, ascending, so the identity coset is element 0.  The
+    quotient by the trivial subgroup is G itself."""
     _require_same_parent(G, N)
+    return G.memo("quotient", N.mask, _quotient, G, N)
+
+
+def _quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
     if not is_normal(G, N):
         raise ValueError("quotient by a non-normal subgroup")
+    if N.mask == 1:
+        return G
     n = G.order
     coset_of = [-1] * n
     reps = []
@@ -806,9 +943,7 @@ def check_core_sylow_exclusion(G: FiniteGroup, H: Subgroup) -> bool:
     if not primes:
         return True
     Q = quotient_group(G, core_of(G, H))
-    # a normal Sylow p-subgroup would be the unique one, so testing the
-    # single representative from the lattice scan settles the question
-    return not any(is_normal(Q, sylow_subgroup(Q, p)) for p in primes)
+    return not any(has_normal_sylow(Q, p) for p in primes)
 
 
 def check_pyramidal_sylow(G: FiniteGroup) -> bool:

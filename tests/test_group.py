@@ -1,12 +1,15 @@
 """Tests for the finite group engine: tables, lattices, series, catalog."""
 
 import math
+import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverlab.group as group_module
 from coverlab.arith import factorize
 from coverlab.errors import BudgetError
 from coverlab.group import (
@@ -102,6 +105,87 @@ def brute_core_mask(G: FiniteGroup, H: Subgroup) -> int:
     return max(normal_inside, key=lambda m: m.bit_count())
 
 
+def oracle_closure_mask(G: FiniteGroup, mask: int) -> int:
+    """The quadratic set-based closure that coset extension replaced:
+    multiply every new member by every member on both sides."""
+    table = G.table
+    members = {0} | {x for x in range(G.order) if mask >> x & 1}
+    queue = list(members)
+    while queue:
+        x = queue.pop()
+        row = table[x]
+        for y in tuple(members):
+            for z in (row[y], table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return sum(1 << x for x in members)
+
+
+def oracle_lattice_masks(G: FiniteGroup) -> tuple[int, ...]:
+    """The lattice by joins with the cyclic subgroups, each join closed
+    from scratch by the oracle closure."""
+    closed: dict[int, int] = {}
+
+    def close(mask: int) -> int:
+        if mask not in closed:
+            closed[mask] = oracle_closure_mask(G, mask)
+        return closed[mask]
+
+    cyclics = {close(1 << g) for g in range(G.order)}
+    subs = {1} | cyclics
+    frontier = set(subs)
+    while frontier:
+        new = set()
+        for h in frontier:
+            for c in cyclics:
+                if c & ~h:
+                    j = close(h | c)
+                    if j not in subs:
+                        new.add(j)
+        subs |= new
+        frontier = new
+    return tuple(sorted(subs, key=lambda m: (m.bit_count(), m)))
+
+
+def brute_is_associative(table) -> bool:
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(k + 1)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def inline_a5() -> FiniteGroup:
+    return group_from_generators(5, ["(1 2 3 4 5)", "(1 2 3)"], name="A5")
+
+
+def inline_s5() -> FiniteGroup:
+    return group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], name="S5")
+
+
 # ---------------------------------------------------------------- catalog
 
 # one frozen count per catalog entry, cross-checked against the
@@ -176,6 +260,36 @@ def test_table_validation_rejects_nonassociative_loop():
         FiniteGroup(loop)
 
 
+def test_light_test_matches_triple_scan_on_every_small_loop():
+    # every reduced Latin square of order <= 6 is a table with identity 0;
+    # the generating-set test must refuse exactly the non-associative ones
+    counts = {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
+    for n, count in counts.items():
+        seen = groups = 0
+        for table in reduced_latin_squares(n):
+            seen += 1
+            if brute_is_associative(table):
+                groups += 1
+                FiniteGroup(table)
+            else:
+                with pytest.raises(ValueError, match="associativity"):
+                    FiniteGroup(table)
+        assert seen == count, n
+        assert groups > 0, n
+
+
+def test_generator_graph_table_matches_composition():
+    for G in (*load_catalog(), inline_a5(), inline_s5()):
+        perms = G.perms
+        index = {p: i for i, p in enumerate(perms)}
+        degree = range(len(perms[0]))
+        composed = tuple(
+            tuple(index[tuple(a[b[i]] for i in degree)] for b in perms) for a in perms
+        )
+        assert G.table == composed, G.name
+        assert G.labels == tuple(cycles_str(p) for p in perms), G.name
+
+
 def test_generators_closure_cap():
     with pytest.raises(BudgetError):
         group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], cap=30)
@@ -208,6 +322,25 @@ def test_element_orders_cyclic():
     orders = sorted(G.element_order(x) for x in range(12))
     # phi(d) elements of each order d dividing 12
     assert orders == [1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12]
+
+
+def test_closure_matches_quadratic_oracle():
+    rng = random.Random(2003)
+    for G in (*load_catalog(), inline_a5(), inline_s5()):
+        n = G.order
+        masks = [1 << x for x in range(n)]
+        for _ in range(40):
+            picked = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            masks.append(sum(1 << x for x in picked))
+            masks.append(rng.getrandbits(n))
+        for mask in masks:
+            assert G.closure_mask(mask) == oracle_closure_mask(G, mask), (G.name, mask)
+
+
+def test_lattice_matches_oracle_lattice():
+    for G in (*load_catalog(), inline_a5()):
+        masks = tuple(H.mask for H in all_subgroups(G))
+        assert masks == oracle_lattice_masks(G), G.name
 
 
 def test_subgroup_closure_generates():
@@ -513,3 +646,69 @@ def test_check_named_instances():
     two = [H for H in all_subgroups(S3) if H.size == 2][0]
     assert core_excluded_primes(S3, two) == (2,)
     assert check_core_sylow_exclusion(S3, two)
+
+
+# ------------------------------------------------------ non-solvable groups
+
+
+@pytest.mark.parametrize(
+    "build, subgroups, budget_s", [(inline_a5, 59, 1.0), (inline_s5, 156, 10.0)]
+)
+def test_nonsolvable_suite(build, subgroups, budget_s):
+    G = build()
+    start = time.perf_counter()
+    lines = {line.name: line for line in structural_suite(G)}
+    assert time.perf_counter() - start < budget_s
+    subs = all_subgroups(G)
+    assert len(subs) == subgroups
+    assert all(oracle_closure_mask(G, H.mask) == H.mask for H in subs)
+    assert all(line.holds for line in lines.values()), lines
+    assert not is_solvable(G) and not is_pyramidal(G)
+    # the branches every catalog group skips: no pyramidal chain, and
+    # quotients by cores that exclude a prime
+    assert lines["pyramidal-sylow"].checked == 0
+    assert lines["pyramidal-sylow"].note == "no pyramidal chain"
+    assert lines["pyramidal-heredity"].note == "no pyramidal chain"
+    assert lines["core-sylow-exclusion"].checked > 0
+    assert lines["solvable-tower"].checked == 3
+    for p in (2, 3, 5):
+        assert prime_quotient_series(G, trivial_subgroup(G), p_first=p) is None
+
+
+def test_a5_suite_counts():
+    lines = {line.name: line.checked for line in structural_suite(inline_a5())}
+    assert lines == {
+        "index-intersection": 9,
+        "core-primes": 2,
+        "hall-normality": 2,
+        "core-sylow-exclusion": 42,
+        "pyramidal-sylow": 0,
+        "solvable-tower": 3,
+        "pyramidal-heredity": 0,
+    }
+
+
+def test_s5_derived_series_stops_at_a5():
+    assert [H.size for H in derived_series(inline_s5())] == [120, 60]
+
+
+def test_a5_suite_reads_quotient_and_lattice_from_memo(monkeypatch):
+    G = inline_a5()
+    built = []
+    lattice = group_module._lattice
+    monkeypatch.setattr(
+        group_module, "_lattice", lambda K: built.append(K) or lattice(K)
+    )
+    structural_suite(G)
+    assert built == [G]
+    H = next(H for H in all_subgroups(G) if H.size == 5)
+    assert core_of(G, H).size == 1
+    assert quotient_group(G, core_of(G, H)) is G
+    assert all_subgroups(G) is all_subgroups(quotient_group(G, trivial_subgroup(G)))
+    assert built == [G]
+
+
+def test_quotient_is_memoized():
+    G = catalog_group("A4")
+    V = [H for H in all_subgroups(G) if H.size == 4][0]
+    assert quotient_group(G, V) is quotient_group(G, Subgroup(G, V.mask))
