@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import SieveCapacityError
 
@@ -173,12 +174,15 @@ def gcd_lcm(values: list[int]) -> tuple[int, int]:
     return math.gcd(*values), math.lcm(*values)
 
 
+def euler_product(primes: Iterable[int]) -> Fraction:
+    """prod p/(p-1) over the given primes as an exact fraction (1 for none)."""
+    ps = list(primes)
+    return Fraction(_balanced_prod(ps), _balanced_prod([p - 1 for p in ps]))
+
+
 def mertens_product(x: int) -> Fraction:
     """prod_{p <= x} p/(p-1) as an exact fraction (1 for x < 2)."""
-    ps = primes_upto(x)
-    num = _balanced_prod([p for p in ps])
-    den = _balanced_prod([p - 1 for p in ps])
-    return Fraction(num, den)
+    return euler_product(primes_upto(x))
 
 
 def prime_counts(x: int) -> tuple[int, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .arith import divisor_list, factorize, least_prime
+from .arith import divisor_list, euler_product, factorize, least_prime
 from .errors import SearchBudgetError
 from .group import (
     FiniteGroup,
@@ -483,9 +483,7 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
         epsilon *= 1 - Fraction(1, p ** (a + 1))
     counts = Counter(ns)
     top_mult = max(counts[n] for n in counts if n % p_r == 0)
-    mert = Fraction(1)
-    for p, _ in pp:
-        mert *= Fraction(p, p - 1)
+    mert = euler_product(p for p, _ in pp)
     lhs = Fraction(p_r**beta)
     rhs = epsilon * top_mult * mert
 
@@ -550,9 +548,7 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
         pair=pair,
     )
 
-    shrink = Fraction(p_r)
-    for p, _ in pp:
-        shrink *= Fraction(p - 1, p)
+    shrink = p_r / mert
     return UniformCoverReport(
         m=prof.uniform_m,
         k=len(cover),

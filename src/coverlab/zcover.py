@@ -2,12 +2,14 @@
 
 The covering function w(x) counts the classes containing x; it is
 periodic with period lcm(n_1, ..., n_k), so every global statement about
-the system is decided by one scan over a full period.  Scans are exact
-integer counting (numpy int64 vectors), never floating point.
+the system is decided by one scan over a full period, and each check runs
+that scan once per system.  Scans are exact integer counting (numpy int64
+vectors), never floating point.
 
-A full per-residue vector is kept for periods up to 10**6; above that the
-scan streams in chunks and only min/max/sum/covered survive.  Periods
-beyond the period budget (default 10**7) are refused.
+The scan walks the period in chunks of FULL_VECTOR_MAX (10**6) residues.
+A period that fits one chunk keeps its per-residue vector; above that only
+min/max/sum/covered survive.  Periods beyond the period budget (default
+10**7) are refused before any chunk is allocated.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import divisor_list, euler_phi, factorize, least_prime
+from .arith import divisor_list, euler_phi, euler_product, factorize, least_prime
 from .errors import PeriodBudgetError
 
 FULL_VECTOR_MAX = 10**6
 DEFAULT_PERIOD_BUDGET = 10**7
-_CHUNK = 10**6
 _SUBSET_LIMIT = 20  # inclusion-exclusion is 2**k terms
 
 
@@ -89,9 +90,10 @@ class ResidueSystem:
 class MultiplicityProfile:
     """Exact summary of w(x) over one period.
 
-    counts is the full per-residue vector (length = period) when the
-    period fits FULL_VECTOR_MAX, None when the scan streamed.  sum_w
-    always equals sum over classes of period // modulus (double count).
+    counts is the per-residue vector (length = period) when the period
+    fits one chunk of FULL_VECTOR_MAX residues, None when the scan took
+    several chunks.  sum_w always equals sum over classes of
+    period // modulus (double count).
     """
 
     period: int
@@ -102,49 +104,25 @@ class MultiplicityProfile:
     counts: Optional[np.ndarray]
 
 
-def _iter_chunks(period: int):
-    lo = 0
-    while lo < period:
-        hi = min(lo + _CHUNK, period)
-        yield lo, hi
-        lo = hi
-
-
 def multiplicity_profile(
     system: ResidueSystem, period_budget: Optional[int] = None
 ) -> MultiplicityProfile:
-    """Scan one full period of the covering function."""
+    """Scan one full period of the covering function, chunk by chunk."""
     budget = DEFAULT_PERIOD_BUDGET if period_budget is None else period_budget
     period = system.period()
     if period > budget:
         raise PeriodBudgetError(f"period {period} exceeds budget {budget}")
-    if period <= FULL_VECTOR_MAX:
-        counts = np.zeros(period, dtype=np.int64)
+    min_w, max_w, sum_w, covered = len(system), 0, 0, 0
+    for lo in range(0, period, FULL_VECTOR_MAX):
+        block = np.zeros(min(FULL_VECTOR_MAX, period - lo), dtype=np.int64)
         for c in system.classes:
-            counts[c.residue :: c.modulus] += 1
-        return MultiplicityProfile(
-            period=period,
-            min_w=int(counts.min()),
-            max_w=int(counts.max()),
-            sum_w=int(counts.sum()),
-            covered=int(np.count_nonzero(counts)),
-            counts=counts,
-        )
-    min_w = None
-    max_w = 0
-    sum_w = 0
-    covered = 0
-    for lo, hi in _iter_chunks(period):
-        block = np.zeros(hi - lo, dtype=np.int64)
-        for c in system.classes:
-            start = lo + (c.residue - lo) % c.modulus
-            if start < hi:
-                block[start - lo :: c.modulus] += 1
-        min_w = int(block.min()) if min_w is None else min(min_w, int(block.min()))
+            block[(c.residue - lo) % c.modulus :: c.modulus] += 1
+        min_w = min(min_w, int(block.min()))
         max_w = max(max_w, int(block.max()))
         sum_w += int(block.sum())
         covered += int(np.count_nonzero(block))
-    return MultiplicityProfile(period, min_w, max_w, sum_w, covered, None)
+    counts = block if period <= FULL_VECTOR_MAX else None
+    return MultiplicityProfile(period, min_w, max_w, sum_w, covered, counts)
 
 
 @dataclass(frozen=True)
@@ -153,6 +131,7 @@ class CoverClassification:
     period: int
     min_w: int
     max_w: int
+    covered: int
     is_cover: bool
     is_exact: bool
     uniform_m: Optional[int]
@@ -173,6 +152,7 @@ def classify(
         period=prof.period,
         min_w=prof.min_w,
         max_w=prof.max_w,
+        covered=prof.covered,
         is_cover=prof.min_w >= 1,
         is_exact=prof.min_w == 1 and prof.max_w == 1,
         uniform_m=prof.min_w if uniform else None,
@@ -273,15 +253,6 @@ def check_rogers(
     return RogersReport(prof.period, prof.covered, zero.covered)
 
 
-def _require_nontrivial_uniform(system: ResidueSystem, period_budget) -> CoverClassification:
-    cls = classify(system, period_budget)
-    if cls.uniform_m is None:
-        raise ValueError("system is not a uniform cover")
-    if cls.is_trivial:
-        raise ValueError("system is trivial (all moduli 1)")
-    return cls
-
-
 @dataclass(frozen=True)
 class LevelGapReport:
     """Cyclic-case index bound at one designated prime and level alpha.
@@ -310,14 +281,18 @@ class LevelGapReport:
     mult_holds: bool
 
 
-def check_level_gap(
+def check_level_gaps(
     system: ResidueSystem,
-    alpha: int,
     prime: Optional[int] = None,
+    alphas: Optional[Sequence[int]] = None,
     period_budget: Optional[int] = None,
-) -> LevelGapReport:
-    """Evaluate the index bound for uniform covers of Z at one (prime, alpha)."""
-    _require_nontrivial_uniform(system, period_budget)
+) -> tuple[LevelGapReport, ...]:
+    """Evaluate the index bound for uniform covers of Z at one prime.
+
+    The prime defaults to the largest prime of the period and the levels
+    to every positive member of lam.  Bad designations are refused before
+    the system is scanned; the one uniformity scan serves every level.
+    """
     moduli = system.moduli()
     period = system.period()
     fact = factorize(period)
@@ -329,49 +304,59 @@ def check_level_gap(
         raise ValueError(f"{p} does not divide the period {period}")
     orders = [factorize(n).ord_of(p) if n % p == 0 else 0 for n in moduli]
     lam = tuple(sorted(set(orders)))
-    if alpha < 1 or alpha not in lam:
-        raise ValueError(f"alpha must be a positive member of {lam}, got {alpha}")
-    beta = max(v for v in set(lam) | {0} if v < alpha)
-    epsilon = Fraction(1)
+    levels = [v for v in lam if v > 0] if alphas is None else list(alphas)
+    for alpha in levels:
+        if alpha < 1 or alpha not in lam:
+            raise ValueError(f"alpha must be a positive member of {lam}, got {alpha}")
+    if classify(system, period_budget).uniform_m is None:
+        raise ValueError("system is not a uniform cover")
+    epsilon_others = Fraction(1)
     for q, e in fact.pairs:
         if q != p:
-            epsilon *= 1 - Fraction(1, q ** (e + 1))
-    epsilon *= 1 - Fraction(1, p ** (alpha_top - alpha + 1))
+            epsilon_others *= 1 - Fraction(1, q ** (e + 1))
     mult = Counter(moduli)
-    p_alpha = p**alpha
-    m_value = max(mult[n] for n in mult if n % p_alpha == 0)
-    mertens = Fraction(1)
-    for q, _ in fact.pairs:
-        mertens *= Fraction(q, q - 1)
-    lhs = Fraction(p ** (alpha - beta))
-    rhs = epsilon * m_value * mertens
-    top_mult = max(
-        mult[n] for n, o in zip(moduli, orders) if o == alpha_top
-    )
-    others = Fraction(1)
-    for q, _ in fact.pairs:
-        if q != p:
-            others *= Fraction(q - 1, q)
-    mult_bound = p * others
-    r = len(fact.pairs)
-    mult_bound_weak = Fraction(p, r)
-    return LevelGapReport(
-        period=period,
-        prime=p,
-        alpha=alpha,
-        alpha_top=alpha_top,
-        lam=lam,
-        beta=beta,
-        epsilon=epsilon,
-        m_value=m_value,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        top_multiplicity=top_mult,
-        mult_bound=mult_bound,
-        mult_bound_weak=mult_bound_weak,
-        mult_holds=top_mult >= mult_bound,
-    )
+    mertens = euler_product(fact.primes())
+    top_mult = max(mult[n] for n, o in zip(moduli, orders) if o == alpha_top)
+    mult_bound = p / euler_product(q for q in fact.primes() if q != p)
+    mult_bound_weak = Fraction(p, len(fact.pairs))
+    reports = []
+    for alpha in levels:
+        beta = max(v for v in set(lam) | {0} if v < alpha)
+        epsilon = epsilon_others * (1 - Fraction(1, p ** (alpha_top - alpha + 1)))
+        p_alpha = p**alpha
+        m_value = max(mult[n] for n in mult if n % p_alpha == 0)
+        lhs = Fraction(p ** (alpha - beta))
+        rhs = epsilon * m_value * mertens
+        reports.append(
+            LevelGapReport(
+                period=period,
+                prime=p,
+                alpha=alpha,
+                alpha_top=alpha_top,
+                lam=lam,
+                beta=beta,
+                epsilon=epsilon,
+                m_value=m_value,
+                lhs=lhs,
+                rhs=rhs,
+                holds=lhs <= rhs,
+                top_multiplicity=top_mult,
+                mult_bound=mult_bound,
+                mult_bound_weak=mult_bound_weak,
+                mult_holds=top_mult >= mult_bound,
+            )
+        )
+    return tuple(reports)
+
+
+def check_level_gap(
+    system: ResidueSystem,
+    alpha: int,
+    prime: Optional[int] = None,
+    period_budget: Optional[int] = None,
+) -> LevelGapReport:
+    """The index bound at one (prime, alpha); see check_level_gaps."""
+    return check_level_gaps(system, prime, (alpha,), period_budget)[0]
 
 
 @dataclass(frozen=True)
@@ -399,9 +384,7 @@ def check_simpson(
     fact = factorize(period)
     mult = Counter(system.moduli())
     m = max(mult.values())
-    rhs = Fraction(m)
-    for q, _ in fact.pairs:
-        rhs *= Fraction(q, q - 1)
+    rhs = m * euler_product(fact.primes())
     return SimpsonReport(
         period=period,
         largest_prime=fact.pairs[-1][0],

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact arithmetic layer."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from coverlab.arith import (
     Rational,
     divisor_list,
     euler_phi,
+    euler_product,
     factorize,
     gcd_lcm,
     is_prime,
@@ -210,6 +212,19 @@ def test_gcd_divides_all_and_all_divide_lcm(values):
 def test_mertens_product_small():
     assert mertens_product(1) == Fraction(1)
     assert mertens_product(10) == Fraction(35, 8)
+
+
+def test_euler_product_matches_naive_loop():
+    rng = random.Random(11)
+    pool = primes_upto(2000)
+    sets = [[], [2], [1999]] + [rng.sample(pool, rng.randint(1, 40)) for _ in range(60)]
+    for ps in sets:
+        naive = Fraction(1)
+        for p in ps:
+            naive *= Fraction(p, p - 1)
+        assert euler_product(ps) == naive
+        assert euler_product(iter(ps)) == naive
+    assert euler_product([]) == 1
 
 
 @given(st.integers(min_value=1, max_value=300))

@@ -2,9 +2,11 @@
 
 import json
 import random
+import sys
 
 import pytest
 
+from coverlab import zcover
 from coverlab.cli import (
     FormatError,
     main,
@@ -231,6 +233,85 @@ def test_exit_truncated_enumeration(capsys):
     assert main(["enumerate-covers", "D4", "--k", "6", "--m", "2", "--budget", "50"]) == 2
     out = capsys.readouterr().out
     assert "truncated: true" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["0/1"], "trivial period, no primes to designate"),
+        (["0/2 1/4 3/4", "--prime", "3"], "3 does not divide the period 4"),
+        (["0/2 1/4 3/4", "--prime", "3", "--alpha", "1"], "3 does not divide the period 4"),
+        (["0/2 1/4"], "system is not a uniform cover"),
+        (["0/2 1/4", "--alpha", "2"], "system is not a uniform cover"),
+        (["0/2 1/4 3/4", "--alpha", "3"], "alpha must be a positive member of (1, 2), got 3"),
+        (["0/2 1/4 3/4", "--alpha", "0"], "alpha must be a positive member of (1, 2), got 0"),
+    ],
+)
+def test_level_gap_refusals(argv, message, capsys):
+    # one fault per input; each is refused with exit 2 and nothing on stdout
+    assert main(["level-gap", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["-5", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-cover", "0/2 1/4 3/4"], ["enumerate-covers", "S3"], ["hs-search", "C6"]],
+)
+def test_non_positive_budget_is_a_usage_error(argv, value, source, capsys, monkeypatch):
+    if source == "flag":
+        argv, name = [*argv, "--budget", value], "--budget"
+    else:
+        monkeypatch.setenv("COVERLAB_BUDGET", value)
+        name = "COVERLAB_BUDGET"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, scans",
+    [
+        (["verify-cover", "0/2 1/4 3/4"], 1),
+        (["density", "0/2 1/4 3/4"], 1),
+        (["simpson", "0/2 1/4 3/4"], 1),
+        (["density-check", "0/2 1/4 3/4"], 1),
+        (["rogers", "0/2 1/4 3/4"], 2),
+        (["level-gap", "0/2 1/4 3/4", "--prime", "2"], 1),
+        (["mu", "0/2 1/4 3/4"], 0),
+    ],
+)
+def test_residue_commands_scan_each_system_once(argv, scans, capsys, monkeypatch):
+    original = zcover.multiplicity_profile
+    scanned = []
+
+    def counted(system, *args, **kwargs):
+        scanned.append(system)
+        return original(system, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "coverlab" or name.startswith("coverlab."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(scanned) == scans
+    assert len(set(scanned)) == scans
+    if argv[0] == "level-gap":
+        assert out.count("index-bound[alpha=") == 2
+
+
+@pytest.mark.parametrize("command", ["uniform-cover", "max-index"])
+def test_group_cover_check_refusal(command, capsys):
+    assert main([command, "group C6\n0 : 2\n1 : 3\n"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: system is not a uniform cover\n"
 
 
 # ---------------------------------------------------------------- output

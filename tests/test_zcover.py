@@ -18,6 +18,7 @@ from coverlab.zcover import (
     ResidueSystem,
     check_density_identity,
     check_level_gap,
+    check_level_gaps,
     check_rogers,
     check_simpson,
     classify,
@@ -124,6 +125,30 @@ def test_profile_streams_above_vector_max():
     assert p.max_w == counts.max()
     assert p.sum_w == counts.sum()
     assert p.covered == np.count_nonzero(counts)
+
+
+@pytest.mark.parametrize(
+    "period",
+    [FULL_VECTOR_MAX - 1, FULL_VECTOR_MAX, FULL_VECTOR_MAX + 3, 3 * FULL_VECTOR_MAX + 1],
+)
+def test_profile_across_chunk_boundaries(period):
+    # two classes of full modulus sit in the last chunk and just past the
+    # first boundary; the others are offset so each chunk starts mid-stride
+    small = [d for d in divisor_list(period) if 1 < d < period][:2]
+    pairs = [(period - 1, period), (min(FULL_VECTOR_MAX + 1, period - 2), period)]
+    pairs += [(d - 1, d) for d in small] + [(d // 2, d) for d in small]
+    s = sys_of(*pairs)
+    p = multiplicity_profile(s)
+    assert p.period == period
+    counts = np.zeros(period, dtype=np.int64)
+    for c in s.classes:
+        counts[c.residue :: c.modulus] += 1
+    assert (p.min_w, p.max_w) == (counts.min(), counts.max())
+    assert p.sum_w == counts.sum()
+    assert p.covered == np.count_nonzero(counts)
+    assert (p.counts is None) == (period > FULL_VECTOR_MAX)
+    if p.counts is not None:
+        assert np.array_equal(p.counts, counts)
 
 
 def test_period_budget_refusal():
@@ -304,6 +329,32 @@ def test_level_gap_rejects_bad_inputs():
         check_level_gap(EXACT4, 1, prime=3)  # 3 does not divide 4
     with pytest.raises(ValueError):
         check_level_gap(sys_of((0, 1), (0, 1)), 1)  # trivial
+
+
+def test_level_gaps_match_single_levels():
+    systems = (
+        EXACT4,
+        sys_of((0, 2), (1, 4), (3, 8), (7, 8)),
+        sys_of((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
+    )
+    for s in systems:
+        for prime in (None, 2):
+            reports = check_level_gaps(s, prime)
+            assert [r.alpha for r in reports] == [v for v in reports[0].lam if v > 0]
+            for r in reports:
+                assert check_level_gap(s, r.alpha, prime) == r
+
+
+def test_level_gaps_refuse_before_scanning():
+    # bad designations are refused without a scan, so even an over-budget
+    # period gets the designation error
+    big = sys_of((0, 2), (1, 4), (3, 4), (0, 999983))
+    with pytest.raises(ValueError, match="does not divide"):
+        check_level_gaps(big, prime=3, period_budget=10)
+    with pytest.raises(ValueError, match="alpha must be"):
+        check_level_gaps(big, prime=2, alphas=(3,), period_budget=10)
+    with pytest.raises(PeriodBudgetError):
+        check_level_gaps(big, prime=2, period_budget=10)
 
 
 # ----------------------------------------------------------------- simpson
