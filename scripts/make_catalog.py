@@ -16,11 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coverlab.group import (  # noqa: E402
     all_subgroups,
+    catalog_group,
     cycles_str,
-    fingerprint,
-    group_from_generators,
-    parse_group_records,
-    realize_record,
+    load_catalog,
 )
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "coverlab" / "data" / "groups_le16.txt"
@@ -207,10 +205,9 @@ MODELED = [
 ]
 
 
-def main():
-    entries = []
-    for name, degree, gens, order in HANDMADE:
-        entries.append((name, degree, gens, order))
+def catalog_text() -> str:
+    """The catalog file's content: one record per group, by (order, name)."""
+    entries = list(HANDMADE)
     for model, name, order in MODELED:
         assert len(model.elems) == order, name
         degree, gens = model.regular_gens()
@@ -226,26 +223,17 @@ def main():
         lines.append(f"order {order}")
         lines.append("end")
         lines.append("")
-    OUT.write_text("\n".join(lines))
-    print(f"wrote {OUT} with {len(entries)} records")
+    return "\n".join(lines)
 
-    # validate the way the package loader does, plus a few known counts
-    records = parse_group_records(OUT.read_text())
-    groups = [realize_record(r) for r in records]
-    prints = {}
-    for g in groups:
-        fp = fingerprint(g)
-        print(f"{g.name:14s} order {g.order:3d} subgroups {fp[3]:3d} "
-              f"abelian {fp[2]!s:5s} orders {dict(fp[1])}")
-        key = fp
-        if key in prints:
-            raise SystemExit(f"fingerprint collision: {prints[key]} vs {g.name}")
-        prints[key] = g.name
-    by_name = {g.name: g for g in groups}
-    assert len(all_subgroups(by_name["C4"])) == 3
-    assert len(all_subgroups(by_name["S3"])) == 6
-    assert len(all_subgroups(by_name["Q8"])) == 6
-    assert len(all_subgroups(by_name["A4"])) == 10
+
+def main():
+    OUT.write_text(catalog_text())
+    # the package loader parses and realizes every record, counts groups
+    # per order and refuses fingerprint collisions; add a few known counts
+    groups = load_catalog()
+    print(f"wrote {OUT} with {len(groups)} records")
+    for name, subgroups in (("C4", 3), ("S3", 6), ("Q8", 6), ("A4", 10)):
+        assert len(all_subgroups(catalog_group(name))) == subgroups, name
     print("validation ok")
 
 

@@ -100,12 +100,8 @@ _CLASS_RE = re.compile(r"(\d+)/(\d+)")
 
 
 def parse_cover_file(path_or_text: str) -> ResidueSystem:
-    text = _load(path_or_text)
     pairs = []
-    for lineno, raw in enumerate(text.splitlines() or [text], 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _clean_lines(_load(path_or_text)):
         for tok in line.split():
             m = _CLASS_RE.fullmatch(tok)
             if m is None:
@@ -127,9 +123,6 @@ def serialize_cover(system: ResidueSystem) -> str:
     return "\n".join(str(c) for c in system.classes) + "\n"
 
 
-_RECORD_KEYS = {"degree", "gen", "order", "end"}
-
-
 def _clean_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines() or [text], 1):
@@ -139,15 +132,28 @@ def _clean_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _realize_one(text: str) -> FiniteGroup:
+def _parse_group_header(text: str, lines: list) -> tuple[FiniteGroup, int]:
+    """(group, clean lines used) for the top of a group or coset-cover file:
+    every line before the first later one holding a ':' (a cover entry).
+    One line names a catalog group, bare or after `group`; more lines are
+    one record, parsed from the raw text so line numbers are the file's."""
+    span = next((i for i in range(1, len(lines)) if ":" in lines[i][1]), len(lines))
+    if span == 1:
+        lineno, first = lines[0]
+        key, _, rest = first.partition(" ")
+        name = rest.strip() if key == "group" else first
+        if not name:
+            raise FormatError(f"line {lineno}: group needs a name")
+        try:
+            return catalog_group(name), 1
+        except KeyError:
+            raise FormatError(f"line {lineno}: no catalog group named {name!r}")
+    header = "\n".join(text.splitlines()[: lines[span - 1][0]])
     try:
-        records = parse_group_records(text)
-    except ValueError as e:
-        raise FormatError(str(e))
-    if len(records) != 1:
-        raise FormatError(f"expected exactly one group record, got {len(records)}")
-    try:
-        return realize_record(records[0])
+        records = parse_group_records(header)
+        if len(records) != 1:
+            raise ValueError(f"expected exactly one group record, got {len(records)}")
+        return realize_record(records[0]), span
     except ValueError as e:
         raise FormatError(str(e))
 
@@ -158,15 +164,10 @@ def parse_group_file(path_or_text: str) -> FiniteGroup:
     lines = _clean_lines(text)
     if not lines:
         raise FormatError("empty group file")
-    if len(lines) == 1:
-        name = lines[0][1]
-        if name.startswith("group "):
-            name = name.partition(" ")[2].strip()
-        try:
-            return catalog_group(name)
-        except KeyError:
-            raise FormatError(f"no catalog group named {name!r}")
-    return _realize_one(text)
+    G, span = _parse_group_header(text, lines)
+    if span < len(lines):
+        raise FormatError(f"line {lines[span][0]}: a group file holds one group only")
+    return G
 
 
 def serialize_group(G: FiniteGroup) -> str:
@@ -228,25 +229,7 @@ def parse_group_cover_file(
     lineno, first = lines[0]
     if first.split()[0] != "group":
         raise FormatError(f"line {lineno}: cover must start with a group line")
-    pos = 1
-    if pos < len(lines) and lines[pos][1].split()[0] in _RECORD_KEYS:
-        rec = [first]
-        while pos < len(lines):
-            rec.append(lines[pos][1])
-            pos += 1
-            if rec[-1] == "end":
-                break
-        else:
-            raise FormatError("group record not terminated by 'end'")
-        G = _realize_one("\n".join(rec))
-    else:
-        name = first.partition(" ")[2].strip()
-        if not name:
-            raise FormatError(f"line {lineno}: group needs a name")
-        try:
-            G = catalog_group(name)
-        except KeyError:
-            raise FormatError(f"line {lineno}: no catalog group named {name!r}")
+    G, pos = _parse_group_header(text, lines)
     H = trivial_subgroup(G)
     entries: list[tuple[int, Subgroup]] = []
     seen_h = False

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Budget errors signal that a requested computation exceeds a configured
-resource cap (sieve capacity, scan period, search nodes).  The CLI maps
-them to exit status 2.
+resource cap (sieve capacity, scan period, search nodes, group order).
+The CLI maps them to exit status 2.
 """
 
 

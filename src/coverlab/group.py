@@ -20,6 +20,10 @@ element of the mask that is not yet in the subgroup grows it by whole
 right cosets.  The lattice is built by cyclic extension: each join
 extends a known subgroup by the generator of a cyclic subgroup.
 
+Every group has at most ORDER_CAP elements: a record is refused at its
+declared order, a closure as it outgrows the cap, and a larger table
+before it is checked.
+
 Construction verifies the identity row and column, the Latin square
 property and associativity, the last by Light's test over a generating
 set: (a*b)*g = a*(b*g) for all a, b and each generator g.  The elements
@@ -41,8 +45,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .arith import factorize, is_prime
 from .errors import BudgetError
 
-DEFAULT_CLOSURE_CAP = 5000
-DEFAULT_ORDER_CAP = 200
+ORDER_CAP = 200
 
 
 def _bits(mask: int):
@@ -137,6 +140,8 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValueError("empty table")
+        if n > ORDER_CAP:
+            raise BudgetError(f"table of order {n} is above the order cap {ORDER_CAP}")
         rng = range(n)
         for row in table:
             if len(row) != n or any(not 0 <= v < n for v in row):
@@ -390,16 +395,14 @@ def _check_perm(degree: int, perm: Sequence[int]) -> tuple[int, ...]:
 
 
 def group_from_generators(
-    degree: int,
-    generators: Sequence,
-    name: Optional[str] = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    degree: int, generators: Sequence, name: Optional[str] = None
 ) -> FiniteGroup:
     """Close permutation generators into a group, numbering elements by BFS.
 
     Generators may be cycle-notation strings (points 1..degree) or
     0-based image tuples.  Element 0 is the identity; products explored
-    in generator order fix the rest of the numbering.
+    in generator order fix the rest of the numbering.  The closure stops
+    with BudgetError as soon as it outgrows ORDER_CAP.
     """
     gens = []
     for g in generators:
@@ -420,8 +423,11 @@ def group_from_generators(
         for j, g in enumerate(gens):
             y = tuple(x[g[i]] for i in range(degree))
             if y not in index:
-                if len(elems) >= cap:
-                    raise BudgetError(f"closure exceeded cap {cap}")
+                if len(elems) == ORDER_CAP:
+                    raise BudgetError(
+                        f"group {name or 'from generators'}: closure passed "
+                        f"{ORDER_CAP} elements, above the order cap {ORDER_CAP}"
+                    )
                 index[y] = len(elems)
                 elems.append(y)
                 parent.append(pos)
@@ -451,7 +457,7 @@ def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
 
 # ------------------------------------------------------------ lattice and core
 
-def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
+def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup, sorted by (size, mask).  Memoized on the group.
 
     Seeds are the cyclic subgroups; the set is closed under joins with
@@ -460,8 +466,6 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgrou
     subgroup by the seed's generator (cyclic extension), and lands in
     the closure memo under the mask of the union it generates.
     """
-    if G.order > cap:
-        raise BudgetError(f"subgroup lattice capped at order {cap}, group has {G.order}")
     return G.memo("lattice", G.full_mask(), _lattice, G)
 
 
@@ -791,7 +795,13 @@ def parse_group_records(text: str) -> list[GroupRecord]:
 
 
 def realize_record(rec: GroupRecord) -> FiniteGroup:
-    """Build the group and fail loudly if the closure size disagrees."""
+    """Build the group and fail loudly if the closure size disagrees.  A
+    declared order above ORDER_CAP is refused before the closure starts."""
+    if rec.expected_order > ORDER_CAP:
+        raise BudgetError(
+            f"group {rec.name}: record says order {rec.expected_order}, "
+            f"above the order cap {ORDER_CAP}"
+        )
     G = group_from_generators(rec.degree, rec.generators, name=rec.name)
     if G.order != rec.expected_order:
         raise ValueError(

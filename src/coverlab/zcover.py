@@ -22,7 +22,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import divisor_list, euler_phi, euler_product, factorize, least_prime
+from .arith import (
+    divisor_list, euler_phi, euler_product, factorize, is_prime, least_prime
+)
 from .errors import PeriodBudgetError
 
 FULL_VECTOR_MAX = 10**6
@@ -299,6 +301,8 @@ def check_level_gaps(
     if not fact.pairs:
         raise ValueError("trivial period, no primes to designate")
     p = fact.pairs[-1][0] if prime is None else prime
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     alpha_top = fact.ord_of(p)
     if alpha_top == 0:
         raise ValueError(f"{p} does not divide the period {period}")

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,16 @@ def test_group_parse_errors():
         parse_group_file("NoSuchGroup")
     with pytest.raises(FormatError):
         parse_group_file("group X\ndegree 3\ngen (1 2 3)\norder 3\n")  # no end
+
+
+def test_group_record_errors_keep_file_line_numbers():
+    # a comment line inside the record must not shift the reported line
+    record = "group V\ndegree 4\n# a comment\ngen (1 2)\ncolour red\norder 4\nend\n"
+    message = r"^line 5: unknown key 'colour'$"
+    with pytest.raises(FormatError, match=message):
+        parse_group_file(record)
+    with pytest.raises(FormatError, match=message):
+        parse_group_cover_file(record + "0 : 1\n2 : 1\n")
 
 
 # ------------------------------------------------------ group-cover files
@@ -245,6 +256,9 @@ def test_exit_truncated_enumeration(capsys):
         (["0/2 1/4", "--alpha", "2"], "system is not a uniform cover"),
         (["0/2 1/4 3/4", "--alpha", "3"], "alpha must be a positive member of (1, 2), got 3"),
         (["0/2 1/4 3/4", "--alpha", "0"], "alpha must be a positive member of (1, 2), got 0"),
+        (["0/2 1/4 3/4", "--prime", "4"], "4 is not prime"),
+        (["0/2 1/4 3/4", "--prime", "1"], "1 is not prime"),
+        (["0/2 1/4 3/4", "--prime", "-2"], "-2 is not prime"),
     ],
 )
 def test_level_gap_refusals(argv, message, capsys):
@@ -253,6 +267,37 @@ def test_level_gap_refusals(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _cycle(lo: int, hi: int) -> str:
+    return "(" + " ".join(str(i) for i in range(lo, hi + 1)) + ")"
+
+
+# order 2000 as declared; order 3000 = lcm(8, 3, 125) against a declared 6
+C2000 = f"group C2000\ndegree 2000\ngen {_cycle(1, 2000)}\norder 2000\nend\n"
+MISSTATED = (
+    f"group M\ndegree 136\ngen {_cycle(1, 8)}{_cycle(9, 11)}{_cycle(12, 136)}\n"
+    "order 6\nend\n"
+)
+C2000_REFUSAL = "group C2000: record says order 2000, above the order cap 200"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group-info", C2000], C2000_REFUSAL),
+        (["group-info", MISSTATED], "group M: closure passed 200 elements, above the order cap 200"),
+        (["uniform-cover", C2000 + "0 : 1\n"], C2000_REFUSAL),
+    ],
+    ids=["declared-order", "misstated-order", "cover-header"],
+)
+def test_group_over_order_cap_refused_before_its_table(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: {message}\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

@@ -1,9 +1,12 @@
 """Tests for the finite group engine: tables, lattices, series, catalog."""
 
+import importlib.util
 import math
 import random
 import time
+from importlib import resources
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ import coverlab.group as group_module
 from coverlab.arith import factorize
 from coverlab.errors import BudgetError
 from coverlab.group import (
+    ORDER_CAP,
     FiniteGroup,
     Subgroup,
     all_subgroups,
@@ -28,6 +32,7 @@ from coverlab.group import (
     core_excluded_primes,
     core_of,
     cycles_str,
+    cyclic_group,
     derived_series,
     fingerprint,
     full_subgroup,
@@ -228,6 +233,15 @@ def test_catalog_fingerprints_distinct_per_order():
         assert len(set(prints)) == len(prints), order
 
 
+def test_catalog_file_matches_its_generator():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_catalog.py"
+    spec = importlib.util.spec_from_file_location("make_catalog", script)
+    make_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_catalog)
+    data = resources.files("coverlab").joinpath("data/groups_le16.txt").read_bytes()
+    assert make_catalog.catalog_text().encode() == data
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_group("M11")
@@ -291,8 +305,32 @@ def test_generator_graph_table_matches_composition():
 
 
 def test_generators_closure_cap():
-    with pytest.raises(BudgetError):
-        group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], cap=30)
+    # S6 has 720 elements: the closure is stopped as it passes the cap
+    with pytest.raises(BudgetError, match="group S6: closure passed 200 elements"):
+        group_from_generators(6, ["(1 2 3 4 5 6)", "(1 2)"], name="S6")
+
+
+def test_order_cap_boundary():
+    assert ORDER_CAP == 200
+    cycle = "(" + " ".join(str(i) for i in range(1, 201)) + ")"
+    assert group_from_generators(200, [cycle]).order == 200
+    with pytest.raises(BudgetError, match="closure passed 200 elements"):
+        group_from_generators(201, [cycle[:-1] + " 201)"])
+    assert cyclic_group(200).order == 200
+    with pytest.raises(BudgetError, match="table of order 201 is above the order cap"):
+        cyclic_group(201)
+
+
+def test_record_over_cap_refused_before_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(group_module, "group_from_generators", no_closure)
+    text = "group C2000\ndegree 2000\ngen (1 2)\norder 2000\nend\n"
+    (rec,) = parse_group_records(text)
+    message = "group C2000: record says order 2000, above the order cap 200"
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        realize_record(rec)
 
 
 def test_record_order_mismatch():

@@ -6,12 +6,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverlab.arith import divisor_list, euler_phi
 from coverlab.errors import PeriodBudgetError
 from coverlab.zcover import (
+    DEFAULT_PERIOD_BUDGET,
     FULL_VECTOR_MAX,
     CoverClassification,
     ResidueClass,
@@ -202,9 +203,19 @@ def test_density_two_three():
     assert density_union(sys_of((0, 2), (0, 3))) == Fraction(2, 3)
 
 
+# two draws whose period exceeds the default budget
+OVER_BUDGET_MODULI = ([7, 11, 13, 16, 25, 27], [11, 13, 17, 19, 20, 21])
+
+
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6))
+@example(OVER_BUDGET_MODULI[0])
+@example(OVER_BUDGET_MODULI[1])
 def test_density_inclusion_exclusion(moduli):
     s = sys_of(*[(0, n) for n in moduli])
+    if math.lcm(*moduli) > DEFAULT_PERIOD_BUDGET:
+        with pytest.raises(PeriodBudgetError):
+            density_union(s)
+        return
     expected = Fraction(0)
     for r in range(1, len(moduli) + 1):
         for sub in combinations(moduli, r):
@@ -265,7 +276,13 @@ def test_density_identity_examples():
 
 
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6))
+@example(OVER_BUDGET_MODULI[0])
+@example(OVER_BUDGET_MODULI[1])
 def test_density_identity_random(moduli):
+    if math.lcm(*moduli) > DEFAULT_PERIOD_BUDGET:
+        with pytest.raises(PeriodBudgetError):
+            check_density_identity(moduli)
+        return
     assert check_density_identity(moduli).holds
 
 
