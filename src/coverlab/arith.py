@@ -174,10 +174,15 @@ def gcd_lcm(values: list[int]) -> tuple[int, int]:
     return math.gcd(*values), math.lcm(*values)
 
 
+def euler_factors(primes: Iterable[int]) -> tuple[int, int]:
+    """(prod p, prod (p-1)) over the given primes, unreduced ((1, 1) for none)."""
+    ps = list(primes)
+    return _balanced_prod(ps), _balanced_prod([p - 1 for p in ps])
+
+
 def euler_product(primes: Iterable[int]) -> Fraction:
     """prod p/(p-1) over the given primes as an exact fraction (1 for none)."""
-    ps = list(primes)
-    return Fraction(_balanced_prod(ps), _balanced_prod([p - 1 for p in ps]))
+    return Fraction(*euler_factors(primes))
 
 
 def mertens_product(x: int) -> Fraction:

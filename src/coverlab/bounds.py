@@ -1,11 +1,19 @@
 """The prime-product threshold c(M) and quantities derived from it.
 
 c(M) is the smallest positive integer x with prod_{p <= x} p/(p-1) <= x/M.
-The scan is exact: the product is carried as an integer pair and every
-comparison is a cross multiplication.  Since (1/x) prod_{p <= x} p/(p-1)
-never increases (equality at primes, strict decrease at composites), the
-first x satisfying the inequality is the threshold, the inequality fails
-at every smaller x, and c(M) can never be prime.
+Since (1/x) prod_{p <= x} p/(p-1) never increases (equality at primes,
+strict decrease at composites), c(M) is the one x at which the inequality
+holds while it fails at x - 1, and c(M) can never be prime.
+
+The scan finds c(M) in two passes.  A binary64 walk over the primes sums
+log1p(1/(p-1)) and gives a candidate for every M of the range.  An exact
+pass then certifies the candidates in ascending order: it carries the
+unreduced pair (prod p, prod (p-1)) over the primes below the candidate,
+extended from the previous certified threshold, and checks by cross
+multiplication that the inequality holds at the candidate and fails one
+below it.  A candidate that fails either check is moved by an exact step
+walk until both hold.  No fraction, division or gcd enters the scan, so
+its cost grows about linearly with the size of the product.
 
 alpha(M) = 2 + floor(log2(zeta(2) c(M))) is floored in binary64; when the
 value sits within 1e-9 of an integer the floor is re-derived in 256-bit
@@ -16,11 +24,13 @@ working precision, never a truncated series.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .arith import mertens_product, prime_counts, primes_upto
+from .arith import euler_factors, mertens_product, prime_counts, primes_upto
 
 ZETA2 = math.pi**2 / 6
 EULER_GAMMA = 0.5772156649015329
@@ -51,27 +61,91 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
         bound *= 2
 
 
-def _try_c_range(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
-    primes = primes_upto(bound)
-    out: dict[int, int] = {}
+class _Prefix(NamedTuple):
+    """prod p and prod (p-1) over the primes below x, which are primes[:count]."""
+
+    x: int
+    count: int
+    num: int
+    den: int
+
+
+_EMPTY = _Prefix(1, 0, 1, 1)
+
+
+def _extend(pre: _Prefix, primes: list[int], x: int) -> _Prefix:
+    """The prefix at x >= pre.x, from pre and the primes in [pre.x, x)."""
+    count = bisect_left(primes, x, pre.count)
+    num, den = euler_factors(primes[pre.count : count])
+    return _Prefix(x, count, pre.num * num, pre.den * den)
+
+
+def _certify(
+    M: int, x: int, primes: list[int], bound: int, base: _Prefix
+) -> tuple[int, _Prefix] | None:
+    """(c(M), prefix at c(M)) from the candidate x, exactly.
+
+    base is a prefix at some x0 <= c(M); the walk never goes below x0.
+    None when the walk passes bound, the end of the sieved primes.
+    """
+    pre = _extend(base, primes, max(x, base.x))
+    # down while the inequality already holds at x - 1 (pre's primes are
+    # exactly those <= x - 1); stepping below a prime rebuilds from base
+    while pre.x > base.x and M * pre.num <= (pre.x - 1) * pre.den:
+        x = pre.x - 1
+        if pre.count and primes[pre.count - 1] == x:
+            pre = _extend(base, primes, x)
+        else:
+            pre = pre._replace(x=x)
+    # up while it fails at x, taking x's own factor when x is prime
+    while True:
+        x, count, num, den = pre
+        if count < len(primes) and primes[count] == x:
+            num, den, count = num * x, den * (x - 1), count + 1
+        if M * num <= x * den:
+            return x, pre
+        if x >= bound:
+            return None
+        pre = _Prefix(x + 1, count, num, den)
+
+
+def _float_candidates(
+    m_lo: int, m_hi: int, primes: list[int], bound: int
+) -> list[int] | None:
+    # on [p, next prime) the product is constant, so the first x there with
+    # x >= M * product is c(M); here the product is a binary64 estimate
+    out: list[int] = []
     m = m_lo
-    num = den = 1
-    # x = 1 carries the empty product; M >= 2 never satisfies M*1 <= 1*1,
-    # so segments start at the first prime
+    log_prod = 0.0
     for idx, p in enumerate(primes):
-        num *= p
-        den *= p - 1
-        seg_lo = p
+        log_prod += math.log1p(1 / (p - 1))
+        prod = math.exp(log_prod)
         seg_hi = primes[idx + 1] - 1 if idx + 1 < len(primes) else bound
         while m <= m_hi:
-            t = -(-(m * num) // den)  # ceil(m * num / den)
+            t = math.ceil(m * prod)
             if t > seg_hi:
                 break
-            out[m] = max(t, seg_lo)
+            out.append(max(t, p))
             m += 1
         if m > m_hi:
             return out
     return None
+
+
+def _try_c_range(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
+    primes = primes_upto(bound)
+    candidates = _float_candidates(m_lo, m_hi, primes, bound)
+    if candidates is None:
+        return None
+    out: dict[int, int] = {}
+    pre = _EMPTY
+    # c(M) never decreases, so each certified threshold is the base of the next
+    for m, x in enumerate(candidates, m_lo):
+        got = _certify(m, x, primes, bound, pre)
+        if got is None:
+            return None
+        out[m], pre = got
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +158,8 @@ def mertens_holds_at(x: int, M: int) -> bool:
     """Exact check of the defining inequality prod_{p <= x} p/(p-1) <= x/M."""
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    return mertens_product(x) <= Fraction(x, M)
+    num, den = euler_factors(primes_upto(x))
+    return M * num <= x * den
 
 
 def _alpha_escalate(c: int) -> int:

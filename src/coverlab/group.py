@@ -21,8 +21,8 @@ right cosets.  The lattice is built by cyclic extension: each join
 extends a known subgroup by the generator of a cyclic subgroup.
 
 Every group has at most ORDER_CAP elements: a record is refused at its
-declared order, a closure as it outgrows the cap, and a larger table
-before it is checked.
+declared order, a closure as it outgrows the cap, a larger table before
+it is checked, and a cyclic group before its table is built.
 
 Construction verifies the identity row and column, the Latin square
 property and associativity, the last by Light's test over a generating
@@ -130,6 +130,11 @@ def _generate(table, mask: int) -> tuple[tuple[int, ...], int]:
     return gens, sub
 
 
+def _check_order_cap(n: int) -> None:
+    if n > ORDER_CAP:
+        raise BudgetError(f"table of order {n} is above the order cap {ORDER_CAP}")
+
+
 class FiniteGroup:
     """Immutable finite group on element ids 0..order-1 given by its table."""
 
@@ -140,8 +145,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValueError("empty table")
-        if n > ORDER_CAP:
-            raise BudgetError(f"table of order {n} is above the order cap {ORDER_CAP}")
+        _check_order_cap(n)
         rng = range(n)
         for row in table:
             if len(row) != n or any(not 0 <= v < n for v in row):
@@ -451,6 +455,7 @@ def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
     """Z/n with element i the residue i."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_order_cap(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=name or f"Z{n}", labels=[str(i) for i in range(n)])
 
@@ -747,6 +752,12 @@ class GroupRecord:
     expected_order: int
 
 
+def _positive_field(lineno: int, key: str, rest: str) -> int:
+    if rest.isdecimal() and int(rest) > 0:
+        return int(rest)
+    raise ValueError(f"line {lineno}: {key} must be a positive integer, got {rest!r}")
+
+
 def parse_group_records(text: str) -> list[GroupRecord]:
     """Parse concatenated group records.
 
@@ -759,7 +770,7 @@ def parse_group_records(text: str) -> list[GroupRecord]:
         end
     """
     records = []
-    name = degree = order = None
+    name = degree = order = start = None  # start: the record's group line
     gens: list[str] = []
     in_block = False
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -773,24 +784,24 @@ def parse_group_records(text: str) -> list[GroupRecord]:
                 raise ValueError(f"line {lineno}: nested group block")
             if not rest:
                 raise ValueError(f"line {lineno}: group needs a name")
-            in_block, name, degree, order, gens = True, rest, None, None, []
+            in_block, start, name, degree, order, gens = True, lineno, rest, None, None, []
         elif not in_block:
             raise ValueError(f"line {lineno}: {key!r} outside a group block")
         elif key == "degree":
-            degree = int(rest)
+            degree = _positive_field(lineno, key, rest)
+        elif key == "order":
+            order = _positive_field(lineno, key, rest)
         elif key == "gen":
             gens.append(rest)
-        elif key == "order":
-            order = int(rest)
         elif key == "end":
             if degree is None or order is None:
-                raise ValueError(f"record {name!r} is missing degree or order")
+                raise ValueError(f"line {start}: record {name!r} is missing degree or order")
             records.append(GroupRecord(name, degree, tuple(gens), order))
             in_block = False
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if in_block:
-        raise ValueError(f"record {name!r} not closed with end")
+        raise ValueError(f"line {start}: record {name!r} not closed with end")
     return records
 
 

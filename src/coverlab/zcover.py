@@ -29,7 +29,6 @@ from .errors import PeriodBudgetError
 
 FULL_VECTOR_MAX = 10**6
 DEFAULT_PERIOD_BUDGET = 10**7
-_SUBSET_LIMIT = 20  # inclusion-exclusion is 2**k terms
 
 
 @dataclass(frozen=True)
@@ -197,22 +196,17 @@ class DualCheck:
 
 
 def _inclusion_exclusion_density(moduli: Sequence[int]) -> Fraction:
-    # sum over nonempty subsets I of (-1)**(|I|+1) / lcm(I), by depth-first
-    # walk keeping the running lcm
-    total = Fraction(0)
-    k = len(moduli)
-
-    def walk(i: int, current_lcm: int, size: int):
-        nonlocal total
-        if i == k:
-            if size:
-                total += Fraction((-1) ** (size + 1), current_lcm)
-            return
-        walk(i + 1, current_lcm, size)
-        walk(i + 1, math.lcm(current_lcm, moduli[i]), size + 1)
-
-    walk(0, 1, 0)
-    return total
+    # sum over nonempty subsets I of (-1)**(|I|+1) / lcm(I), grouped by lcm:
+    # signed[l] is the sum of (-1)**|I| over all subsets I (the empty one
+    # included) with lcm l, grown one modulus at a time, so the cost is
+    # k * tau(L) steps instead of 2**k
+    signed = {1: 1}
+    for n in moduli:
+        for l, count in list(signed.items()):
+            joined = math.lcm(l, n)
+            signed[joined] = signed.get(joined, 0) - count
+    period = math.lcm(*moduli)
+    return Fraction(period - sum(c * (period // l) for l, c in signed.items()), period)
 
 
 def check_density_identity(
@@ -222,13 +216,12 @@ def check_density_identity(
 
     The closed density identity for union of n_i Z reduces, after the
     Euler-factor cancellation recorded in the package docs, to
-    sum_{I != empty} (-1)**(|I|+1) / lcm(n_i : i in I); the scan side is
-    computed independently over one period.
+    sum_{I != empty} (-1)**(|I|+1) / lcm(n_i : i in I), summed with the
+    subsets grouped by their lcm; the scan side is computed independently
+    over one period, which must fit the budget before the sum starts.
     """
     if not moduli:
         raise ValueError("need at least one modulus")
-    if len(moduli) > _SUBSET_LIMIT:
-        raise ValueError(f"inclusion-exclusion limited to {_SUBSET_LIMIT} moduli")
     system = ResidueSystem.from_pairs([(0, n) for n in moduli])
     lhs = density_union(system, period_budget)
     rhs = _inclusion_exclusion_density(list(moduli))

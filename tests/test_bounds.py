@@ -6,11 +6,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from coverlab.arith import mertens_product, prime_counts
+import coverlab.arith as arith_module
+import coverlab.bounds as bounds_module
+from coverlab.arith import euler_factors, is_prime, mertens_product, prime_counts, primes_upto
 from coverlab.bounds import (
+    _EMPTY,
     ZETA2,
     BoundReport,
     QBoundReport,
+    _certify,
+    _scan_bound,
     alpha_floor,
     bound_report,
     c_of,
@@ -56,6 +61,76 @@ def test_c_range_agrees_with_c_of():
     table = c_range(2, 100)
     for M in (2, 3, 17, 49, 100):
         assert table[M] == c_of(M)
+
+
+def exact_segment_scan(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
+    """Differential oracle: the exact segment scan c_range used to run.
+
+    On [p, next prime) the product num/den is constant, so the first x there
+    with x >= M * num / den is the threshold; one big-integer ceiling
+    division per prime makes this quadratic in the size of the product.
+    """
+    primes = primes_upto(bound)
+    out: dict[int, int] = {}
+    m = m_lo
+    num = den = 1
+    for idx, p in enumerate(primes):
+        num *= p
+        den *= p - 1
+        seg_hi = primes[idx + 1] - 1 if idx + 1 < len(primes) else bound
+        while m <= m_hi:
+            t = -(-(m * num) // den)  # ceil(m * num / den)
+            if t > seg_hi:
+                break
+            out[m] = max(t, p)
+            m += 1
+        if m > m_hi:
+            return out
+    return None
+
+
+def test_c_range_matches_exact_segment_scan():
+    assert c_range(2, 3000) == exact_segment_scan(2, 3000, _scan_bound(3000))
+
+
+def test_certify_repairs_off_candidates():
+    table = c_range(2, 3000)
+    bound = _scan_bound(3000)
+    primes = primes_upto(bound)
+    crossed = 0
+    for M in (2, 3, 7, 17, 100, 999, 3000):
+        c = table[M]
+        below = [p for p in primes if p < c]
+        prefix = (c, len(below), *euler_factors(below))
+        bases = [_EMPTY]
+        if M > 2:  # the ascending pass certifies from the previous threshold
+            bases.append(_certify(M - 1, table[M - 1], primes, bound, _EMPTY)[1])
+        for base in bases:
+            for x in (c - 3, c - 1, c + 1, c + 4):
+                got, pre = _certify(M, x, primes, bound, base)
+                assert got == c, (M, x, base.x)
+                assert pre == prefix, (M, x, base.x)
+                crossed += any(is_prime(y) for y in range(min(x, c), max(x, c) + 1))
+    assert crossed  # some repairs step over a prime
+
+
+def test_certify_refuses_past_the_bound():
+    # c(2) = 9, but only 2..7 are sieved when the walk may not pass 8
+    assert _certify(2, 7, primes_upto(8), 8, _EMPTY) is None
+
+
+def test_threshold_scan_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(arith_module, "Fraction", no_fraction)
+    monkeypatch.setattr(bounds_module, "Fraction", no_fraction)
+    assert c_range(2, 50)[2] == 9
+    assert mertens_holds_at(9, 2) and not mertens_holds_at(8, 2)
+
+
+def test_c_of_one_hundred_thousand():
+    assert c_of(10**5) == 2633181
 
 
 def test_c_composite_and_monotone():

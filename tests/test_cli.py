@@ -111,6 +111,29 @@ def test_group_record_errors_keep_file_line_numbers():
         parse_group_cover_file(record + "0 : 1\n2 : 1\n")
 
 
+BAD_RECORDS = [
+    ("group X\ndegree x\norder 1\nend\n", "line 2: degree must be a positive integer, got 'x'"),
+    ("group X\ndegree -3\norder 1\nend\n", "line 2: degree must be a positive integer, got '-3'"),
+    ("group X\ndegree 3\n\norder 0\nend\n", "line 4: order must be a positive integer, got '0'"),
+    ("# C3\ngroup X\ngen (1 2 3)\norder 3\nend\n", "line 2: record 'X' is missing degree or order"),
+    ("\ngroup X\ndegree 3\norder 3\n", "line 2: record 'X' not closed with end"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    BAD_RECORDS,
+    ids=["degree-not-a-number", "degree-negative", "order-zero", "no-degree", "no-end"],
+)
+def test_group_record_field_errors_name_their_line(text, message, capsys):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_group_file(text)
+    assert main(["group-info", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # ------------------------------------------------------ group-cover files
 
 
@@ -298,6 +321,16 @@ def test_group_over_order_cap_refused_before_its_table(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"budget exceeded: {message}\n"
+
+
+def test_density_check_takes_more_than_twenty_moduli(capsys):
+    # 24 zeroed moduli dividing 720720: the grouped inclusion-exclusion
+    # costs k * tau(L), so no cap on k remains
+    divisors = [d for d in range(2, 720721) if 720720 % d == 0]
+    moduli = random.Random(24).sample(divisors, 24)
+    assert main(["density-check", " ".join(f"0/{n}" for n in moduli)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "* identity = true" in lines and lines[-1] == "status: pass"
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

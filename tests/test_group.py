@@ -321,6 +321,14 @@ def test_order_cap_boundary():
         cyclic_group(201)
 
 
+def test_cyclic_group_over_cap_refused_before_its_table():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^table of order 2000 is above the order cap 200$"):
+        cyclic_group(2000)
+    assert time.perf_counter() - start < 0.1
+    assert cyclic_group(ORDER_CAP).order == ORDER_CAP
+
+
 def test_record_over_cap_refused_before_closure(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("closure started")

@@ -1,6 +1,7 @@
 """Tests for residue-class systems over Z."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from coverlab.errors import PeriodBudgetError
 from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
     FULL_VECTOR_MAX,
+    _inclusion_exclusion_density,
     CoverClassification,
     ResidueClass,
     ResidueSystem,
@@ -283,6 +285,47 @@ def test_density_identity_random(moduli):
         with pytest.raises(PeriodBudgetError):
             check_density_identity(moduli)
         return
+    assert check_density_identity(moduli).holds
+
+
+def subset_walk_density(moduli) -> Fraction:
+    """Differential oracle: the 2**k subset walk the grouped sum replaced.
+
+    Each nonempty subset I adds (-1)**(|I|+1) / lcm(I); the terms are kept
+    as integer numerators over L = lcm(moduli) and reduced once at the end.
+    """
+    period = math.lcm(*moduli)
+    total = 0
+
+    def walk(i, current_lcm, size):
+        nonlocal total
+        if i == len(moduli):
+            if size:
+                total += (-1) ** (size + 1) * (period // current_lcm)
+            return
+        walk(i + 1, current_lcm, size)
+        walk(i + 1, math.lcm(current_lcm, moduli[i]), size + 1)
+
+    walk(0, 1, 0)
+    return Fraction(total, period)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), max_size=12))
+@settings(deadline=None)
+def test_grouped_inclusion_exclusion_matches_subset_walk(moduli):
+    assert _inclusion_exclusion_density(moduli) == subset_walk_density(moduli)
+
+
+def test_grouped_inclusion_exclusion_on_twenty_divisors():
+    divisors = [d for d in divisor_list(720720) if d > 1]
+    moduli = random.Random(20).sample(divisors, 20)
+    assert _inclusion_exclusion_density(moduli) == subset_walk_density(moduli)
+
+
+def test_density_identity_beyond_twenty_moduli():
+    divisors = [d for d in divisor_list(720720) if d > 1]
+    moduli = random.Random(24).sample(divisors, 24)
+    # the scan side is the oracle here: 2**24 subsets are out of reach
     assert check_density_identity(moduli).holds
 
 
