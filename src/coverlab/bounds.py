@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import euler_factors, mertens_product, prime_counts, primes_upto
+from .arith import euler_factors, mertens_product, prime_counts, primes_upto, sieve_capacity
+from .errors import SieveCapacityError
 
 ZETA2 = math.pi**2 / 6
 EULER_GAMMA = 0.5772156649015329
@@ -53,12 +54,15 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
         raise ValueError(f"c(M) is defined here for M >= 2, got {m_lo}")
     if m_hi < m_lo:
         raise ValueError("empty range")
-    bound = _scan_bound(m_hi)
+    capacity = sieve_capacity()
+    bound = min(_scan_bound(m_hi), capacity)
     while True:
         out = _try_c_range(m_lo, m_hi, bound)
         if out is not None:
             return out
-        bound *= 2
+        if bound == capacity:
+            raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {capacity}")
+        bound = min(2 * bound, capacity)
 
 
 class _Prefix(NamedTuple):

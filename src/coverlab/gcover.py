@@ -4,16 +4,21 @@ Classification by covering multiplicity, the multiplicity kernel, exact
 index bounds for uniform covers together with the hypothesis flags that
 make each bound a theorem instance, and two desk-scale exhaustive
 searches (uniform-cover enumeration and the distinct-index partition
-hunt).  Cosets are bitmasks; every inequality is evaluated in exact
-rational arithmetic.
+hunt), both by one exact-cover backtracker, which branches on the least
+coset, then on the least element still short of its multiplicity; a
+node is one coset tried at a branch.  Covers come out in lexicographic
+order of their canonical coset positions.  Cosets are bitmasks; every
+inequality is evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Optional, Sequence, Union
 
 from .arith import divisor_list, euler_product, factorize, least_prime
@@ -153,21 +158,17 @@ def _require_nontrivial_uniform(cover: CosetSystem) -> WeightProfile:
     return prof
 
 
-def _normalize_entries(
-    G: FiniteGroup, entries: Sequence[EntryLike]
-) -> list[tuple[int, Subgroup]]:
+def _cosets(G: FiniteGroup, subs: Sequence[Subgroup]) -> list[tuple]:
+    """(index, subgroup mask, least member, coset mask, sub) for every left
+    coset of every subgroup in subs, sorted by the first three fields."""
     out = []
-    for rep, sub in entries:
-        if isinstance(sub, int):
-            sub = Subgroup(G, sub)
-        elif sub.parent is not G:
-            raise ValueError("entry subgroup belongs to a different group")
-        if not 0 <= rep < G.order:
-            raise ValueError(f"representative {rep} out of range")
-        out.append((rep, sub))
-    if not out:
-        raise ValueError("need at least one entry")
-    return out
+    for sub in subs:
+        rest = G.full_mask()
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            out.append((sub.index, sub.mask, x, left_coset_mask(G, x, sub), sub))
+            rest &= ~out[-1][3]
+    return sorted(out, key=lambda t: t[:3])
 
 
 # ------------------------------------------------------------------- kernel
@@ -275,28 +276,23 @@ def check_union_lower_bound(
     G has prime-order quotients all the way; "none" means the numbers
     are still reported but nothing is guaranteed.
     """
-    pairs = _normalize_entries(G, entries)
-    for _, sub in pairs:
+    system = CosetSystem.from_pairs(G, entries)
+    for _, sub in system.entries:
         if sub.mask & H.mask != H.mask:
             raise ValueError("every entry subgroup must contain H")
     h = H.index
-    union = 0
-    for rep, sub in pairs:
-        union |= left_coset_mask(G, rep, sub)
-    met = set()
-    for x in _bits(union):
-        cmask = left_coset_mask(G, x, H)
-        met.add(cmask & -cmask)
-    ns = tuple(sub.index for _, sub in pairs)
+    masks = system.coset_masks()
+    met = sum(1 for c in _cosets(G, [H]) if any(c[3] & mask for mask in masks))
+    ns = system.indices()
     rhs = sum(1 for n in range(h) if any(n % d == 0 for d in ns))
-    if all(is_subnormal(G, sub).is_subnormal for _, sub in pairs):
+    if all(is_subnormal(G, sub).is_subnormal for _, sub in system.entries):
         hyp = "subnormal"
     elif prime_quotient_series(G, H) is not None:
         hyp = "series"
     else:
         hyp = "none"
     return UnionBoundReport(
-        index_h=h, indices=ns, lhs=len(met), rhs=rhs, hypothesis=hyp
+        index_h=h, indices=ns, lhs=met, rhs=rhs, hypothesis=hyp
     )
 
 
@@ -327,16 +323,16 @@ class AlignedUnionReport:
 def check_aligned_union_bound(
     G: FiniteGroup, H: Subgroup, entries: Sequence[EntryLike]
 ) -> AlignedUnionReport:
-    pairs = _normalize_entries(G, entries)
+    system = CosetSystem.from_pairs(G, entries)
+    pairs = system.entries
     union = 0
-    for rep, sub in pairs:
-        union |= left_coset_mask(G, rep, sub)
-    for x in _bits(union):
-        if left_coset_mask(G, x, H) & ~union:
-            raise ValueError("union of the cosets is not a union of left H-cosets")
+    for mask in system.coset_masks():
+        union |= mask
+    if not _is_union_of_left_cosets(G, union, H.mask):
+        raise ValueError("union of the cosets is not a union of left H-cosets")
 
     h = H.index
-    ns = tuple(sub.index for _, sub in pairs)
+    ns = system.indices()
     g_all = math.gcd(*ns)
     lhs = Fraction(g_all, math.gcd(h, g_all))
     mult = max(Counter(ns).values())
@@ -611,11 +607,71 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     )
 
 
+# ------------------------------------------------------------ exact covers
+
+
+@dataclass
+class _Nodes:
+    """Nodes spent by one search; the first past budget is refused as what."""
+
+    budget: int
+    what: str
+    spent: int = 0
+
+
+def _exact_covers(
+    n_items: int, masks: Sequence[int], m: int, k_max: int, nodes: _Nodes
+) -> Iterator[tuple[int, ...]]:
+    """Each multiset of at most k_max options covering every one of
+    n_items items exactly m times, once, as a sorted tuple of option
+    positions (exact cover with multiplicities, Knuth TAOCP 7.2.2.1).
+
+    Options must come in nonincreasing size.  A node is one option tried
+    at a branch: first on the least position, so the multisets come
+    grouped by it in increasing order, then on the least item still short
+    of m, with picks made in a row for one item nondecreasing in position,
+    so each multiset appears once.  A branch is cut when the mass missing
+    exceeds the free slots times the largest option allowed; the first
+    node past nodes.budget raises SearchBudgetError.
+    """
+    sizes = [mask.bit_count() for mask in masks]
+    holders = [[i for i, mk in enumerate(masks) if mk >> x & 1] for x in range(n_items)]
+    picked: list[int] = []
+
+    def rec(level, mass, live, last_item, last_pick):
+        # level[j]: the items covered at least j times (level[0] = -1, all);
+        # an option meeting level[m] is blocked, masks[live] is the first
+        # option neither blocked nor before picked[0]
+        if mass == 0:
+            yield tuple(sorted(picked))
+            return
+        top = level[m]
+        while live < len(masks) and masks[live] & top:
+            live += 1
+        if live == len(masks) or mass > (k_max - len(picked)) * sizes[live]:
+            return
+        if picked:
+            x = (~top & (top + 1)).bit_length() - 1  # the least item short of m
+            row = holders[x]
+            row = row[bisect_left(row, last_pick if x == last_item else picked[0]) :]
+        else:
+            x, row = -1, [i for i in range(len(masks)) if mass <= k_max * sizes[i]]
+        for i in row:
+            nodes.spent += 1
+            if nodes.spent > nodes.budget:
+                raise SearchBudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
+            mask = masks[i]
+            if mask & top:
+                continue
+            picked.append(i)
+            new = [-1] + [level[j] | level[j - 1] & mask for j in range(1, m + 1)]
+            yield from rec(new, mass - sizes[i], max(live, picked[0]), x, i)
+            picked.pop()
+
+    yield from rec([-1] + [0] * m, m * n_items, 0, -1, 0)
+
+
 # ------------------------------------------------------------ enumeration
-
-
-class _BudgetStop(Exception):
-    pass
 
 
 class CoverStream:
@@ -640,12 +696,12 @@ def enumerate_uniform_covers(
     """Yield every nontrivial uniform m-cover of G with at most k_max
     entries, one representative per entry reordering.
 
-    Entries are chosen as a nondecreasing sequence in the canonical
-    order (index, subgroup mask, least coset member), so each multiset
-    of cosets appears exactly once.  The whole-group entry is allowed as
-    long as some entry is a proper coset.  Backtracking prunes on the
-    remaining weight mass and on deficient elements no later choice can
-    still cover.
+    Entries come in the canonical order (index, subgroup mask, least
+    coset member), covers in lexicographic order of their canonical
+    positions, each multiset once (see _exact_covers).  The whole-group
+    entry is allowed as long as some entry is a proper coset.  Covers are
+    sorted one least position at a time; past the budget, truncated is
+    set, after the covers found so far.
     """
     if G.order > ENUM_ORDER_MAX:
         raise ValueError(f"enumeration capped at order {ENUM_ORDER_MAX}")
@@ -653,70 +709,22 @@ def enumerate_uniform_covers(
         raise ValueError(f"k_max must be in 1..{ENUM_K_MAX}")
     if m < 1:
         raise ValueError("m must be positive")
-
-    choices = []
-    for sub in all_subgroups(G):
-        seen = 0
-        for x in range(G.order):
-            if seen >> x & 1:
-                continue
-            mask = left_coset_mask(G, x, sub)
-            seen |= mask
-            choices.append((sub.index, sub.mask, x, mask, sub))
-    choices.sort(key=lambda t: t[:3])
-    n_choice = len(choices)
-    suffix = [0] * (n_choice + 1)
-    for i in range(n_choice - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | choices[i][3]
-
+    cosets = _cosets(G, all_subgroups(G))
     stream = CoverStream()
-    order = G.order
+    counter = _Nodes(node_budget, f"cover enumeration on {G.name}")
+
+    def covers():
+        try:
+            yield from _exact_covers(G.order, [c[3] for c in cosets], m, k_max, counter)
+        except SearchBudgetError:
+            stream.truncated = True
 
     def gen():
-        w = [0] * order
-        picked: list[tuple[int, Subgroup]] = []
-
-        def rec(pos: int, mass: int):
-            if mass == 0:
-                if any(not sub.is_full() for _, sub in picked):
-                    yield CosetSystem(G, tuple(picked))
-                return
-            if len(picked) == k_max:
-                return
-            slots = k_max - len(picked)
-            need = 0
-            for x in range(order):
-                if w[x] < m:
-                    need |= 1 << x
-            for i in range(pos, n_choice):
-                idx, _, rep, cmask, sub = choices[i]
-                stream.nodes += 1
-                if stream.nodes > node_budget:
-                    raise _BudgetStop
-                if need & ~suffix[i]:
-                    return
-                size = order // idx
-                if mass > slots * size:
-                    return
-                blocked = False
-                for x in _bits(cmask):
-                    if w[x] == m:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                picked.append((rep, sub))
-                for x in _bits(cmask):
-                    w[x] += 1
-                yield from rec(i, mass - size)
-                for x in _bits(cmask):
-                    w[x] -= 1
-                picked.pop()
-
-        try:
-            yield from rec(0, m * order)
-        except _BudgetStop:
-            stream.truncated = True
+        # position 0 is the whole group, which must not stand alone
+        for _, group in groupby(covers(), key=lambda picks: picks[0]):
+            for picks in sorted(p for p in group if p[-1]):
+                yield CosetSystem(G, tuple((cosets[i][2], cosets[i][4]) for i in picks))
+        stream.nodes = counter.spent
 
     stream._gen = gen()
     return stream
@@ -761,6 +769,23 @@ def feasible_distinct_index_sets(order: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _partition_with_indices(
+    G: FiniteGroup, subs: Sequence[Subgroup], S: Sequence[int], counter: _Nodes
+) -> Optional[CosetSystem]:
+    """A partition of G into cosets of subs with the multiset of indices
+    S, in canonical form, or None.  The items are the elements plus one
+    label per position of S; a coset of index d is offered once for each
+    position j with S[j] == d, carrying label j."""
+    n = G.order
+    cosets = _cosets(G, [sub for sub in subs if sub.index in S])
+    offers = [(c, 1 << (n + j)) for c in cosets for j, d in enumerate(S) if c[0] == d]
+    masks = [c[3] | label for c, label in offers]
+    for picks in _exact_covers(n + len(S), masks, 1, len(S), counter):
+        entries = tuple((offers[i][0][2], offers[i][0][4]) for i in picks)
+        return CosetSystem(G, entries).canonical()
+    return None
+
+
 def search_distinct_index_partition(
     G: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> HsSearchResult:
@@ -768,54 +793,24 @@ def search_distinct_index_partition(
     pairwise distinct indices.
 
     Feasible index sets come first (reciprocals summing to 1 over
-    distinct divisors); each is then tried by backtracking placement
-    that always extends at the least uncovered element, whose coset is
-    determined by the subgroup chosen.  found stays None on every group
-    anyone has ever looked at.
+    distinct divisors); a set with an index no subgroup has is skipped,
+    each other set S is one exact cover (_partition_with_indices), and
+    nodes_explored adds up the nodes of all of them.  found stays None
+    on every group anyone has ever looked at.
     """
     if G.order > SEARCH_ORDER_MAX:
         raise ValueError(f"search capped at order {SEARCH_ORDER_MAX}")
-    by_index: dict[int, list[Subgroup]] = {}
-    for sub in all_subgroups(G):
-        by_index.setdefault(sub.index, []).append(sub)
-    full = G.full_mask()
-    nodes = 0
+    subs = all_subgroups(G)
+    indices = {sub.index for sub in subs}
+    counter = _Nodes(node_budget, f"partition search on {G.name}")
     tried: list[tuple[int, ...]] = []
-
-    def place(
-        covered: int, remaining: tuple[int, ...], picked: list[tuple[int, Subgroup]]
-    ) -> Optional[list[tuple[int, Subgroup]]]:
-        nonlocal nodes
-        if covered == full:
-            return picked if not remaining else None
-        x = (~covered & full & -(~covered & full)).bit_length() - 1
-        for pos, d in enumerate(remaining):
-            for sub in by_index.get(d, ()):
-                nodes += 1
-                if nodes > node_budget:
-                    raise SearchBudgetError(
-                        f"partition search on {G.name} exceeded {node_budget} nodes"
-                    )
-                cmask = left_coset_mask(G, x, sub)
-                if cmask & covered:
-                    continue
-                got = place(
-                    covered | cmask,
-                    remaining[:pos] + remaining[pos + 1 :],
-                    picked + [(x, sub)],
-                )
-                if got is not None:
-                    return got
-        return None
-
     for S in feasible_distinct_index_sets(G.order):
         tried.append(S)
-        if any(d not in by_index for d in S):
+        if not indices.issuperset(S):
             continue
-        got = place(0, S, [])
-        if got is not None:
-            system = CosetSystem(G, tuple(got)).canonical()
+        system = _partition_with_indices(G, subs, S, counter)
+        if system is not None:
             if not weight_profile(system).is_partition:
                 raise RuntimeError("search produced a non-partition, logic error")
-            return HsSearchResult(G.name, system, nodes, tuple(tried))
-    return HsSearchResult(G.name, None, nodes, tuple(tried))
+            return HsSearchResult(G.name, system, counter.spent, tuple(tried))
+    return HsSearchResult(G.name, None, counter.spent, tuple(tried))

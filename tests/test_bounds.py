@@ -23,6 +23,7 @@ from coverlab.bounds import (
     check_q_bound,
     mertens_holds_at,
 )
+from coverlab.errors import SieveCapacityError
 
 
 def scan_c(M: int) -> int:
@@ -127,6 +128,15 @@ def test_threshold_scan_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(bounds_module, "Fraction", no_fraction)
     assert c_range(2, 50)[2] == 9
     assert mertens_holds_at(9, 2) and not mertens_holds_at(8, 2)
+
+
+def test_c_range_stops_at_the_sieve_capacity(monkeypatch):
+    # 3 M ln M asks for about 45,700 at M = 2000, past a 40,000 sieve,
+    # but c(2000) lies below it
+    monkeypatch.setattr(arith_module, "_capacity", 40000)
+    assert c_range(2000, 2000) == {2000: 37542}
+    with pytest.raises(SieveCapacityError, match="40000"):
+        c_range(3000, 3000)  # c(3000) = 58700
 
 
 def test_c_of_one_hundred_thousand():

@@ -22,7 +22,11 @@ from coverlab.gcover import CosetSystem
 from coverlab.group import (
     all_subgroups,
     catalog_group,
+    cycles_str,
+    group_from_generators,
+    left_coset_mask,
     load_catalog,
+    parse_cycles,
     subgroup_closure,
     trivial_subgroup,
 )
@@ -269,6 +273,22 @@ def test_exit_truncated_enumeration(capsys):
     assert "truncated: true" in out
 
 
+def test_truncated_enumeration_report(capsys):
+    # the cut falls among the 248 covers holding the whole group (least
+    # position 0): the 5 found by then are reported, which are the full
+    # run's covers 0, 1, 2, 4 and 5, not a prefix of it
+    main(["enumerate-covers", "D4", "--k", "6", "--m", "2", "--budget", "50"])
+    out = capsys.readouterr().out
+    verdicts = out.split("verdicts:\n")[1].split("warnings:")[0]
+    assert verdicts.splitlines() == [
+        "  covers = 5",
+        "  nodes = 51",
+        "  shape 1x2x2 = 1",
+        "  shape 1x2x4x4 = 2",
+        "  shape 1x2x4x8x8 = 2",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -446,8 +466,29 @@ def test_uniform_cover_witnesses(capsys):
     assert "* equal-index-pair = true" in out
 
 
+def test_uniform_cover_non_solvable_inline_record(capsys):
+    # the cosets of A4 (index 5) and of D5 (index 6) in A5: a uniform
+    # 2-cover under no hypothesis of the index bound
+    gens = ["(1 2 3 4 5)", "(1 2 3)"]
+    G = group_from_generators(5, gens, name="A5")
+    lines = ["group A5", "degree 5"] + [f"gen {g}" for g in gens] + ["order 60", "end"]
+    for sub in (["(1 2 3)", "(1 2)(3 4)"], ["(1 2 3 4 5)", "(2 5)(3 4)"]):
+        H = subgroup_closure(G, [G.perms.index(parse_cycles(5, c)) for c in sub])
+        seen = 0
+        for x in range(G.order):
+            if not seen >> x & 1:
+                seen |= left_coset_mask(G, x, H)
+                lines.append(f"{cycles_str(G.perms[x]) if x else 'e'} : {' '.join(sub)}")
+    assert main(["uniform-cover", "\n".join(lines) + "\n"]) == 0
+    out = capsys.readouterr().out
+    assert "entries: 11" in out and "m = 2" in out
+    assert "conditions = a=False b=False c=False" in out
+    assert "  index-bound = true  (lhs=5, rhs=10)" in out
+    assert "no applicable condition; bound reported, not asserted" in out
+
+
 def test_hs_search_reports_multisets(capsys):
     assert main(["hs-search", "D6"]) == 0
     out = capsys.readouterr().out
     assert "* no-counterexample[D6] = true" in out
-    assert "nodes=750" in out
+    assert "nodes=151" in out

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from coverlab.errors import SearchBudgetError
 from coverlab.gcover import (
+    DEFAULT_NODE_BUDGET,
     CosetSystem,
+    _Nodes,
+    _partition_with_indices,
     check_aligned_union_bound,
     check_uniform_cover,
     check_union_lower_bound,
@@ -19,10 +23,14 @@ from coverlab.gcover import (
     weight_profile,
 )
 from coverlab.group import (
+    _bits,
     all_subgroups,
     catalog_group,
+    cycles_str,
     full_subgroup,
+    group_from_generators,
     is_normal,
+    left_coset_mask,
     load_catalog,
     subgroup_closure,
     trivial_subgroup,
@@ -31,6 +39,24 @@ from coverlab.group import (
 
 def sub_of_size(G, size, which=0):
     return [H for H in all_subgroups(G) if H.size == size][which]
+
+
+def left_cosets(G, H):
+    """(least member, H) for every left coset of H."""
+    out, seen = [], 0
+    for x in range(G.order):
+        if not seen >> x & 1:
+            out.append((x, H))
+            seen |= left_coset_mask(G, x, H)
+    return out
+
+
+def a5_two_cover():
+    """The 5 cosets of an index-5 subgroup and the 6 of an index-6 one of A5."""
+    G = group_from_generators(5, ["(1 2 3 4 5)", "(1 2 3)"], name="A5")
+    h5 = sub_of_size(G, 12)
+    h6 = sub_of_size(G, 10)
+    return CosetSystem.from_pairs(G, left_cosets(G, h5) + left_cosets(G, h6))
 
 
 def c4_cover():
@@ -52,6 +78,14 @@ def test_system_validation():
         CosetSystem.from_pairs(G, [(4, trivial_subgroup(G))])
     with pytest.raises(ValueError, match="different group"):
         CosetSystem(G, ((0, trivial_subgroup(catalog_group("S3"))),))
+    H = trivial_subgroup(G)
+    for check in (check_union_lower_bound, check_aligned_union_bound):
+        with pytest.raises(ValueError, match="at least one"):
+            check(G, H, [])
+        with pytest.raises(ValueError, match="out of range"):
+            check(G, H, [(4, sub_of_size(G, 2))])
+        with pytest.raises(ValueError, match="different group"):
+            check(G, H, [(0, trivial_subgroup(catalog_group("S3")))])
 
 
 def test_canonical_form():
@@ -268,6 +302,16 @@ def test_uniform_s3_halves():
     assert r.equal_pair.pair == (0, 1)
 
 
+def test_uniform_non_solvable_a5():
+    # A5 is simple, so no core quotient is solvable and no hypothesis holds
+    cover = a5_two_cover()
+    assert weight_profile(cover).uniform_m == 2
+    r = check_uniform_cover(cover)
+    assert (r.m, r.k, r.indices) == (2, 11, (5,) * 5 + (6,) * 6)
+    assert not (r.cond_a or r.cond_b or r.cond_c or r.applicable)
+    assert r.lhs == 5 and r.rhs == 10 and r.holds
+
+
 def test_uniform_requires_uniform():
     G = catalog_group("C4")
     two = sub_of_size(G, 2)
@@ -286,11 +330,83 @@ def test_max_index_probe():
 # ------------------------------------------------------------ enumeration
 
 
+def oracle_covers(G, k_max, m):
+    """(covers, nodes) by a nondecreasing walk over the canonical
+    coset order, pruned on the remaining mass and on elements no later
+    coset can reach: an independent reference for enumerate_uniform_covers."""
+    choices = []
+    for sub in all_subgroups(G):
+        seen = 0
+        for x in range(G.order):
+            if seen >> x & 1:
+                continue
+            mask = left_coset_mask(G, x, sub)
+            seen |= mask
+            choices.append((sub.index, sub.mask, x, mask, sub))
+    choices.sort(key=lambda t: t[:3])
+    suffix = [0] * (len(choices) + 1)
+    for i in range(len(choices) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | choices[i][3]
+    w = [0] * G.order
+    picked = []
+    covers = []
+    nodes = 0
+
+    def rec(pos, mass):
+        nonlocal nodes
+        if mass == 0:
+            if any(not sub.is_full() for _, sub in picked):
+                covers.append(CosetSystem(G, tuple(picked)))
+            return
+        if len(picked) == k_max:
+            return
+        slots = k_max - len(picked)
+        need = sum(1 << x for x in range(G.order) if w[x] < m)
+        for i in range(pos, len(choices)):
+            idx, _, rep, cmask, sub = choices[i]
+            nodes += 1
+            if need & ~suffix[i]:
+                return
+            size = G.order // idx
+            if mass > slots * size:
+                return
+            if any(w[x] == m for x in _bits(cmask)):
+                continue
+            picked.append((rep, sub))
+            for x in _bits(cmask):
+                w[x] += 1
+            rec(i, mass - size)
+            for x in _bits(cmask):
+                w[x] -= 1
+            picked.pop()
+
+    rec(0, m * G.order)
+    return covers, nodes
+
+
 def test_enumerate_c2():
     stream = enumerate_uniform_covers(catalog_group("C2"), 4, 1)
     covs = list(stream)
     assert [c.indices() for c in covs] == [(2, 2)]
-    assert stream.nodes == 5 and not stream.truncated
+    assert stream.nodes == 4 and not stream.truncated
+    covs, nodes = oracle_covers(catalog_group("C2"), 4, 1)
+    assert [c.indices() for c in covs] == [(2, 2)]
+    assert nodes == 5
+
+
+def test_enumerate_matches_oracle_catalog():
+    # the sweep's sizes, same covers in the same order
+    for G in load_catalog():
+        k = 5 if G.order <= 12 else 4
+        got = list(enumerate_uniform_covers(G, k, 1))
+        assert got == oracle_covers(G, k, 1)[0], G.name
+
+
+def test_enumerate_matches_oracle_m2():
+    for name, k in (("C6", 6), ("S3", 6), ("D4", 6), ("C2xC2xC2", 6), ("Q8", 5)):
+        G = catalog_group(name)
+        got = list(enumerate_uniform_covers(G, k, 2))
+        assert got == oracle_covers(G, k, 2)[0], name
 
 
 def test_enumerate_c4():
@@ -326,10 +442,26 @@ def test_enumerate_canonical_and_distinct():
 
 
 def test_enumerate_budget_truncation():
-    stream = enumerate_uniform_covers(catalog_group("D4"), 6, 2, node_budget=50)
-    list(stream)
-    assert stream.truncated
-    assert stream.nodes <= 51
+    G = catalog_group("D4")
+    full = list(enumerate_uniform_covers(G, 6, 2))
+    for budget in (50, 5000):
+        stream = enumerate_uniform_covers(G, 6, 2, node_budget=budget)
+        covs = list(stream)
+        assert stream.truncated
+        assert stream.nodes == budget + 1
+        # the covers found before the stop, in the full run's order
+        assert covs == [c for c in full if c in covs]
+    assert len(covs) > 0
+
+
+def test_enumerate_yields_before_the_search_ends():
+    # 5000 nodes cut D4 (6, 2) short but finish the covers holding the
+    # whole group (least position 0), so the first cover comes before the cut
+    stream = enumerate_uniform_covers(catalog_group("D4"), 6, 2, node_budget=5000)
+    it = iter(stream)
+    assert next(it).indices()[0] == 1 and not stream.truncated
+    rest = list(it)
+    assert stream.truncated and len(rest) == 337
 
 
 def test_enumerate_rejects():
@@ -367,15 +499,73 @@ def test_search_all_small_groups_empty_handed():
             assert sum(Fraction(1, d) for d in ms) == 1
 
 
+def oracle_search(G):
+    """(found, nodes, index sets tried) by placing, at the least uncovered
+    element, the coset of each subgroup whose index is still unused: an
+    independent reference for search_distinct_index_partition."""
+    by_index = {}
+    for sub in all_subgroups(G):
+        by_index.setdefault(sub.index, []).append(sub)
+    full = G.full_mask()
+    nodes = 0
+    tried = []
+
+    def place(covered, remaining, picked):
+        nonlocal nodes
+        if covered == full:
+            return picked if not remaining else None
+        x = (~covered & full & -(~covered & full)).bit_length() - 1
+        for pos, d in enumerate(remaining):
+            for sub in by_index.get(d, ()):
+                nodes += 1
+                cmask = left_coset_mask(G, x, sub)
+                if cmask & covered:
+                    continue
+                got = place(
+                    covered | cmask,
+                    remaining[:pos] + remaining[pos + 1 :],
+                    picked + [(x, sub)],
+                )
+                if got is not None:
+                    return got
+        return None
+
+    for S in feasible_distinct_index_sets(G.order):
+        tried.append(S)
+        if any(d not in by_index for d in S):
+            continue
+        got = place(0, S, [])
+        if got is not None:
+            return CosetSystem(G, tuple(got)).canonical(), nodes, tuple(tried)
+    return None, nodes, tuple(tried)
+
+
 def test_search_d6_trace():
     r = search_distinct_index_partition(catalog_group("D6"))
     assert r.group == "D6" and r.found is None
     assert r.index_multisets_tried == ((2, 3, 6), (2, 4, 6, 12))
-    assert r.nodes_explored == 750
+    assert r.nodes_explored == 151
+    assert oracle_search(catalog_group("D6")) == (None, 750, r.index_multisets_tried)
+
+
+def test_search_matches_oracle_catalog():
+    for G in load_catalog():
+        r = search_distinct_index_partition(G)
+        found, _, tried = oracle_search(G)
+        assert (r.found, r.index_multisets_tried) == (found, tried), G.name
+
+
+def test_search_finds_repeated_index_partition():
+    # Herzog-Schoenheim rules out distinct indices, so the positive
+    # control is a label set with a repeated index: C4 = <2> + {1} + {3}
+    G = catalog_group("C4")
+    counter = _Nodes(DEFAULT_NODE_BUDGET, "test")
+    got = _partition_with_indices(G, all_subgroups(G), (2, 4, 4), counter)
+    assert got == c4_cover().canonical()
+    assert weight_profile(got).is_partition
+    assert _partition_with_indices(G, all_subgroups(G), (2, 2, 4), counter) is None
 
 
 def test_search_budget():
-    from coverlab.errors import SearchBudgetError
-
-    with pytest.raises(SearchBudgetError):
+    with pytest.raises(SearchBudgetError, match="partition search on D6 exceeded 10 nodes"):
         search_distinct_index_partition(catalog_group("D6"), node_budget=10)
