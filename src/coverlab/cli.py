@@ -3,10 +3,11 @@
 Parses cover and group files, dispatches to the check modules, and
 prints one report per invocation, as fixed-layout text or as JSON.
 Exit status: 0 when every asserted check holds, 1 when one fails, 2 on
-bad input or an exceeded budget.  Informational values never affect the
-status.  Identical inputs, seed and version give byte-identical output;
-rationals are printed exactly, as num/den in text and as string pairs
-in JSON.
+bad input (a `--budget` or `--max-order` below 1 included) or an
+exceeded budget, 3 on an internal fault.  Informational values never
+affect the status.  Identical inputs, seed and version give
+byte-identical output; rationals are printed exactly, as num/den in
+text and as string pairs in JSON.
 
 Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
@@ -25,6 +26,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -697,6 +699,8 @@ def _cmd_max_index(args) -> Report:
 
 
 def _cmd_hs_search(args) -> Report:
+    if args.max_order < 1:
+        raise FormatError(f"--max-order must be at least 1, got {args.max_order}")
     if args.group is not None:
         groups = [parse_group_file(args.group)]
         scope = groups[0].name
@@ -853,6 +857,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     print(render_text(report) if args.format == "text" else render_json(report))
     if report.truncated:
         return 2

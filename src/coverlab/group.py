@@ -13,7 +13,9 @@ prime-quotient series, solvability, abelianness, pyramidality and the
 subgroup lattice -- lives in one memo on the group, keyed by (fact, mask)
 and read through FiniteGroup.memo.  A fact about the whole group is keyed
 by its full mask.  The quotient by the trivial subgroup is the group
-itself, so its lattice is never enumerated twice.
+itself, so its lattice is never enumerated twice.  Pyramidal chains and
+prime-quotient series are one walk up the lattice through normal steps
+of prime index, and a subgroup's pyramidality is a fact at its mask.
 
 Closures use Dimino's coset extension over a reduced generating set: each
 element of the mask that is not yet in the subgroup grows it by whole
@@ -23,6 +25,8 @@ extends a known subgroup by the generator of a cyclic subgroup.
 Every group has at most ORDER_CAP elements: a record is refused at its
 declared order, a closure as it outgrows the cap, a larger table before
 it is checked, and a cyclic group before its table is built.
+The structural suite refuses an index-intersection sweep of more than
+INDEX_INTERSECTION_CAP instances before it checks any.
 
 Construction verifies the identity row and column, the Latin square
 property and associativity, the last by Light's test over a generating
@@ -46,6 +50,7 @@ from .arith import factorize, is_prime
 from .errors import BudgetError
 
 ORDER_CAP = 200
+INDEX_INTERSECTION_CAP = 10**6
 
 
 def _bits(mask: int):
@@ -564,14 +569,9 @@ def _subnormality(G: FiniteGroup, H: Subgroup) -> SubnormalityReport:
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A subgroup of order p**ord_p(|G|); first in canonical lattice order."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    target = p ** factorize(G.order).ord_of(p)
-    for H in all_subgroups(G):
-        if H.size == target:
-            return H
-    raise RuntimeError(f"no subgroup of order {target} found")  # Sylow forbids this
+    """A subgroup of order p**ord_p(|G|); first in canonical lattice order.
+    Sylow's theorem guarantees one, so the Hall search never returns None."""
+    return hall_subgroup(G, (p,))
 
 
 def has_normal_sylow(G: FiniteGroup, p: int) -> bool:
@@ -612,40 +612,61 @@ def is_solvable(G: FiniteGroup) -> bool:
     return G.memo("solvable", G.full_mask(), lambda: derived_series(G)[-1].mask == 1)
 
 
+def _prime_chain(G: FiniteGroup, bottom: int, top: int, step: Callable, state):
+    """The first chain bottom = F_0 < ... < F_m = top in canonical lattice
+    order, each F_j normal in F_{j+1} with prime index, or None.
+
+    step(state, q) admits a step of index q by returning the next state,
+    or rejects it by returning None.  A (mask, state) pair that led to no
+    chain is not walked again."""
+    subs = all_subgroups(G)
+    dead: set = set()
+
+    def walk(mask: int, state):
+        if mask == top:
+            return [mask]
+        if (mask, state) in dead:
+            return None
+        size = mask.bit_count()
+        for s in subs:
+            q, rem = divmod(s.size, size)
+            if rem or q <= 1 or not is_prime(q) or mask & ~s.mask or s.mask & ~top:
+                continue
+            nxt = step(state, q)
+            if nxt is None or not G.normal_in(mask, s.mask):
+                continue
+            rest = walk(s.mask, nxt)
+            if rest is not None:
+                return [mask] + rest
+        dead.add((mask, state))
+        return None
+
+    chain = walk(bottom, state)
+    return None if chain is None else tuple(Subgroup(G, m) for m in chain)
+
+
+def _non_increasing(last: int, q: int) -> Optional[int]:
+    return q if q <= last else None
+
+
 def pyramidal_chain(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
     """A chain trivial = H_0 < ... < H_n = G with prime indices that never
     increase going up, or None.  Each step is automatically normal since
     its index is the least prime divisor of the bigger subgroup's order."""
-    subs = all_subgroups(G)
-    n = G.order
-    dead: set[tuple[int, int]] = set()
+    return _prime_chain(G, 1, G.full_mask(), _non_increasing, G.order)
 
-    def dfs(mask: int, size: int, allowed: int):
-        if size == n:
-            return [mask]
-        key = (mask, allowed)
-        if key in dead:
-            return None
-        for s in subs:
-            q, rem = divmod(s.size, size)
-            if rem or q <= 1 or q > allowed or not is_prime(q):
-                continue
-            if s.mask & ~mask == 0 or mask & ~s.mask:
-                continue
-            rest = dfs(s.mask, s.size, q)
-            if rest is not None:
-                return [mask] + rest
-        dead.add(key)
-        return None
 
-    chain = dfs(1, 1, n)
-    if chain is None:
-        return None
-    return tuple(Subgroup(G, m) for m in chain)
+def _is_pyramidal_at(G: FiniteGroup, mask: int) -> bool:
+    """Has the subgroup mask a pyramidal chain, walked in G's lattice."""
+    return G.memo(
+        "pyramidal",
+        mask,
+        lambda: _prime_chain(G, 1, mask, _non_increasing, mask.bit_count()) is not None,
+    )
 
 
 def is_pyramidal(G: FiniteGroup) -> bool:
-    return G.memo("pyramidal", G.full_mask(), lambda: pyramidal_chain(G) is not None)
+    return _is_pyramidal_at(G, G.full_mask())
 
 
 def prime_quotient_series(
@@ -656,49 +677,16 @@ def prime_quotient_series(
     p_first must come before every step of any other index (reading the
     chain upward from H).  H = G gives the one-node chain."""
     _require_same_parent(G, H)
+
+    def step(non_p_seen: bool, q: int) -> Optional[bool]:
+        # the state: a step of index other than p_first has been taken
+        if q == p_first:
+            return None if non_p_seen else False
+        return p_first is not None
+
     return G.memo(
-        f"series-{p_first}", H.mask, lambda: _prime_quotient_series(G, H, p_first)
+        f"series-{p_first}", H.mask, _prime_chain, G, H.mask, G.full_mask(), step, False
     )
-
-
-def _prime_quotient_series(
-    G: FiniteGroup, H: Subgroup, p_first: Optional[int]
-) -> Optional[tuple[Subgroup, ...]]:
-    subs = all_subgroups(G)
-    full = G.full_mask()
-    dead: set[tuple[int, bool]] = set()
-
-    def dfs(mask: int, size: int, non_p_seen: bool):
-        if mask == full:
-            return [mask]
-        key = (mask, non_p_seen)
-        if key in dead:
-            return None
-        for s in subs:
-            q, rem = divmod(s.size, size)
-            if rem or q <= 1 or not is_prime(q):
-                continue
-            if mask & ~s.mask or s.mask == mask:
-                continue
-            if not G.normal_in(mask, s.mask):
-                continue
-            flag = non_p_seen
-            if p_first is not None:
-                if q == p_first:
-                    if non_p_seen:
-                        continue
-                else:
-                    flag = True
-            rest = dfs(s.mask, s.size, flag)
-            if rest is not None:
-                return [mask] + rest
-        dead.add(key)
-        return None
-
-    chain = dfs(H.mask, H.size, False)
-    if chain is None:
-        return None
-    return tuple(Subgroup(G, m) for m in chain)
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
@@ -1003,11 +991,17 @@ def structural_suite(G: FiniteGroup) -> tuple[SuiteLine, ...]:
     subnormal = [H for H in subs if is_subnormal(G, H).is_subnormal]
     lines = []
 
-    ok, n = True, 0
-    for r in (1, 2, 3):
-        for combo in combinations_with_replacement(subnormal, r):
-            ok = check_index_intersection(G, combo) and ok
-            n += 1
+    n = sum(math.comb(len(subnormal) + r - 1, r) for r in (1, 2, 3))
+    if n > INDEX_INTERSECTION_CAP:
+        raise BudgetError(
+            f"group {G.name}: index-intersection sweep has {n} instances, "
+            f"above the cap {INDEX_INTERSECTION_CAP}"
+        )
+    ok = all(
+        check_index_intersection(G, combo)
+        for r in (1, 2, 3)
+        for combo in combinations_with_replacement(subnormal, r)
+    )
     lines.append(SuiteLine("index-intersection", ok, n))
 
     ok = all(check_core_primes(G, H) for H in subnormal)
@@ -1037,12 +1031,9 @@ def structural_suite(G: FiniteGroup) -> tuple[SuiteLine, ...]:
     # observed regularity, not a proved identity: subgroups of pyramidal
     # groups come out pyramidal on every group we can enumerate
     if G.order > 1 and is_pyramidal(G):
-        ok, n = True, 0
-        for H in subs:
-            if 1 < H.size < G.order:
-                ok = is_pyramidal(subgroup_as_group(G, H)) and ok
-                n += 1
-        lines.append(SuiteLine("pyramidal-heredity", ok, n, "empirical"))
+        proper = [H for H in subs if 1 < H.size < G.order]
+        ok = all(_is_pyramidal_at(G, H.mask) for H in proper)
+        lines.append(SuiteLine("pyramidal-heredity", ok, len(proper), "empirical"))
     else:
         lines.append(
             SuiteLine("pyramidal-heredity", True, 0, "no pyramidal chain")

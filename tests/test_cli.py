@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from coverlab import zcover
+from coverlab import cli, zcover
 from coverlab.cli import (
     FormatError,
     main,
@@ -369,6 +369,26 @@ def test_non_positive_budget_is_a_usage_error(argv, value, source, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {name} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_order_below_one_is_a_usage_error(value, capsys):
+    assert main(["hs-search", "--max-order", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-order must be at least 1, got {value}\n"
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch):
+    def fault(args):
+        raise RuntimeError("chain walk logic error")
+
+    monkeypatch.setitem(cli._HANDLERS, "group-info", fault)
+    assert main(["group-info", "S3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("\ninternal error: chain walk logic error\n")
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,10 @@ def test_union_bound_hypothesis_field():
     # a non-subnormal entry, but S3 has a full prime-quotient series
     assert r.hypothesis == "series"
     assert r.holds
+    # H of order 2 is not normal in S3, so no series starts at it
+    r = check_union_lower_bound(S3, two, [(0, two)])
+    assert r.hypothesis == "none"
+    assert (r.index_h, r.indices, r.lhs, r.rhs) == (3, (3,), 1, 1)
 
 
 def test_union_bound_exhaustive_c12():
@@ -239,6 +243,26 @@ def test_aligned_proper_h():
     assert r.case == "a"
     assert r.index_h == 6 and r.indices == (3, 3, 3)
     assert r.lhs == 1 and r.rhs == 3 and r.holds
+
+
+def test_aligned_cases_b_c_none():
+    # every entry normal and H subnormal but not normal
+    D4 = catalog_group("D4")
+    H = sub_of_size(D4, 2)
+    K = next(K for K in all_subgroups(D4) if K.size == 4 and K.mask & H.mask == H.mask)
+    r = check_aligned_union_bound(D4, H, [(0, trivial_subgroup(D4)), (0, K)])
+    assert r.case == "b" and r.holds
+    # every entry normal, H not subnormal, S3 over the intersection solvable
+    S3 = catalog_group("S3")
+    two = sub_of_size(S3, 2)
+    r = check_aligned_union_bound(
+        S3, two, [(0, trivial_subgroup(S3)), (0, full_subgroup(S3))]
+    )
+    assert r.case == "c" and r.holds
+    # a non-normal entry and a non-normal H: no case applies
+    r = check_aligned_union_bound(S3, two, [(0, trivial_subgroup(S3)), (0, two)])
+    assert r.case == "none" and not r.d_both_branches
+    assert (r.lhs, r.rhs) == (1, Fraction(3, 2))
 
 
 def test_aligned_rejects_misaligned_union():

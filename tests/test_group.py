@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverlab.group as group_module
-from coverlab.arith import factorize
+from coverlab.arith import factorize, is_prime
 from coverlab.errors import BudgetError
 from coverlab.group import (
     ORDER_CAP,
@@ -189,6 +189,84 @@ def inline_a5() -> FiniteGroup:
 
 def inline_s5() -> FiniteGroup:
     return group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], name="S5")
+
+
+def oracle_pyramidal_chain(G: FiniteGroup):
+    """The lattice DFS that the shared prime-index walk replaced: indices
+    never increase going up, and normality is not tested."""
+    subs = all_subgroups(G)
+    n = G.order
+    dead: set[tuple[int, int]] = set()
+
+    def dfs(mask: int, size: int, allowed: int):
+        if size == n:
+            return [mask]
+        key = (mask, allowed)
+        if key in dead:
+            return None
+        for s in subs:
+            q, rem = divmod(s.size, size)
+            if rem or q <= 1 or q > allowed or not is_prime(q):
+                continue
+            if s.mask & ~mask == 0 or mask & ~s.mask:
+                continue
+            rest = dfs(s.mask, s.size, q)
+            if rest is not None:
+                return [mask] + rest
+        dead.add(key)
+        return None
+
+    return dfs(1, 1, n)
+
+
+def oracle_prime_quotient_series(G: FiniteGroup, H: Subgroup, p_first):
+    """The series DFS that the shared prime-index walk replaced."""
+    subs = all_subgroups(G)
+    full = G.full_mask()
+    dead: set[tuple[int, bool]] = set()
+
+    def dfs(mask: int, size: int, non_p_seen: bool):
+        if mask == full:
+            return [mask]
+        key = (mask, non_p_seen)
+        if key in dead:
+            return None
+        for s in subs:
+            q, rem = divmod(s.size, size)
+            if rem or q <= 1 or not is_prime(q):
+                continue
+            if mask & ~s.mask or s.mask == mask:
+                continue
+            if not G.normal_in(mask, s.mask):
+                continue
+            flag = non_p_seen
+            if p_first is not None:
+                if q == p_first:
+                    if non_p_seen:
+                        continue
+                else:
+                    flag = True
+            rest = dfs(s.mask, s.size, flag)
+            if rest is not None:
+                return [mask] + rest
+        dead.add(key)
+        return None
+
+    return dfs(H.mask, H.size, False)
+
+
+def _masks(chain):
+    return None if chain is None else [H.mask for H in chain]
+
+
+# the bench's inline records beside the catalog, of orders 20 to 72
+INLINE_RECORDS = {
+    "S4xC2": (6, ["(1 2)", "(1 2 3 4)", "(5 6)"]),
+    "C3xS4": (7, ["(1 2)", "(1 2 3 4)", "(5 6 7)"]),
+    "A5": (5, ["(1 2 3 4 5)", "(1 2 3)"]),
+    "D20": (10, ["(1 2 3 4 5 6 7 8 9 10)", "(1 10)(2 9)(3 8)(4 7)(5 6)"]),
+    "A4xC2": (6, ["(1 2 3)", "(1 2)(3 4)", "(5 6)"]),
+}
 
 
 # ---------------------------------------------------------------- catalog
@@ -473,6 +551,11 @@ def test_sylow_sizes_whole_catalog():
             assert sylow_subgroup(G, p).size == part, (G.name, p)
 
 
+def test_sylow_refuses_a_non_prime():
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        sylow_subgroup(catalog_group("S3"), 4)
+
+
 def test_sylow_rejects_nondivisor_fine():
     # p not dividing the order gives the trivial subgroup
     assert sylow_subgroup(catalog_group("S3"), 5).size == 1
@@ -572,6 +655,31 @@ def test_prime_series_p_first_ordering():
             steps = [b.size // a.size for a, b in zip(ser, ser[1:])]
             tail = [q for q in steps if q != p]
             assert steps == [p] * (len(steps) - len(tail)) + tail
+
+
+@pytest.mark.parametrize("name", [*SUBGROUP_COUNTS, *INLINE_RECORDS])
+def test_prime_chains_match_the_dfs_oracles(name):
+    if name in INLINE_RECORDS:
+        G = group_from_generators(*INLINE_RECORDS[name], name=name)
+    else:
+        G = catalog_group(name)
+    assert _masks(pyramidal_chain(G)) == oracle_pyramidal_chain(G)
+    for H in all_subgroups(G):
+        # the oracle walks H rebuilt as a group; map its ids back to G's
+        members = H.members()
+        oracle = oracle_pyramidal_chain(subgroup_as_group(G, H))
+        expected = oracle and [
+            sum(1 << x for i, x in enumerate(members) if m >> i & 1) for m in oracle
+        ]
+        chain = group_module._prime_chain(
+            G, 1, H.mask, group_module._non_increasing, H.size
+        )
+        assert _masks(chain) == expected, H
+        assert group_module._is_pyramidal_at(G, H.mask) == (oracle is not None), H
+        for p in [None, *factorize(G.order).primes()]:
+            assert _masks(prime_quotient_series(G, H, p)) == (
+                oracle_prime_quotient_series(G, H, p)
+            ), (H, p)
 
 
 def test_solvable_catalog():
@@ -752,6 +860,49 @@ def test_a5_suite_reads_quotient_and_lattice_from_memo(monkeypatch):
     assert quotient_group(G, core_of(G, H)) is G
     assert all_subgroups(G) is all_subgroups(quotient_group(G, trivial_subgroup(G)))
     assert built == [G]
+
+
+def elementary_abelian(rank: int) -> FiniteGroup:
+    gens = [f"({2 * i + 1} {2 * i + 2})" for i in range(rank)]
+    return group_from_generators(2 * rank, gens, name=f"C2^{rank}")
+
+
+def test_suite_heredity_reads_the_parents_lattice(monkeypatch):
+    # every proper subgroup's pyramidality is walked in G's own lattice:
+    # no subgroup is rebuilt as a group and no second lattice is enumerated
+    G = elementary_abelian(4)
+    built, lattices = [], []
+    init, lattice = FiniteGroup.__init__, group_module._lattice
+    monkeypatch.setattr(
+        FiniteGroup,
+        "__init__",
+        lambda self, *a, **k: built.append(a) or init(self, *a, **k),
+    )
+    monkeypatch.setattr(
+        group_module, "_lattice", lambda K: lattices.append(K) or lattice(K)
+    )
+    lines = {line.name: line for line in structural_suite(G)}
+    assert built == [] and lattices == [G]
+    assert lines["index-intersection"].checked == 54739
+    heredity = lines["pyramidal-heredity"]
+    assert heredity.holds and heredity.checked == 65
+
+
+def test_suite_refuses_index_intersection_sweep_over_its_cap(monkeypatch):
+    G = elementary_abelian(6)
+    checked = []
+    monkeypatch.setattr(
+        group_module, "check_index_intersection", lambda *a: checked.append(a) or True
+    )
+    cap = group_module.INDEX_INTERSECTION_CAP
+    with pytest.raises(BudgetError) as e:
+        structural_suite(G)
+    # 2825 subgroups, all normal: C(2825,1) + C(2826,2) + C(2827,3)
+    assert str(e.value) == (
+        f"group C2^6: index-intersection sweep has 3765530075 instances, "
+        f"above the cap {cap}"
+    )
+    assert checked == []
 
 
 def test_quotient_is_memoized():
