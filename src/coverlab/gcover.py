@@ -7,8 +7,12 @@ searches (uniform-cover enumeration and the distinct-index partition
 hunt), both by one exact-cover backtracker, which branches on the least
 coset, then on the least element still short of its multiplicity; a
 node is one coset tried at a branch.  Covers come out in lexicographic
-order of their canonical coset positions.  Cosets are bitmasks; every
-inequality is evaluated in exact rational arithmetic.
+order of their canonical coset positions.  Cosets are bitmasks, computed
+once per system (the enumerator hands over the masks it already holds);
+weight profiles are bit-sliced level masks, a subgroup's left-coset
+partition is a group memo fact, and the arithmetic of an index multiset
+is computed once per multiset.  Every inequality is evaluated in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -16,17 +20,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
 from itertools import groupby
+from operator import and_, or_
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence, Union
 
-from .arith import divisor_list, euler_product, factorize, least_prime
+from .arith import divisor_list, euler_product, factorize
 from .errors import SearchBudgetError
 from .group import (
     FiniteGroup,
     Subgroup,
-    _bits,
+    _prime_support,
     all_subgroups,
     core_of,
     has_normal_sylow,
@@ -58,10 +65,13 @@ class CosetSystem:
     """Left cosets rep*sub over one parent group, in given order.
 
     Entries may repeat; n_i denotes the index of the i-th subgroup.
+    masks holds the coset of each entry as a bitmask: computed here
+    unless a caller that already holds them hands them over.
     """
 
     parent: FiniteGroup
     entries: tuple[tuple[int, Subgroup], ...]
+    masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -71,6 +81,11 @@ class CosetSystem:
                 raise ValueError("entry subgroup belongs to a different group")
             if not 0 <= rep < self.parent.order:
                 raise ValueError(f"representative {rep} out of range")
+        if not self.masks:
+            masks = tuple(left_coset_mask(self.parent, rep, sub) for rep, sub in self.entries)
+            object.__setattr__(self, "masks", masks)
+        elif len(self.masks) != len(self.entries):
+            raise ValueError("one coset mask per entry needed")
 
     @staticmethod
     def from_pairs(G: FiniteGroup, pairs: Sequence[EntryLike]) -> "CosetSystem":
@@ -85,23 +100,19 @@ class CosetSystem:
         return len(self.entries)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(sub.index for _, sub in self.entries)
-
-    def coset_masks(self) -> tuple[int, ...]:
-        G = self.parent
-        return tuple(left_coset_mask(G, rep, sub) for rep, sub in self.entries)
+        n = self.parent.order
+        return tuple(n // mask.bit_count() for mask in self.masks)
 
     def canonical(self) -> "CosetSystem":
         """Reps replaced by the least member of their coset, entries
         sorted by (index, subgroup mask, representative)."""
         keyed = []
-        for (rep, sub), mask in zip(self.entries, self.coset_masks()):
+        for (rep, sub), mask in zip(self.entries, self.masks):
             least = (mask & -mask).bit_length() - 1
-            keyed.append((sub.index, sub.mask, least, sub))
+            keyed.append((sub.index, sub.mask, least, sub, mask))
         keyed.sort(key=lambda t: t[:3])
-        return CosetSystem(
-            self.parent, tuple((least, sub) for _, _, least, sub in keyed)
-        )
+        entries = tuple((least, sub) for _, _, least, sub, _ in keyed)
+        return CosetSystem(self.parent, entries, tuple(t[4] for t in keyed))
 
     def __repr__(self):
         return (
@@ -131,21 +142,30 @@ def weight_profile(cover: CosetSystem) -> WeightProfile:
     constant one; is_trivial means every subgroup is the whole group.
     """
     G = cover.parent
-    counts = [0] * G.order
-    for mask in cover.coset_masks():
-        for x in _bits(mask):
-            counts[x] += 1
-    lo = min(counts)
-    hi = max(counts)
+    full = G.full_mask()
+    # level[j]: the elements covered at least j times, as in _exact_covers;
+    # a coset adds one to each of its elements, carrying up level by level
+    level = [full] + [0] * len(cover.masks)
+    for carry in cover.masks:
+        j = 1
+        while carry:
+            level[j], carry = level[j] | carry, level[j] & carry
+            j += 1
+    lo = sum(1 for lv in level[1:] if lv == full)
+    hi = sum(1 for lv in level[1:] if lv)
+    if lo == hi:
+        counts = (lo,) * G.order
+    else:
+        counts = tuple(sum(lv >> x & 1 for lv in level[1:]) for x in range(G.order))
     return WeightProfile(
-        counts=tuple(counts),
+        counts=counts,
         min_w=lo,
         max_w=hi,
-        covered=sum(1 for c in counts if c),
+        covered=level[1].bit_count(),
         uniform_m=lo if lo == hi else None,
         is_cover=lo >= 1,
         is_partition=lo == hi == 1,
-        is_trivial=all(sub.is_full() for _, sub in cover.entries),
+        is_trivial=all(mask == full for mask in cover.masks),
     )
 
 
@@ -161,14 +181,31 @@ def _require_nontrivial_uniform(cover: CosetSystem) -> WeightProfile:
 def _cosets(G: FiniteGroup, subs: Sequence[Subgroup]) -> list[tuple]:
     """(index, subgroup mask, least member, coset mask, sub) for every left
     coset of every subgroup in subs, sorted by the first three fields."""
-    out = []
-    for sub in subs:
-        rest = G.full_mask()
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            out.append((sub.index, sub.mask, x, left_coset_mask(G, x, sub), sub))
-            rest &= ~out[-1][3]
+    out = [
+        (sub.index, sub.mask, (c & -c).bit_length() - 1, c, sub)
+        for sub in subs
+        for c in _left_cosets(G, sub.mask)
+    ]
     return sorted(out, key=lambda t: t[:3])
+
+
+def _left_cosets(G: FiniteGroup, mask: int) -> tuple[int, ...]:
+    """The left cosets of the subgroup mask by least member (a group memo fact)."""
+    return G.memo("left_cosets", mask, _coset_partition, G, mask)
+
+
+def _coset_partition(G: FiniteGroup, mask: int) -> tuple[int, ...]:
+    sub = Subgroup(G, mask)
+    out = []
+    rest = G.full_mask()
+    while rest:
+        out.append(left_coset_mask(G, (rest & -rest).bit_length() - 1, sub))
+        rest &= ~out[-1]
+    return tuple(out)
+
+
+def _is_union_of(union: int, cosets: Sequence[int]) -> bool:
+    return all(union & c in (0, c) for c in cosets)
 
 
 # ------------------------------------------------------------------- kernel
@@ -185,27 +222,17 @@ class KernelReport:
     capped: bool
 
 
-def _is_union_of_left_cosets(G: FiniteGroup, union: int, sub_mask: int) -> bool:
-    members = list(_bits(sub_mask))
-    for g in _bits(union):
-        row = G.table[g]
-        for d in members:
-            if not union >> row[d] & 1:
-                return False
-    return True
-
-
 def kernel_of(cover: CosetSystem) -> KernelReport:
     """K = {x : w(gx) = w(g) for all g}, by direct test over the group.
 
     Also verifies that K contains the intersection of the subgroups, and
     that for every nonempty entry subset I the partial union over I is a
-    union of left cosets of K intersected with the subgroups outside I.
-    Subset sweeps consider only the first KERNEL_SUBSET_CAP entries;
-    capped is set when entries were left out.
+    union of left cosets of D, the intersection of K with the subgroups
+    outside I.  Subset sweeps consider only the first KERNEL_SUBSET_CAP
+    entries; capped is set when entries were left out.
     """
     G = cover.parent
-    masks = cover.coset_masks()
+    masks = cover.masks
     w = weight_profile(cover).counts
     kmask = 0
     for x in range(G.order):
@@ -214,35 +241,33 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
             kmask |= 1 << x
     kernel = Subgroup(G, kmask)
 
-    inter = G.full_mask()
-    for _, sub in cover.entries:
-        inter &= sub.mask
-    contains = kmask & inter == inter
-
-    k = len(masks)
-    capped = k > KERNEL_SUBSET_CAP
-    scope = min(k, KERNEL_SUBSET_CAP)
+    subs = [sub.mask for _, sub in cover.entries]
+    scope = min(len(subs), KERNEL_SUBSET_CAP)
+    every = (1 << scope) - 1
+    # union and subgroup intersection of each subset of the first scope
+    # entries, from the same subset minus its lowest bit
+    union = [0] * (every + 1)
+    inside = [G.full_mask()] * (every + 1)
+    for bits in range(1, every + 1):
+        i = (bits & -bits).bit_length() - 1
+        union[bits] = union[bits & (bits - 1)] | masks[i]
+        inside[bits] = inside[bits & (bits - 1)] & subs[i]
+    beyond = reduce(and_, subs[scope:], G.full_mask())  # the subgroups past the cap
+    inter = inside[every] & beyond
     ok = True
     checked = 0
-    for bits in range(1, 1 << scope):
-        union = 0
-        for i in range(scope):
-            if bits >> i & 1:
-                union |= masks[i]
-        dmask = kmask
-        for j in range(k):
-            if not (j < scope and bits >> j & 1):
-                dmask &= cover.entries[j][1].mask
+    for bits in range(1, every + 1):
         checked += 1
-        if not _is_union_of_left_cosets(G, union, dmask):
+        dmask = kmask & beyond & inside[every ^ bits]
+        if dmask != 1 and not _is_union_of(union[bits], _left_cosets(G, dmask)):
             ok = False
             break
     return KernelReport(
         kernel=kernel,
-        contains_intersection=contains,
+        contains_intersection=kmask & inter == inter,
         union_property_verified=ok,
         subsets_checked=checked,
-        capped=capped,
+        capped=len(subs) > KERNEL_SUBSET_CAP,
     )
 
 
@@ -281,8 +306,8 @@ def check_union_lower_bound(
         if sub.mask & H.mask != H.mask:
             raise ValueError("every entry subgroup must contain H")
     h = H.index
-    masks = system.coset_masks()
-    met = sum(1 for c in _cosets(G, [H]) if any(c[3] & mask for mask in masks))
+    union = reduce(or_, system.masks)
+    met = sum(1 for c in _left_cosets(G, H.mask) if c & union)
     ns = system.indices()
     rhs = sum(1 for n in range(h) if any(n % d == 0 for d in ns))
     if all(is_subnormal(G, sub).is_subnormal for _, sub in system.entries):
@@ -325,10 +350,8 @@ def check_aligned_union_bound(
 ) -> AlignedUnionReport:
     system = CosetSystem.from_pairs(G, entries)
     pairs = system.entries
-    union = 0
-    for mask in system.coset_masks():
-        union |= mask
-    if not _is_union_of_left_cosets(G, union, H.mask):
+    union = reduce(or_, system.masks)
+    if not _is_union_of(union, _left_cosets(G, H.mask)):
         raise ValueError("union of the cosets is not a union of left H-cosets")
 
     h = H.index
@@ -460,19 +483,35 @@ class UniformCoverReport:
         return self.max_multiplicity >= self.min_prime
 
 
-def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
-    """Evaluate the index bound and its hypothesis flags for a
-    nontrivial uniform cover, with the squarefree-order bound and the
-    equal-index-pair consequence attached when their hypotheses apply."""
-    prof = _require_nontrivial_uniform(cover)
-    G = cover.parent
-    ns = cover.indices()
+class _SubgroupFacts:
+    """What the uniform-cover checks read about one subgroup mask, one
+    instance per mask in the group memo; G over the core is built on
+    first use."""
+
+    def __init__(self, G: FiniteGroup, mask: int):
+        sub = Subgroup(G, mask)
+        self.G, self.index, self.core = G, sub.index, core_of(G, sub)
+        self.subnormal = is_subnormal(G, sub).is_subnormal
+
+    @cached_property
+    def quotient(self) -> FiniteGroup:
+        return quotient_group(self.G, self.core)
+
+
+def _facts(G: FiniteGroup, mask: int) -> _SubgroupFacts:
+    return G.memo("cover_facts", mask, _SubgroupFacts, G, mask)
+
+
+@lru_cache(maxsize=4096)
+def _index_arithmetic(ns: tuple[int, ...]) -> tuple[MappingProxyType, tuple[Fraction, Fraction]]:
+    """The report fields of check_uniform_cover that depend on the sorted
+    indices ns alone (read-only, since every caller shares them), and the
+    two squarefree-order bounds."""
     N = math.lcm(*ns)
     pp = factorize(N).pairs
     p_r, alpha_r = pp[-1]
-    r = len(pp)
-
-    orders = [factorize(n).ord_of(p_r) for n in ns]
+    # beta: the least p_r-order among the indices p_r divides
+    orders = (next(e for e in range(alpha_r + 1) if n % p_r ** (e + 1)) for n in ns)
     beta = min(o for o in orders if o > 0)
     epsilon = 1 - Fraction(1, p_r ** (alpha_r - beta + 1))
     for p, a in pp[:-1]:
@@ -480,75 +519,9 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     counts = Counter(ns)
     top_mult = max(counts[n] for n in counts if n % p_r == 0)
     mert = euler_product(p for p, _ in pp)
-    lhs = Fraction(p_r**beta)
-    rhs = epsilon * top_mult * mert
-
-    top = [sub for (_, sub), o in zip(cover.entries, orders) if o > 0]
-    rest = [sub for (_, sub), o in zip(cover.entries, orders) if o == 0]
-    distinct = {sub.mask: sub for _, sub in cover.entries}
-    subnormal = {m: is_subnormal(G, sub).is_subnormal for m, sub in distinct.items()}
-    subn_top = all(subnormal[s.mask] for s in top)
-    cond_a_vacuous = False
-    if subn_top:
-        cond_a = True
-    else:
-        solv_top = all(is_solvable(quotient_group(G, core_of(G, s))) for s in top)
-        solv_rest = all(is_solvable(quotient_group(G, core_of(G, s))) for s in rest)
-        cond_a = solv_top or solv_rest
-        cond_a_vacuous = cond_a and not solv_top and not rest
-
-    cond_b = True
-    for sub in rest:
-        if sub.index > p_r and not subnormal[sub.mask]:
-            if not has_normal_sylow(quotient_group(G, core_of(G, sub)), p_r):
-                cond_b = False
-                break
-
-    icore = G.full_mask()
-    for sub in distinct.values():
-        icore &= core_of(G, sub).mask
-    Q = quotient_group(G, Subgroup(G, icore))
-    p_bar = factorize(Q.order).pairs[-1][0]
-    q_solvable = is_solvable(Q)
-    cond_c = q_solvable and has_normal_sylow(Q, p_bar)
-
-    squarefree = None
-    if factorize(G.order).is_squarefree():
-        num = 1
-        den = 1
-        for p, _ in pp:
-            num *= p
-        for p, _ in pp[:-1]:
-            den *= p + 1
-        squarefree = SquarefreeBound(
-            product_bound=Fraction(num, den),
-            weak_bound=max(Fraction(pp[0][0]), Fraction(2 * p_r, r + 1)),
-            multiplicity=top_mult,
-        )
-
-    big_subn = all(subnormal[sub.mask] for _, sub in cover.entries if sub.index >= p_r)
-    via_subnormal = p_r > r and big_subn
-    via_sylow = p_r > r and q_solvable and has_normal_sylow(Q, p_r)
-    pair = None
-    if top_mult >= 2:
-        witness = next(
-            n for n in counts if n % p_r == 0 and counts[n] == top_mult
-        )
-        pos = [i for i, n in enumerate(ns) if n == witness]
-        pair = (pos[0], pos[1])
-    equal_pair = EqualPairReport(
-        prime=p_r,
-        applicable=(via_subnormal or via_sylow) and Q.order % p_r == 0,
-        via_subnormal=via_subnormal,
-        via_sylow=via_sylow,
-        pair=pair,
-    )
-
-    shrink = p_r / mert
-    return UniformCoverReport(
-        m=prof.uniform_m,
-        k=len(cover),
-        indices=tuple(sorted(ns)),
+    fields = MappingProxyType(dict(
+        k=len(ns),
+        indices=ns,
         lcm_indices=N,
         prime_powers=tuple(pp),
         prime=p_r,
@@ -556,18 +529,74 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
         beta=beta,
         epsilon=epsilon,
         top_multiplicity=top_mult,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=Fraction(p_r**beta),
+        rhs=epsilon * top_mult * mert,
+        max_multiplicity=max(counts.values()),
+        min_prime=pp[0][0],
+        multiplicity_floor=1 + math.floor(p_r / mert),
+    ))
+    product_bound = Fraction(math.prod(p for p, _ in pp), math.prod(p + 1 for p, _ in pp[:-1]))
+    weak_bound = max(Fraction(pp[0][0]), Fraction(2 * p_r, len(pp) + 1))
+    return fields, (product_bound, weak_bound)
+
+
+def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
+    """Evaluate the index bound and its hypothesis flags for a
+    nontrivial uniform cover, with the squarefree-order bound and the
+    equal-index-pair consequence attached when their hypotheses apply."""
+    prof = _require_nontrivial_uniform(cover)
+    G = cover.parent
+    ns = cover.indices()
+    fields, squarefree_bounds = _index_arithmetic(tuple(sorted(ns)))
+    p_r = fields["prime"]
+    r = len(fields["prime_powers"])
+    top_mult = fields["top_multiplicity"]
+
+    distinct = [_facts(G, mask) for mask in {sub.mask for _, sub in cover.entries}]
+    top = [f for f in distinct if f.index % p_r == 0]
+    rest = [f for f in distinct if f.index % p_r]
+    # cond_a: the top subgroups subnormal, else G over the cores of the top
+    # or of the rest solvable, vacuously so when the rest is empty
+    top_ok = all(f.subnormal for f in top) or all(is_solvable(f.quotient) for f in top)
+    cond_a = top_ok or all(is_solvable(f.quotient) for f in rest)
+    cond_a_vacuous = cond_a and not top_ok and not rest
+    cond_b = all(
+        f.subnormal or f.index <= p_r or has_normal_sylow(f.quotient, p_r)
+        for f in rest
+    )
+
+    icore = reduce(and_, (f.core.mask for f in distinct))
+    Q = _facts(G, icore).quotient  # icore is normal: this is G over icore
+    squarefree = None
+    if G.memo("squarefree", G.full_mask(), lambda: factorize(G.order).is_squarefree()):
+        squarefree = SquarefreeBound(*squarefree_bounds, multiplicity=top_mult)
+    q_solvable = is_solvable(Q)
+    cond_c = q_solvable and has_normal_sylow(Q, max(_prime_support(Q.order)))
+
+    big_subn = all(f.subnormal for f in distinct if f.index >= p_r)
+    via_subnormal = p_r > r and big_subn
+    via_sylow = p_r > r and q_solvable and has_normal_sylow(Q, p_r)
+    pair = None
+    if top_mult >= 2:
+        witness = next(n for n in ns if n % p_r == 0 and ns.count(n) == top_mult)
+        pair = tuple(i for i, n in enumerate(ns) if n == witness)[:2]
+    equal_pair = EqualPairReport(
+        prime=p_r,
+        applicable=(via_subnormal or via_sylow) and Q.order % p_r == 0,
+        via_subnormal=via_subnormal,
+        via_sylow=via_sylow,
+        pair=pair,
+    )
+    return UniformCoverReport(
+        m=prof.uniform_m,
         cond_a=cond_a,
         cond_a_vacuous=cond_a_vacuous,
         cond_b=cond_b,
         cond_c=cond_c,
         big_subnormal=big_subn,
-        max_multiplicity=max(counts.values()),
-        min_prime=pp[0][0],
-        multiplicity_floor=1 + math.floor(shrink),
         squarefree=squarefree,
         equal_pair=equal_pair,
+        **fields,
     )
 
 
@@ -597,13 +626,12 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     G = cover.parent
     ns = cover.indices()
     n_max = max(ns)
+    masks = {sub.mask for _, sub in cover.entries}
     return MaxIndexReport(
         n_max=n_max,
-        multiplicity=sum(1 for n in ns if n == n_max),
-        least_prime=least_prime(n_max),
-        all_subnormal=all(
-            is_subnormal(G, sub).is_subnormal for _, sub in cover.entries
-        ),
+        multiplicity=ns.count(n_max),
+        least_prime=min(_prime_support(n_max)),
+        all_subnormal=all(_facts(G, mask).subnormal for mask in masks),
     )
 
 
@@ -723,7 +751,8 @@ def enumerate_uniform_covers(
         # position 0 is the whole group, which must not stand alone
         for _, group in groupby(covers(), key=lambda picks: picks[0]):
             for picks in sorted(p for p in group if p[-1]):
-                yield CosetSystem(G, tuple((cosets[i][2], cosets[i][4]) for i in picks))
+                entries = tuple((cosets[i][2], cosets[i][4]) for i in picks)
+                yield CosetSystem(G, entries, tuple(cosets[i][3] for i in picks))
         stream.nodes = counter.spent
 
     stream._gen = gen()
@@ -782,7 +811,7 @@ def _partition_with_indices(
     masks = [c[3] | label for c, label in offers]
     for picks in _exact_covers(n + len(S), masks, 1, len(S), counter):
         entries = tuple((offers[i][0][2], offers[i][0][4]) for i in picks)
-        return CosetSystem(G, entries).canonical()
+        return CosetSystem(G, entries, tuple(offers[i][0][3] for i in picks)).canonical()
     return None
 
 

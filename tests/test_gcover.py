@@ -1,14 +1,26 @@
 """Tests for coset systems over finite groups and the cover machinery."""
 
+import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from coverlab import gcover
+from coverlab.arith import euler_product, factorize, least_prime
 from coverlab.errors import SearchBudgetError
 from coverlab.gcover import (
     DEFAULT_NODE_BUDGET,
+    KERNEL_SUBSET_CAP,
     CosetSystem,
+    EqualPairReport,
+    KernelReport,
+    MaxIndexReport,
+    SquarefreeBound,
+    UniformCoverReport,
+    WeightProfile,
     _Nodes,
     _partition_with_indices,
     check_aligned_union_bound,
@@ -23,15 +35,21 @@ from coverlab.gcover import (
     weight_profile,
 )
 from coverlab.group import (
+    Subgroup,
     _bits,
     all_subgroups,
     catalog_group,
+    core_of,
     cycles_str,
     full_subgroup,
     group_from_generators,
+    has_normal_sylow,
     is_normal,
+    is_solvable,
+    is_subnormal,
     left_coset_mask,
     load_catalog,
+    quotient_group,
     subgroup_closure,
     trivial_subgroup,
 )
@@ -102,7 +120,7 @@ def test_canonical_form():
 def test_indices_and_masks():
     cov = c4_cover()
     assert cov.indices() == (2, 4, 4)
-    assert [m.bit_count() for m in cov.coset_masks()] == [2, 1, 1]
+    assert [m.bit_count() for m in cov.masks] == [2, 1, 1]
 
 
 # --------------------------------------------------------- weight profile
@@ -213,16 +231,20 @@ def test_union_bound_hypothesis_field():
 
 
 def test_union_bound_exhaustive_c12():
-    # every choice of <= 2 subgroups above H, every pair of shifts
+    # every choice of <= 2 subgroups above H, every pair of shifts; lhs
+    # against the H-cosets met, counted coset by coset
     G = catalog_group("C12")
     for H in all_subgroups(G):
         above = [S for S in all_subgroups(G) if S.mask & H.mask == H.mask]
+        h_cosets = [left_coset_mask(G, x, H) for x, _ in left_cosets(G, H)]
         for s1 in above:
             for s2 in above:
                 for a in range(0, G.order, 5):
                     for b in range(0, G.order, 7):
                         r = check_union_lower_bound(G, H, [(a, s1), (b, s2)])
                         assert r.holds, (H, s1, s2, a, b)
+                        union = left_coset_mask(G, a, s1) | left_coset_mask(G, b, s2)
+                        assert r.lhs == sum(1 for c in h_cosets if c & union)
 
 
 # ---------------------------------------------------- aligned union bound
@@ -285,10 +307,14 @@ def test_aligned_random_sweep():
             H = rng.choice(subs)
             k = rng.randint(1, 3)
             entries = [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
-            try:
-                r = check_aligned_union_bound(G, H, entries)
-            except ValueError:
+            union = 0
+            for rep, sub in entries:
+                union |= left_coset_mask(G, rep, sub)
+            if not oracle_is_union_of_left_cosets(G, union, H.mask):
+                with pytest.raises(ValueError, match="not a union of left H-cosets"):
+                    check_aligned_union_bound(G, H, entries)
                 continue
+            r = check_aligned_union_bound(G, H, entries)
             seen_cases.add(r.case)
             if r.case != "none":
                 assert r.holds, (name, H, entries)
@@ -460,7 +486,7 @@ def test_enumerate_canonical_and_distinct():
             assert weight_profile(cov).uniform_m == m
             assert not weight_profile(cov).is_trivial
             assert cov.canonical() == cov
-            key = tuple(sorted(zip(cov.coset_masks(), (s.mask for _, s in cov.entries))))
+            key = tuple(sorted(zip(cov.masks, (s.mask for _, s in cov.entries))))
             assert key not in seen
             seen.add(key)
 
@@ -593,3 +619,429 @@ def test_search_finds_repeated_index_partition():
 def test_search_budget():
     with pytest.raises(SearchBudgetError, match="partition search on D6 exceeded 10 nodes"):
         search_distinct_index_partition(catalog_group("D6"), node_budget=10)
+
+
+# ------------------------------------------------- differential oracles
+#
+# The per-element versions of the per-cover checks: each recomputes the
+# coset masks, counts weights one element at a time, factors every index
+# and tests coset unions element by element.
+
+
+def oracle_masks(cover):
+    G = cover.parent
+    return tuple(left_coset_mask(G, rep, sub) for rep, sub in cover.entries)
+
+
+def oracle_weight_profile(cover):
+    G = cover.parent
+    counts = [0] * G.order
+    for mask in oracle_masks(cover):
+        for x in _bits(mask):
+            counts[x] += 1
+    lo = min(counts)
+    hi = max(counts)
+    return WeightProfile(
+        counts=tuple(counts),
+        min_w=lo,
+        max_w=hi,
+        covered=sum(1 for c in counts if c),
+        uniform_m=lo if lo == hi else None,
+        is_cover=lo >= 1,
+        is_partition=lo == hi == 1,
+        is_trivial=all(sub.is_full() for _, sub in cover.entries),
+    )
+
+
+def oracle_is_union_of_left_cosets(G, union, sub_mask):
+    members = list(_bits(sub_mask))
+    for g in _bits(union):
+        row = G.table[g]
+        for d in members:
+            if not union >> row[d] & 1:
+                return False
+    return True
+
+
+def oracle_kernel_of(cover):
+    G = cover.parent
+    masks = oracle_masks(cover)
+    w = oracle_weight_profile(cover).counts
+    kmask = 0
+    for x in range(G.order):
+        col = [row[x] for row in G.table]
+        if all(w[col[g]] == w[g] for g in range(G.order)):
+            kmask |= 1 << x
+    kernel = Subgroup(G, kmask)
+
+    inter = G.full_mask()
+    for _, sub in cover.entries:
+        inter &= sub.mask
+    contains = kmask & inter == inter
+
+    k = len(masks)
+    capped = k > KERNEL_SUBSET_CAP
+    scope = min(k, KERNEL_SUBSET_CAP)
+    ok = True
+    checked = 0
+    for bits in range(1, 1 << scope):
+        union = 0
+        for i in range(scope):
+            if bits >> i & 1:
+                union |= masks[i]
+        dmask = kmask
+        for j in range(k):
+            if not (j < scope and bits >> j & 1):
+                dmask &= cover.entries[j][1].mask
+        checked += 1
+        if not oracle_is_union_of_left_cosets(G, union, dmask):
+            ok = False
+            break
+    return KernelReport(
+        kernel=kernel,
+        contains_intersection=contains,
+        union_property_verified=ok,
+        subsets_checked=checked,
+        capped=capped,
+    )
+
+
+def oracle_require_nontrivial_uniform(cover):
+    prof = oracle_weight_profile(cover)
+    if prof.uniform_m is None or prof.uniform_m == 0:
+        raise ValueError("system is not a uniform cover")
+    if prof.is_trivial:
+        raise ValueError("system is trivial (every subgroup is the whole group)")
+    return prof
+
+
+def oracle_check_uniform_cover(cover):
+    prof = oracle_require_nontrivial_uniform(cover)
+    G = cover.parent
+    ns = tuple(sub.index for _, sub in cover.entries)
+    N = math.lcm(*ns)
+    pp = factorize(N).pairs
+    p_r, alpha_r = pp[-1]
+    r = len(pp)
+
+    orders = [factorize(n).ord_of(p_r) for n in ns]
+    beta = min(o for o in orders if o > 0)
+    epsilon = 1 - Fraction(1, p_r ** (alpha_r - beta + 1))
+    for p, a in pp[:-1]:
+        epsilon *= 1 - Fraction(1, p ** (a + 1))
+    counts = Counter(ns)
+    top_mult = max(counts[n] for n in counts if n % p_r == 0)
+    mert = euler_product(p for p, _ in pp)
+    lhs = Fraction(p_r**beta)
+    rhs = epsilon * top_mult * mert
+
+    top = [sub for (_, sub), o in zip(cover.entries, orders) if o > 0]
+    rest = [sub for (_, sub), o in zip(cover.entries, orders) if o == 0]
+    distinct = {sub.mask: sub for _, sub in cover.entries}
+    subnormal = {m: is_subnormal(G, sub).is_subnormal for m, sub in distinct.items()}
+    subn_top = all(subnormal[s.mask] for s in top)
+    cond_a_vacuous = False
+    if subn_top:
+        cond_a = True
+    else:
+        solv_top = all(is_solvable(quotient_group(G, core_of(G, s))) for s in top)
+        solv_rest = all(is_solvable(quotient_group(G, core_of(G, s))) for s in rest)
+        cond_a = solv_top or solv_rest
+        cond_a_vacuous = cond_a and not solv_top and not rest
+
+    cond_b = True
+    for sub in rest:
+        if sub.index > p_r and not subnormal[sub.mask]:
+            if not has_normal_sylow(quotient_group(G, core_of(G, sub)), p_r):
+                cond_b = False
+                break
+
+    icore = G.full_mask()
+    for sub in distinct.values():
+        icore &= core_of(G, sub).mask
+    Q = quotient_group(G, Subgroup(G, icore))
+    p_bar = factorize(Q.order).pairs[-1][0]
+    q_solvable = is_solvable(Q)
+    cond_c = q_solvable and has_normal_sylow(Q, p_bar)
+
+    squarefree = None
+    if factorize(G.order).is_squarefree():
+        num = 1
+        den = 1
+        for p, _ in pp:
+            num *= p
+        for p, _ in pp[:-1]:
+            den *= p + 1
+        squarefree = SquarefreeBound(
+            product_bound=Fraction(num, den),
+            weak_bound=max(Fraction(pp[0][0]), Fraction(2 * p_r, r + 1)),
+            multiplicity=top_mult,
+        )
+
+    big_subn = all(subnormal[sub.mask] for _, sub in cover.entries if sub.index >= p_r)
+    via_subnormal = p_r > r and big_subn
+    via_sylow = p_r > r and q_solvable and has_normal_sylow(Q, p_r)
+    pair = None
+    if top_mult >= 2:
+        witness = next(n for n in counts if n % p_r == 0 and counts[n] == top_mult)
+        pos = [i for i, n in enumerate(ns) if n == witness]
+        pair = (pos[0], pos[1])
+    equal_pair = EqualPairReport(
+        prime=p_r,
+        applicable=(via_subnormal or via_sylow) and Q.order % p_r == 0,
+        via_subnormal=via_subnormal,
+        via_sylow=via_sylow,
+        pair=pair,
+    )
+
+    shrink = p_r / mert
+    return UniformCoverReport(
+        m=prof.uniform_m,
+        k=len(cover),
+        indices=tuple(sorted(ns)),
+        lcm_indices=N,
+        prime_powers=tuple(pp),
+        prime=p_r,
+        alpha=alpha_r,
+        beta=beta,
+        epsilon=epsilon,
+        top_multiplicity=top_mult,
+        lhs=lhs,
+        rhs=rhs,
+        cond_a=cond_a,
+        cond_a_vacuous=cond_a_vacuous,
+        cond_b=cond_b,
+        cond_c=cond_c,
+        big_subnormal=big_subn,
+        max_multiplicity=max(counts.values()),
+        min_prime=pp[0][0],
+        multiplicity_floor=1 + math.floor(shrink),
+        squarefree=squarefree,
+        equal_pair=equal_pair,
+    )
+
+
+def oracle_probe_max_index_multiplicity(cover):
+    oracle_require_nontrivial_uniform(cover)
+    G = cover.parent
+    ns = tuple(sub.index for _, sub in cover.entries)
+    n_max = max(ns)
+    return MaxIndexReport(
+        n_max=n_max,
+        multiplicity=sum(1 for n in ns if n == n_max),
+        least_prime=least_prime(n_max),
+        all_subnormal=all(
+            is_subnormal(G, sub).is_subnormal for _, sub in cover.entries
+        ),
+    )
+
+
+def assert_matches_oracles(cover, kernel=True):
+    assert cover.masks == oracle_masks(cover)
+    assert cover.indices() == tuple(sub.index for _, sub in cover.entries)
+    assert weight_profile(cover) == oracle_weight_profile(cover)
+    if kernel:
+        assert kernel_of(cover) == oracle_kernel_of(cover)
+    try:
+        want = oracle_check_uniform_cover(cover), oracle_probe_max_index_multiplicity(cover)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            check_uniform_cover(cover)
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            probe_max_index_multiplicity(cover)
+        return None
+    got = check_uniform_cover(cover), probe_max_index_multiplicity(cover)
+    assert got == want, cover
+    return got[0]
+
+
+def test_checks_match_oracles_on_the_sweep_catalog():
+    # every cover the sweep checks, at its sizes, SD16 aside
+    for G in load_catalog():
+        if G.name == "SD16":
+            continue
+        k = 5 if G.order <= 12 else 4
+        for cover in enumerate_uniform_covers(G, k, 1):
+            assert_matches_oracles(cover)
+
+
+def test_checks_match_oracles_on_sd16_sample():
+    covers = list(enumerate_uniform_covers(catalog_group("SD16"), 8, 2))
+    assert len(covers) == 26314
+    for cover in covers[::97]:
+        assert_matches_oracles(cover)
+
+
+def test_checks_match_oracles_on_random_systems():
+    # non-uniform systems, most with uncovered elements, and systems past
+    # the kernel's subset cap
+    rng = random.Random(8)
+    groups = [G for G in load_catalog() if 1 < G.order <= 16]
+    uncovered = capped = 0
+    for trial in range(300):
+        G = rng.choice(groups)
+        subs = all_subgroups(G)
+        k = KERNEL_SUBSET_CAP + 1 if trial % 50 == 0 else rng.randint(1, 5)
+        cover = CosetSystem.from_pairs(
+            G, [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
+        )
+        uncovered += weight_profile(cover).covered < G.order
+        capped += kernel_of(cover).capped
+        assert_matches_oracles(cover)
+    assert uncovered > 100 and capped == 6
+
+
+def test_checks_match_oracles_in_any_entry_order():
+    # the equal pair names entry positions, so it depends on the order the
+    # cached arithmetic does not see: (2, 2, 3, 3, 6, 6) read backwards
+    # takes its witness from the 6s instead of the 3s
+    rng = random.Random(2)
+    moved = 0
+    for name in ("C6", "S3", "D4"):
+        for cover in enumerate_uniform_covers(catalog_group(name), 6, 2):
+            entries = list(cover.entries)
+            for order in (entries[::-1], rng.sample(entries, len(entries))):
+                shuffled = CosetSystem(cover.parent, tuple(order))
+                r = assert_matches_oracles(shuffled, kernel=False)
+                moved += r.equal_pair.pair != check_uniform_cover(cover).equal_pair.pair
+    assert moved > 0
+
+
+def test_masks_handed_over_match_the_cosets():
+    G = catalog_group("D4")
+    for cover in enumerate_uniform_covers(G, 5, 1):
+        assert cover.masks == oracle_masks(cover)
+        assert cover.canonical().masks == oracle_masks(cover.canonical())
+    with pytest.raises(ValueError, match="one coset mask per entry"):
+        CosetSystem(G, ((0, full_subgroup(G)),), (G.full_mask(), 1))
+
+
+def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
+    G = catalog_group("D4")
+    reports = [oracle_check_uniform_cover(c) for c in enumerate_uniform_covers(G, 5, 1)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gcover, "left_coset_mask", counted("coset", left_coset_mask))
+    monkeypatch.setattr(gcover, "factorize", counted("factorize", factorize))
+    gcover._index_arithmetic.cache_clear()
+    # the coset partitions are group memo facts from the first enumeration
+    covers = list(enumerate_uniform_covers(G, 5, 1))
+    assert len(covers) == 248
+    for cover, want in zip(covers, reports):
+        assert check_uniform_cover(cover) == want
+        probe_max_index_multiplicity(cover)
+        kernel_of(cover)
+        weight_profile(cover)
+    assert calls["coset"] == 0
+    tuples = {r.indices for r in reports}
+    quotient_orders = {G.order}  # the group order's squarefree test
+    for cover in covers:
+        icore = G.full_mask()
+        for _, sub in cover.entries:
+            icore &= core_of(G, sub).mask
+        quotient_orders.add(G.order // icore.bit_count())
+    assert 0 < calls["factorize"] <= len(tuples) + len(quotient_orders)
+    assert len(covers) > 10 * (len(tuples) + len(quotient_orders))
+
+
+# ------------------------------------------- non-solvable uniform covers
+
+
+def perm_mask(G, keep):
+    return sum(1 << x for x in range(G.order) if keep(G.perms[x]))
+
+
+def is_even(perm):
+    seen, swaps = set(), 0
+    for start in range(len(perm)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        swaps += max(length - 1, 0)
+    return swaps % 2 == 0
+
+
+def s5_two_cover():
+    """The 2 cosets of A5 and the 5 of a point stabilizer S4 in S5."""
+    G = group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], name="S5")
+    a5 = Subgroup(G, perm_mask(G, is_even))
+    s4 = Subgroup(G, perm_mask(G, lambda p: p[4] == 4))
+    return CosetSystem.from_pairs(G, left_cosets(G, a5) + left_cosets(G, s4))
+
+
+def psl27_two_cover():
+    """The 7 cosets of a point stabilizer (index 7) and the 8 of a Sylow
+    7-normalizer (index 8) in PSL(2,7), 15 entries: past the subset cap."""
+    G = group_from_generators(7, ["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], name="PSL(2,7)")
+    stab = Subgroup(G, perm_mask(G, lambda p: p[0] == 0))
+    return CosetSystem.from_pairs(G, left_cosets(G, stab) + left_cosets(G, sub_of_size(G, 21)))
+
+
+def test_uniform_non_solvable_s5():
+    cover = s5_two_cover()
+    r = assert_matches_oracles(cover)
+    assert (r.m, r.indices) == (2, (2, 2, 5, 5, 5, 5, 5))
+    # A5 is normal of index 2 with a solvable quotient: cond_a holds through
+    # the rest while the S4 cosets have the non-solvable S5 over their core
+    assert r.cond_a and not r.cond_a_vacuous and r.cond_b and not r.cond_c
+    assert r.applicable and r.holds
+    assert (r.lhs, r.rhs) == (5, Fraction(15, 2))
+    assert r.squarefree is None and r.equal_pair.pair == (2, 3)
+    assert not r.equal_pair.applicable
+    probe = probe_max_index_multiplicity(cover)
+    assert (probe.n_max, probe.multiplicity, probe.least_prime) == (5, 5, 5)
+    assert not probe.all_subnormal
+    k = kernel_of(cover)
+    assert k.kernel.is_full() and k.union_property_verified and not k.capped
+
+
+def test_uniform_non_solvable_psl27():
+    cover = psl27_two_cover()
+    r = assert_matches_oracles(cover)
+    assert (r.m, r.k, r.indices) == (2, 15, (7,) * 7 + (8,) * 8)
+    assert not (r.cond_a or r.cond_b or r.cond_c or r.applicable)
+    assert r.lhs == 7 and r.holds
+    k = kernel_of(cover)
+    assert k.capped and k.subsets_checked == 2**KERNEL_SUBSET_CAP - 1
+    assert k.union_property_verified
+
+
+def test_uniform_non_solvable_a5_matches_oracles():
+    assert_matches_oracles(a5_two_cover())
+    # one subgroup's cosets: every index is divisible by 5 and nothing is
+    # subnormal or solvable over its core, so cond_a holds only vacuously
+    G = a5_two_cover().parent
+    r = assert_matches_oracles(CosetSystem.from_pairs(G, left_cosets(G, sub_of_size(G, 12))))
+    assert r.cond_a and r.cond_a_vacuous and r.indices == (5,) * 5
+
+
+def first_cover_with(G, k, indices):
+    return next(c for c in enumerate_uniform_covers(G, k, 1) if c.indices() == indices)
+
+
+def test_flag_false_and_true_at_one_index_multiset():
+    # the arithmetic is cached per index multiset; the flags are not.  cond_a
+    # is false only on the non-solvable covers above, and no cover found has
+    # equal_pair.pair None (every searched cover repeats an index that the
+    # largest prime divides)
+    gcover._index_arithmetic.cache_clear()
+    ns = (4, 4, 6, 6, 6)
+    a4 = first_cover_with(catalog_group("A4"), 5, ns)
+    c12 = first_cover_with(catalog_group("C12"), 5, ns)
+    for cover in (a4, c12, a4):
+        r = assert_matches_oracles(cover)
+        assert r.cond_b == r.cond_c == (cover is c12)
+        assert r.squarefree is None
+    assert gcover._index_arithmetic.cache_info().misses == 1
+    # the same multiset in a group of squarefree order and in one that is not
+    assert assert_matches_oracles(first_cover_with(catalog_group("C2"), 2, (2, 2))).squarefree
+    assert not assert_matches_oracles(first_cover_with(catalog_group("C2xC2"), 2, (2, 2))).squarefree
