@@ -229,7 +229,9 @@ def catalog_text() -> str:
 def main():
     OUT.write_text(catalog_text())
     # the package loader parses and realizes every record, counts groups
-    # per order and refuses fingerprint collisions; add a few known counts
+    # per order and refuses fingerprint collisions, counting subgroups
+    # only where two groups tie on every other fingerprint part; add a
+    # few known counts
     groups = load_catalog()
     print(f"wrote {OUT} with {len(groups)} records")
     for name, subgroups in (("C4", 3), ("S3", 6), ("Q8", 6), ("A4", 10)):

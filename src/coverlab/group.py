@@ -16,11 +16,20 @@ by its full mask.  The quotient by the trivial subgroup is the group
 itself, so its lattice is never enumerated twice.  Pyramidal chains and
 prime-quotient series are one walk up the lattice through normal steps
 of prime index, and a subgroup's pyramidality is a fact at its mask.
+Element labels are a fact at the full mask too: explicit labels are
+stored there at construction, and a permutation group's cycle strings
+are made from its perms on first read.
+
+The bundled catalog is checked at load: closure orders, counts per
+order, and distinct fingerprints within an order.  The subgroup count,
+the one fingerprint part that needs a lattice, is computed only for
+groups that tie on all the other parts.
 
 Closures use Dimino's coset extension over a reduced generating set: each
 element of the mask that is not yet in the subgroup grows it by whole
 right cosets.  The lattice is built by cyclic extension: each join
-extends a known subgroup by the generator of a cyclic subgroup.
+extends a known subgroup H by the generator g of a cyclic subgroup, once
+per double coset HgH.  A core intersects one conjugate per left coset.
 
 Every group has at most ORDER_CAP elements: a record is refused at its
 declared order, a closure as it outgrows the cap, a larger table before
@@ -143,7 +152,7 @@ def _check_order_cap(n: int) -> None:
 class FiniteGroup:
     """Immutable finite group on element ids 0..order-1 given by its table."""
 
-    __slots__ = ("order", "table", "inv", "name", "labels", "perms", "_memo")
+    __slots__ = ("order", "table", "inv", "name", "perms", "_memo")
 
     def __init__(self, table, name=None, labels=None, perms=None):
         table = tuple(tuple(row) for row in table)
@@ -169,9 +178,10 @@ class FiniteGroup:
         self.table = table
         self.inv = tuple(inv)
         self.name = name or f"group{n}"
-        self.labels = tuple(labels) if labels else None
         self.perms = tuple(perms) if perms else None
         self._memo = {}
+        if labels:
+            self.memo("labels", self.full_mask(), tuple, labels)
 
     def memo(self, fact: str, mask: int, compute: Callable, *args):
         """The value of fact at the subgroup mask, computed once as
@@ -202,8 +212,18 @@ class FiniteGroup:
             k += 1
         return k
 
+    @property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        """Element labels: the explicit ones given at construction, else
+        the cycle strings of perms, made on first read; None if neither."""
+        return self.memo("labels", self.full_mask(), self._perm_labels)
+
+    def _perm_labels(self) -> Optional[tuple[str, ...]]:
+        return tuple(cycles_str(p) for p in self.perms) if self.perms else None
+
     def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
+        labels = self.labels
+        return labels[a] if labels else str(a)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -452,8 +472,7 @@ def group_from_generators(
         for y, x, r in steps:
             row[y] = r[row[x]]
         table.append(row)
-    labels = [cycles_str(p) for p in elems]
-    return FiniteGroup(table, name=name, labels=labels, perms=elems)
+    return FiniteGroup(table, name=name, perms=elems)
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
@@ -474,7 +493,9 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     the seeds, which reaches every subgroup since each is generated by
     finitely many of its cyclic subgroups.  A join extends the known
     subgroup by the seed's generator (cyclic extension), and lands in
-    the closure memo under the mask of the union it generates.
+    the closure memo under the mask of the union it generates.  A seed
+    whose generator lies in a double coset HgH already joined to H is
+    skipped: its join <H, g> is the one already found.
     """
     return G.memo("lattice", G.full_mask(), _lattice, G)
 
@@ -482,8 +503,20 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     table = G.table
     cyclics: dict[int, int] = {}  # cyclic subgroup mask -> its least generator
-    for g in range(G.order):
-        cyclics.setdefault(G.closure_mask(1 << g), g)
+    found = 1  # generators of the cyclic subgroups found so far
+    for g in range(1, G.order):
+        if found >> g & 1:
+            continue
+        powers = [g]  # g**1, g**2, ... up to the identity
+        while powers[-1]:
+            powers.append(table[powers[-1]][g])
+        m = len(powers)
+        mask = 1
+        for k, x in enumerate(powers, 1):
+            mask |= 1 << x
+            if math.gcd(k, m) == 1:
+                found |= 1 << x
+        cyclics[mask] = g
     gens = {c: (g,) for c, g in cyclics.items()}
     gens[1] = ()
     frontier = list(gens)
@@ -491,8 +524,9 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
         new = []
         for h in frontier:
             elems = list(_bits(h))
+            joined = h  # H and the double cosets HgH joined so far
             for c, g in cyclics.items():
-                if h >> g & 1:
+                if joined >> g & 1:
                     continue
                 j = G.memo(
                     "closure", h | c, lambda: _extend(table, elems, h, gens[h], g)[1]
@@ -500,7 +534,21 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
                 if j not in gens:
                     gens[j] = gens[h] + (g,)
                     new.append(j)
+                # HgH is disjoint from joined: grow it from Hg by right
+                # multiplication with the generators of H
+                coset = [table[a][g] for a in elems]
+                for y in coset:
+                    joined |= 1 << y
+                for y in coset:
+                    row = table[y]
+                    for s in gens[h]:
+                        z = row[s]
+                        if not joined >> z & 1:
+                            joined |= 1 << z
+                            coset.append(z)
         frontier = new
+    for m in gens:  # each mask found is its own closure
+        G.memo("closure", m, int, m)
     return tuple(
         Subgroup(G, m) for m in sorted(gens, key=lambda m: (m.bit_count(), m))
     )
@@ -523,11 +571,15 @@ def core_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def _core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    mask = H.mask
+    """Conjugates by one element of each left coset: (gh)H(gh)**-1 = gHg**-1."""
+    mask, seen = H.mask, H.mask
     for g in range(G.order):
+        if seen >> g & 1:
+            continue
         mask &= G.conj_mask(g, H.mask)
         if mask == 1:
             break
+        seen |= left_coset_mask(G, g, H)
     return Subgroup(G, mask)
 
 
@@ -819,23 +871,31 @@ def center_mask(G: FiniteGroup) -> int:
     return out
 
 
-def fingerprint(G: FiniteGroup) -> tuple:
-    """(order, element-order profile, abelian?, subgroup count, center profile).
-
-    Used to tell catalog entries of equal order apart; equality of
-    fingerprints is treated as an isomorphism red flag at load time.
-    The center profile is needed at order 16, where two non-isomorphic
-    groups agree on the first four components.
-    """
+def _cheap_fingerprint(G: FiniteGroup) -> tuple:
+    """fingerprint(G) without its subgroup count: every part that needs
+    no lattice."""
     profile = Counter(G.element_order(x) for x in range(G.order))
     centre = Counter(G.element_order(x) for x in _bits(center_mask(G)))
     return (
         G.order,
         tuple(sorted(profile.items())),
         G.is_abelian(),
-        len(all_subgroups(G)),
         tuple(sorted(centre.items())),
     )
+
+
+def fingerprint(G: FiniteGroup) -> tuple:
+    """(order, element-order profile, abelian?, subgroup count, center profile).
+
+    Used to tell catalog entries of equal order apart; equality of
+    fingerprints is treated as an isomorphism red flag at load time.
+    The center profile is needed at order 16, where two non-isomorphic
+    groups agree on the first four components.  Two fingerprints can
+    only be equal if their parts other than the subgroup count are, so
+    the catalog check enumerates a lattice only inside such a tie.
+    """
+    order, profile, abelian, centre = _cheap_fingerprint(G)
+    return (order, profile, abelian, len(all_subgroups(G)), centre)
 
 
 # number of isomorphism classes of groups of order 1..16; the catalog is
@@ -847,30 +907,41 @@ _catalog_cache: Optional[tuple] = None
 
 
 def load_catalog() -> tuple[FiniteGroup, ...]:
-    """All groups of order <= 16, realized and validated."""
+    """All groups of order <= 16, realized and validated once per
+    process.  The fingerprint check counts subgroups only for groups
+    that tie on every other fingerprint part: on the bundled file that
+    is C4:C4 and Q8xC2, so a load enumerates 2 lattices."""
     global _catalog_cache
     if _catalog_cache is None:
         text = (
             resources.files("coverlab").joinpath("data/groups_le16.txt").read_text()
         )
-        records = parse_group_records(text)
-        groups = tuple(realize_record(r) for r in records)
-        counts = Counter(g.order for g in groups)
-        for order, expected in enumerate(_GROUPS_OF_ORDER, 1):
-            if counts.get(order, 0) != expected:
-                raise ValueError(
-                    f"catalog has {counts.get(order, 0)} groups of order {order}, "
-                    f"classification says {expected}"
-                )
-        by_order: dict[int, list] = {}
-        for g in groups:
-            by_order.setdefault(g.order, []).append(g)
-        for order, gs in by_order.items():
-            prints = [fingerprint(g) for g in gs]
-            if len(set(prints)) != len(prints):
-                raise ValueError(f"catalog fingerprint collision at order {order}")
-        _catalog_cache = groups
+        _catalog_cache = _realize_catalog(text)
     return _catalog_cache
+
+
+def _realize_catalog(text: str) -> tuple[FiniteGroup, ...]:
+    """Realize every record of a catalog file and validate the whole.
+
+    Each record's closure order is checked, the count per order against
+    the classification, and full fingerprints must differ within an
+    order.  Only groups that tie on every part but the subgroup count
+    have their lattices enumerated for that last check."""
+    groups = tuple(realize_record(r) for r in parse_group_records(text))
+    counts = Counter(g.order for g in groups)
+    for order, expected in enumerate(_GROUPS_OF_ORDER, 1):
+        if counts.get(order, 0) != expected:
+            raise ValueError(
+                f"catalog has {counts.get(order, 0)} groups of order {order}, "
+                f"classification says {expected}"
+            )
+    ties: dict[tuple, list] = {}  # keyed by the cheap parts, order first
+    for g in groups:
+        ties.setdefault(_cheap_fingerprint(g), []).append(g)
+    for tie in ties.values():
+        if len(tie) > 1 and len({fingerprint(g) for g in tie}) < len(tie):
+            raise ValueError(f"catalog fingerprint collision at order {tie[0].order}")
+    return groups
 
 
 def catalog_group(name: str) -> FiniteGroup:

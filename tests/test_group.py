@@ -127,14 +127,17 @@ def oracle_closure_mask(G: FiniteGroup, mask: int) -> int:
     return sum(1 << x for x in members)
 
 
-def oracle_lattice_masks(G: FiniteGroup) -> tuple[int, ...]:
-    """The lattice by joins with the cyclic subgroups, each join closed
-    from scratch by the oracle closure."""
+def oracle_lattice_masks(
+    G: FiniteGroup, closure=oracle_closure_mask
+) -> tuple[int, ...]:
+    """The lattice by joins of every subgroup with every cyclic subgroup,
+    each join closed from scratch by closure (the oracle closure unless
+    given)."""
     closed: dict[int, int] = {}
 
     def close(mask: int) -> int:
         if mask not in closed:
-            closed[mask] = oracle_closure_mask(G, mask)
+            closed[mask] = closure(G, mask)
         return closed[mask]
 
     cyclics = {close(1 << g) for g in range(G.order)}
@@ -311,6 +314,62 @@ def test_catalog_fingerprints_distinct_per_order():
         assert len(set(prints)) == len(prints), order
 
 
+def _shipped_catalog_text() -> str:
+    return resources.files("coverlab").joinpath("data/groups_le16.txt").read_text()
+
+
+def test_catalog_check_refuses_an_injected_isomorphic_pair(monkeypatch):
+    # C4 swapped for a relabelled C2xC2: order 4 still counts 2 groups,
+    # the two tie on every cheap part, and only their lattices are counted
+    c4 = "group C4\ndegree 4\ngen (1 2 3 4)\norder 4\nend\n"
+    klein = "group V4\ndegree 4\ngen (1 3)\ngen (2 4)\norder 4\nend\n"
+    text = _shipped_catalog_text()
+    assert c4 in text
+    lattices = []
+
+    def counted(G):
+        lattices.append(G.name)
+        return all_subgroups(G)
+
+    monkeypatch.setattr(group_module, "all_subgroups", counted)
+    with pytest.raises(ValueError, match="catalog fingerprint collision at order 4$"):
+        group_module._realize_catalog(text.replace(c4, klein))
+    assert sorted(lattices) == ["C2xC2", "V4"]
+
+
+def test_catalog_check_passes_the_shipped_cheap_tie():
+    # C4:C4 and Q8xC2 agree on every fingerprint part but the subgroup
+    # count (15 against 19), so the shipped catalog loads only through it
+    groups = group_module._realize_catalog(_shipped_catalog_text())
+    ties: dict[tuple, list] = {}
+    for g in groups:
+        ties.setdefault(group_module._cheap_fingerprint(g), []).append(g)
+    tied = [tie for tie in ties.values() if len(tie) > 1]
+    assert [[g.name for g in tie] for tie in tied] == [["C4:C4", "Q8xC2"]]
+    assert [len(all_subgroups(g)) for g in tied[0]] == [15, 19]
+
+
+def test_fresh_catalog_load_builds_two_lattices_and_no_labels(monkeypatch):
+    calls = []
+
+    def counted(perm):
+        calls.append(perm)
+        return cycles_str(perm)
+
+    monkeypatch.setattr(group_module, "cycles_str", counted)
+    monkeypatch.setattr(group_module, "_catalog_cache", None)
+    groups = load_catalog()
+    with_lattice = {g.name for g in groups if ("lattice", g.full_mask()) in g._memo}
+    assert with_lattice == {"C4:C4", "Q8xC2"}
+    assert calls == []
+    G = group_from_generators(5, ["(1 2 3 4 5)", "(2 5)(3 4)"], name="D10")
+    assert calls == []
+    assert G.label(1) == cycles_str(G.perms[1])
+    assert len(calls) == G.order == 10
+    assert G.labels == tuple(cycles_str(p) for p in G.perms)
+    assert len(calls) == 10
+
+
 def test_catalog_file_matches_its_generator():
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_catalog.py"
     spec = importlib.util.spec_from_file_location("make_catalog", script)
@@ -467,6 +526,23 @@ def test_lattice_matches_oracle_lattice():
         assert masks == oracle_lattice_masks(G), G.name
 
 
+def test_double_coset_pruned_lattice_matches_unpruned_joins():
+    # groups past the oracle closure's reach (15 s on S5): the unpruned
+    # joins use the coset-extension closure, which
+    # test_closure_matches_quadratic_oracle checks against the oracle
+    def closure(G, mask):
+        return group_module._generate(G.table, mask)[1]
+
+    for G in (
+        inline_s5(),
+        group_from_generators(7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)", "(1 2)(3 6)"]),
+        group_from_generators(6, ["(1 2 3 4)", "(1 2)", "(5 6)"]),
+        elementary_abelian(5),
+    ):
+        masks = tuple(H.mask for H in all_subgroups(G))
+        assert masks == oracle_lattice_masks(G, closure), G.name
+
+
 def test_subgroup_closure_generates():
     G = catalog_group("D4")
     H = subgroup_closure(G, [x for x in range(8) if G.element_order(x) == 4][:1])
@@ -504,10 +580,9 @@ def test_normality_against_brute():
 
 
 def test_core_against_brute():
-    for name in ("S3", "D4", "A4", "D6", "Dic3"):
-        G = catalog_group(name)
+    for G in (*load_catalog(), inline_a5()):
         for H in all_subgroups(G):
-            assert core_of(G, H).mask == brute_core_mask(G, H), (name, H)
+            assert core_of(G, H).mask == brute_core_mask(G, H), (G.name, H)
 
 
 def test_subnormality_against_brute():
