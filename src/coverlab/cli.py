@@ -9,6 +9,13 @@ affect the status.  Identical inputs, seed and version give
 byte-identical output; rationals are printed exactly, as num/den in
 text and as string pairs in JSON.
 
+A command is declared once, in `_build_parser`: one registration names
+it and gives its help, its input argument and its handler.  `main` makes
+the report; the handler fills its inputs and adds its verdicts.  A bound
+the paper asserts only under a hypothesis goes through `Report.claim`:
+when the hypothesis fails, the bound is printed unmarked, with a warning
+where the report gives one, and does not affect the status.
+
 Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
 either a catalog name or one record in the catalog format.  Coset-cover
@@ -295,6 +302,17 @@ class Report:
     def check(self, name, value, witness=None):
         self.verdicts.append(Verdict(name, bool(value), witness, asserted=True))
 
+    def claim(self, name, value, witness, asserted, note=None):
+        """A bound the paper asserts only under a hypothesis: a check when
+        `asserted` (the hypothesis holds), else an unmarked line plus
+        `note`, when given, as the warning saying why."""
+        if asserted:
+            self.check(name, value, witness)
+        else:
+            self.info(name, value, witness)
+            if note is not None:
+                self.warnings.append(note)
+
     @property
     def passed(self) -> bool:
         return all(v.value is True for v in self.verdicts if v.asserted)
@@ -406,9 +424,9 @@ def _node_budget(args) -> int:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_verify_cover(args) -> Report:
+def _cmd_verify_cover(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
-    rep = Report("verify-cover", {"cover": str(system)}, seed=args.seed)
+    rep.inputs["cover"] = str(system)
     cls = classify(system, _period_budget(args))
     rep.info("classes", cls.k)
     rep.info("period", cls.period)
@@ -426,12 +444,11 @@ def _cmd_verify_cover(args) -> Report:
             mult >= 2,
             {"n-max": n_max, "multiplicity": mult, "least-prime": lp},
         )
-    return rep
 
 
-def _cmd_density(args) -> Report:
+def _cmd_density(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
-    rep = Report("density", {"cover": str(system)}, seed=args.seed)
+    rep.inputs["cover"] = str(system)
     prof = multiplicity_profile(system, _period_budget(args))
     rep.info("period", prof.period)
     rep.info("covered", prof.covered)
@@ -439,48 +456,35 @@ def _cmd_density(args) -> Report:
     rep.info("min-multiplicity", prof.min_w)
     rep.info("max-multiplicity", prof.max_w)
     rep.info("multiplicity-sum", prof.sum_w)
-    return rep
 
 
-def _cmd_mu(args) -> Report:
-    system = parse_cover_file(args.cover)
-    values = sorted(set(system.moduli()))
-    rep = Report("mu", {"moduli": values}, seed=args.seed)
+def _cmd_mu(args, rep: Report) -> None:
+    values = sorted(set(parse_cover_file(args.cover).moduli()))
+    rep.inputs["moduli"] = values
     rep.info("mu-divisor-closure", mu_of_divisor_closure(values))
-    return rep
 
 
-def _cmd_density_check(args) -> Report:
+def _cmd_density_check(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
-    rep = Report("density-check", {"cover": str(system)}, seed=args.seed)
+    rep.inputs["cover"] = str(system)
     dual = check_density_identity(system.moduli(), _period_budget(args))
     rep.info("scan-density", dual.lhs)
     rep.info("inclusion-exclusion", dual.rhs)
     rep.check("identity", dual.holds)
-    return rep
 
 
-def _cmd_rogers(args) -> Report:
+def _cmd_rogers(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
-    rep = Report("rogers", {"cover": str(system)}, seed=args.seed)
+    rep.inputs["cover"] = str(system)
     rr = check_rogers(system, _period_budget(args))
     rep.info("covered", rr.shifted_covered)
     rep.info("zeroed-covered", rr.zeroed_covered)
-    rep.check(
-        "covers-at-least-zeroed",
-        rr.holds,
-        {"period": rr.period},
-    )
-    return rep
+    rep.check("covers-at-least-zeroed", rr.holds, {"period": rr.period})
 
 
-def _cmd_level_gap(args) -> Report:
+def _cmd_level_gap(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
-    rep = Report(
-        "level-gap",
-        {"cover": str(system), "prime": args.prime, "alpha": args.alpha},
-        seed=args.seed,
-    )
+    rep.inputs.update(cover=str(system), prime=args.prime, alpha=args.alpha)
     alphas = None if args.alpha is None else (args.alpha,)
     reports = check_level_gaps(system, args.prime, alphas, _period_budget(args))
     for r in reports:
@@ -507,22 +511,20 @@ def _cmd_level_gap(args) -> Report:
             "weak-bound": last.mult_bound_weak,
         },
     )
-    return rep
 
 
-def _cmd_simpson(args) -> Report:
+def _cmd_simpson(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
-    rep = Report("simpson", {"cover": str(system)}, seed=args.seed)
+    rep.inputs["cover"] = str(system)
     sr = check_simpson(system, _period_budget(args))
     rep.info("largest-prime", sr.largest_prime)
     rep.info("max-multiplicity", sr.max_multiplicity)
     rep.info("bound", sr.rhs)
     rep.check("largest-prime-bounded", sr.holds)
-    return rep
 
 
-def _cmd_bounds(args) -> Report:
-    rep = Report("bounds", {"M": args.M}, seed=args.seed)
+def _cmd_bounds(args, rep: Report) -> None:
+    rep.inputs["M"] = args.M
     br = bound_report(args.M)
     rep.info("c", br.c)
     rep.info("pi-c", br.pi_c)
@@ -532,21 +534,19 @@ def _cmd_bounds(args) -> Report:
     rep.info("l-value", br.l_value)
     rep.info("egamma-scale", br.egamma_scale)
     rep.warnings.extend(br.notes)
-    return rep
 
 
-def _cmd_qbound(args) -> Report:
-    rep = Report("qbound", {"q": args.q, "M": args.M}, seed=args.seed)
+def _cmd_qbound(args, rep: Report) -> None:
+    rep.inputs.update(q=args.q, M=args.M)
     qr = check_q_bound(args.q, args.M)
     rep.info("premise", qr.premise)
     rep.info("conclusion", qr.conclusion)
     rep.check("implication", qr.holds)
-    return rep
 
 
-def _cmd_group_info(args) -> Report:
+def _cmd_group_info(args, rep: Report) -> None:
     G = parse_group_file(args.group)
-    rep = Report("group-info", {"group": G.name}, seed=args.seed)
+    rep.inputs["group"] = G.name
     subs = all_subgroups(G)
     profile = Counter(G.element_order(x) for x in range(G.order))
     rep.info("order", G.order)
@@ -559,76 +559,57 @@ def _cmd_group_info(args) -> Report:
         sum(1 for H in subs if is_subnormal(G, H).is_subnormal),
     )
     rep.info("center-order", center_mask(G).bit_count())
-    rep.info(
-        "element-orders",
-        [f"{o}^{profile[o]}" for o in sorted(profile)],
-    )
-    return rep
+    rep.info("element-orders", [f"{o}^{profile[o]}" for o in sorted(profile)])
 
 
-def _cmd_group_suite(args) -> Report:
+def _cmd_group_suite(args, rep: Report) -> None:
     G = parse_group_file(args.group)
-    rep = Report("group-suite", {"group": G.name}, seed=args.seed)
+    rep.inputs["group"] = G.name
     for line in structural_suite(G):
         witness = {"checked": line.checked}
         if line.note:
             witness["note"] = line.note
         rep.check(line.name, line.holds, witness)
-    return rep
 
 
-def _cmd_union_bound(args) -> Report:
+def _cmd_union_bound(args, rep: Report) -> None:
     G, H, entries = parse_group_cover_file(args.cover)
     ub = check_union_lower_bound(G, H, entries)
-    rep = Report(
-        "union-bound",
-        {"group": G.name, "H-order": H.size, "entries": len(entries)},
-        seed=args.seed,
-    )
+    rep.inputs.update({"group": G.name, "H-order": H.size, "entries": len(entries)})
     rep.info("index-h", ub.index_h)
     rep.info("indices", ub.indices)
     rep.info("hypothesis", ub.hypothesis)
-    witness = {"cosets-met": ub.lhs, "index-multiple-count": ub.rhs}
-    if ub.hypothesis == "none":
-        rep.info("coset-lower-bound", ub.holds, witness)
-        rep.warnings.append(
-            "no subnormality or series hypothesis; bound reported, not asserted"
-        )
-    else:
-        rep.check("coset-lower-bound", ub.holds, witness)
-    return rep
+    rep.claim(
+        "coset-lower-bound",
+        ub.holds,
+        {"cosets-met": ub.lhs, "index-multiple-count": ub.rhs},
+        ub.hypothesis != "none",
+        "no subnormality or series hypothesis; bound reported, not asserted",
+    )
 
 
-def _cmd_aligned_union(args) -> Report:
+def _cmd_aligned_union(args, rep: Report) -> None:
     G, H, entries = parse_group_cover_file(args.cover)
     ar = check_aligned_union_bound(G, H, entries)
-    rep = Report(
-        "aligned-union",
-        {"group": G.name, "H-order": H.size, "entries": len(entries)},
-        seed=args.seed,
-    )
+    rep.inputs.update({"group": G.name, "H-order": H.size, "entries": len(entries)})
     rep.info("case", ar.case)
     if ar.d_both_branches:
         rep.info("d-both-branches", True)
     rep.info("index-h", ar.index_h)
     rep.info("indices", ar.indices)
-    witness = {"lhs": ar.lhs, "rhs": ar.rhs}
-    if ar.case == "none":
-        rep.info("gcd-bound", ar.holds, witness)
-        rep.warnings.append("no applicable case; bound reported, not asserted")
-    else:
-        rep.check("gcd-bound", ar.holds, witness)
-    return rep
+    rep.claim(
+        "gcd-bound",
+        ar.holds,
+        {"lhs": ar.lhs, "rhs": ar.rhs},
+        ar.case != "none",
+        "no applicable case; bound reported, not asserted",
+    )
 
 
-def _cmd_uniform_cover(args) -> Report:
+def _cmd_uniform_cover(args, rep: Report) -> None:
     G, H, entries = parse_group_cover_file(args.cover)
     uc = check_uniform_cover(CosetSystem.from_pairs(G, entries))
-    rep = Report(
-        "uniform-cover",
-        {"group": G.name, "entries": len(entries)},
-        seed=args.seed,
-    )
+    rep.inputs.update(group=G.name, entries=len(entries))
     rep.info("m", uc.m)
     rep.info("indices", uc.indices)
     rep.info("prime", uc.prime)
@@ -638,12 +619,13 @@ def _cmd_uniform_cover(args) -> Report:
     rep.info("conditions", f"a={uc.cond_a} b={uc.cond_b} c={uc.cond_c}")
     if uc.cond_a_vacuous:
         rep.warnings.append("condition a holds vacuously: both index sets empty")
-    witness = {"lhs": uc.lhs, "rhs": uc.rhs}
-    if uc.applicable:
-        rep.check("index-bound", uc.holds, witness)
-    else:
-        rep.info("index-bound", uc.holds, witness)
-        rep.warnings.append("no applicable condition; bound reported, not asserted")
+    rep.claim(
+        "index-bound",
+        uc.holds,
+        {"lhs": uc.lhs, "rhs": uc.rhs},
+        uc.applicable,
+        "no applicable condition; bound reported, not asserted",
+    )
     if uc.squarefree is not None:
         rep.check(
             "squarefree-multiplicity",
@@ -654,51 +636,44 @@ def _cmd_uniform_cover(args) -> Report:
                 "weak-bound": uc.squarefree.weak_bound,
             },
         )
-    pair_witness = {"prime": uc.equal_pair.prime, "pair": uc.equal_pair.pair}
-    if uc.equal_pair.applicable:
-        rep.check("equal-index-pair", uc.equal_pair.holds, pair_witness)
-    else:
-        rep.info("equal-index-pair", uc.equal_pair.holds, pair_witness)
-    floor_witness = {
-        "top-multiplicity": uc.top_multiplicity,
-        "floor": uc.multiplicity_floor,
-    }
-    mp_witness = {
-        "max-multiplicity": uc.max_multiplicity,
-        "min-prime": uc.min_prime,
-    }
-    if uc.multiplicity_applicable:
-        rep.check("top-multiplicity-floor", uc.floor_ok, floor_witness)
-        rep.check("max-multiplicity-floor", uc.max_mult_ok, mp_witness)
-    else:
-        rep.info("top-multiplicity-floor", uc.floor_ok, floor_witness)
-        rep.info("max-multiplicity-floor", uc.max_mult_ok, mp_witness)
-    return rep
+    rep.claim(
+        "equal-index-pair",
+        uc.equal_pair.holds,
+        {"prime": uc.equal_pair.prime, "pair": uc.equal_pair.pair},
+        uc.equal_pair.applicable,
+    )
+    rep.claim(
+        "top-multiplicity-floor",
+        uc.floor_ok,
+        {"top-multiplicity": uc.top_multiplicity, "floor": uc.multiplicity_floor},
+        uc.multiplicity_applicable,
+    )
+    rep.claim(
+        "max-multiplicity-floor",
+        uc.max_mult_ok,
+        {"max-multiplicity": uc.max_multiplicity, "min-prime": uc.min_prime},
+        uc.multiplicity_applicable,
+    )
 
 
-def _cmd_max_index(args) -> Report:
+def _cmd_max_index(args, rep: Report) -> None:
     G, H, entries = parse_group_cover_file(args.cover)
     mi = probe_max_index_multiplicity(CosetSystem.from_pairs(G, entries))
-    rep = Report(
-        "max-index",
-        {"group": G.name, "entries": len(entries)},
-        seed=args.seed,
-    )
+    rep.inputs.update(group=G.name, entries=len(entries))
     rep.info("n-max", mi.n_max)
     rep.info("multiplicity", mi.multiplicity)
     rep.info("least-prime", mi.least_prime)
     rep.info("all-subnormal", mi.all_subnormal)
-    if mi.all_subnormal:
-        rep.check("multiplicity-at-least-least-prime", mi.holds)
-    else:
-        rep.info("multiplicity-at-least-least-prime", mi.holds)
-        rep.warnings.append(
-            "not every subgroup is subnormal; probe reported, not asserted"
-        )
-    return rep
+    rep.claim(
+        "multiplicity-at-least-least-prime",
+        mi.holds,
+        None,
+        mi.all_subnormal,
+        "not every subgroup is subnormal; probe reported, not asserted",
+    )
 
 
-def _cmd_hs_search(args) -> Report:
+def _cmd_hs_search(args, rep: Report) -> None:
     if args.max_order < 1:
         raise FormatError(f"--max-order must be at least 1, got {args.max_order}")
     if args.group is not None:
@@ -708,7 +683,7 @@ def _cmd_hs_search(args) -> Report:
         cap = None if args.all else args.max_order
         groups = [g for g in load_catalog() if cap is None or g.order <= cap]
         scope = "catalog" if args.all else f"catalog order <= {cap}"
-    rep = Report("hs-search", {"scope": scope}, seed=args.seed)
+    rep.inputs["scope"] = scope
     budget = _node_budget(args)
     for G in groups:
         try:
@@ -726,16 +701,11 @@ def _cmd_hs_search(args) -> Report:
                 f"{rep_}:{sub.index}" for rep_, sub in result.found.entries
             ]
         rep.check(f"no-counterexample[{G.name}]", result.found is None, witness)
-    return rep
 
 
-def _cmd_enumerate_covers(args) -> Report:
+def _cmd_enumerate_covers(args, rep: Report) -> None:
     G = parse_group_file(args.group)
-    rep = Report(
-        "enumerate-covers",
-        {"group": G.name, "m": args.m, "k": args.k},
-        seed=args.seed,
-    )
+    rep.inputs.update(group=G.name, m=args.m, k=args.k)
     stream = enumerate_uniform_covers(G, args.k, args.m, node_budget=_node_budget(args))
     shapes: Counter = Counter()
     total = 0
@@ -749,28 +719,11 @@ def _cmd_enumerate_covers(args) -> Report:
     if stream.truncated:
         rep.truncated = True
         rep.warnings.append("node budget exhausted before the search space")
-    return rep
 
 
-_HANDLERS = {
-    "verify-cover": _cmd_verify_cover,
-    "density": _cmd_density,
-    "mu": _cmd_mu,
-    "density-check": _cmd_density_check,
-    "rogers": _cmd_rogers,
-    "level-gap": _cmd_level_gap,
-    "simpson": _cmd_simpson,
-    "bounds": _cmd_bounds,
-    "qbound": _cmd_qbound,
-    "group-info": _cmd_group_info,
-    "group-suite": _cmd_group_suite,
-    "union-bound": _cmd_union_bound,
-    "aligned-union": _cmd_aligned_union,
-    "uniform-cover": _cmd_uniform_cover,
-    "max-index": _cmd_max_index,
-    "hs-search": _cmd_hs_search,
-    "enumerate-covers": _cmd_enumerate_covers,
-}
+_COVER = ("cover", "cover file path or inline a/n text")
+_GROUP = ("group", "group file path, catalog name, or record text")
+_GROUP_COVER = ("cover", "coset-cover file path or inline text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -795,46 +748,39 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coverlab {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def cover_cmd(name, help_text):
+    def command(name, handler, help_text, positional=None):
+        # the one registration of a command: name, help, input and handler
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("cover", help="cover file path or inline a/n text")
+        if positional is not None:
+            p.add_argument(positional[0], help=positional[1])
+        p.set_defaults(handler=handler)
         return p
 
-    def group_cmd(name, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("group", help="group file path, catalog name, or record text")
-        return p
-
-    def group_cover_cmd(name, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("cover", help="coset-cover file path or inline text")
-        return p
-
-    cover_cmd("verify-cover", "classify a residue system")
-    cover_cmd("density", "exact density of the union over one period")
-    cover_cmd("mu", "count the divisor closure of the moduli")
-    cover_cmd("density-check", "scan density against inclusion-exclusion")
-    cover_cmd("rogers", "shifted union covers at least the zeroed union")
-    p = cover_cmd("level-gap", "index bound for uniform covers at one prime level")
+    command("verify-cover", _cmd_verify_cover, "classify a residue system", _COVER)
+    command("density", _cmd_density, "exact density of the union over one period", _COVER)
+    command("mu", _cmd_mu, "count the divisor closure of the moduli", _COVER)
+    command("density-check", _cmd_density_check, "scan density against inclusion-exclusion", _COVER)
+    command("rogers", _cmd_rogers, "shifted union covers at least the zeroed union", _COVER)
+    p = command("level-gap", _cmd_level_gap, "index bound for uniform covers at one prime level", _COVER)
     p.add_argument("--prime", type=int, default=None, help="designated prime (default largest)")
     p.add_argument("--alpha", type=int, default=None, help="level (default: every level)")
-    cover_cmd("simpson", "largest period prime bound for exact covers")
-    p = sub.add_parser("bounds", parents=[common], help="threshold quantities at one multiplicity bound")
+    command("simpson", _cmd_simpson, "largest period prime bound for exact covers", _COVER)
+    p = command("bounds", _cmd_bounds, "threshold quantities at one multiplicity bound")
     p.add_argument("--M", type=int, required=True)
-    p = sub.add_parser("qbound", parents=[common], help="prime-size implication at (q, M)")
+    p = command("qbound", _cmd_qbound, "prime-size implication at (q, M)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    group_cmd("group-info", "order, lattice and series facts for one group")
-    group_cmd("group-suite", "all structural identities on one group")
-    group_cover_cmd("union-bound", "count of H-cosets met by a union of cosets")
-    group_cover_cmd("aligned-union", "index-gcd bound for H-aligned unions")
-    group_cover_cmd("uniform-cover", "exact index bound for a uniform cover")
-    group_cover_cmd("max-index", "multiplicity of the largest index")
-    p = sub.add_parser("hs-search", parents=[common], help="hunt for a distinct-index partition")
+    command("group-info", _cmd_group_info, "order, lattice and series facts for one group", _GROUP)
+    command("group-suite", _cmd_group_suite, "all structural identities on one group", _GROUP)
+    command("union-bound", _cmd_union_bound, "count of H-cosets met by a union of cosets", _GROUP_COVER)
+    command("aligned-union", _cmd_aligned_union, "index-gcd bound for H-aligned unions", _GROUP_COVER)
+    command("uniform-cover", _cmd_uniform_cover, "exact index bound for a uniform cover", _GROUP_COVER)
+    command("max-index", _cmd_max_index, "multiplicity of the largest index", _GROUP_COVER)
+    p = command("hs-search", _cmd_hs_search, "hunt for a distinct-index partition")
     p.add_argument("group", nargs="?", default=None, help="single group (default: catalog sweep)")
     p.add_argument("--max-order", type=int, default=12, help="catalog sweep order cap")
     p.add_argument("--all", action="store_true", help="sweep the whole catalog")
-    p = group_cmd("enumerate-covers", "enumerate nontrivial uniform covers")
+    p = command("enumerate-covers", _cmd_enumerate_covers, "enumerate nontrivial uniform covers", _GROUP)
     p.add_argument("--m", type=int, default=1, help="exact multiplicity of every element")
     p.add_argument("--k", type=int, default=4, help="maximum number of cosets")
     return parser
@@ -846,11 +792,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    report = Report(args.command, {}, seed=args.seed)
     try:
-        report = _HANDLERS[args.command](args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        args.handler(args, report)
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
@@ -865,7 +809,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if report.truncated:
         return 2
     return 0 if report.passed else 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -195,18 +195,21 @@ class DualCheck:
         return self.lhs == self.rhs
 
 
-def _inclusion_exclusion_density(moduli: Sequence[int]) -> Fraction:
-    # sum over nonempty subsets I of (-1)**(|I|+1) / lcm(I), grouped by lcm:
-    # signed[l] is the sum of (-1)**|I| over all subsets I (the empty one
-    # included) with lcm l, grown one modulus at a time, so the cost is
-    # k * tau(L) steps instead of 2**k
+def _inclusion_exclusion_covered(moduli: Sequence[int]) -> int:
+    """#{x mod L : some n_i divides x}, L = lcm(moduli), without a scan.
+
+    L * sum over nonempty subsets I of (-1)**(|I|+1) / lcm(I), grouped by
+    lcm: signed[l] is the sum of (-1)**|I| over all subsets I (the empty
+    one included) with lcm l, grown one modulus at a time, so the cost is
+    k * tau(L) steps instead of 2**k.
+    """
     signed = {1: 1}
     for n in moduli:
         for l, count in list(signed.items()):
             joined = math.lcm(l, n)
             signed[joined] = signed.get(joined, 0) - count
     period = math.lcm(*moduli)
-    return Fraction(period - sum(c * (period // l) for l, c in signed.items()), period)
+    return period - sum(c * (period // l) for l, c in signed.items())
 
 
 def check_density_identity(
@@ -224,7 +227,7 @@ def check_density_identity(
         raise ValueError("need at least one modulus")
     system = ResidueSystem.from_pairs([(0, n) for n in moduli])
     lhs = density_union(system, period_budget)
-    rhs = _inclusion_exclusion_density(list(moduli))
+    rhs = Fraction(_inclusion_exclusion_covered(moduli), math.lcm(*moduli))
     return DualCheck(lhs=lhs, rhs=rhs)
 
 
@@ -242,10 +245,14 @@ class RogersReport:
 def check_rogers(
     system: ResidueSystem, period_budget: Optional[int] = None
 ) -> RogersReport:
-    """Covered count of the system vs the same moduli with residues zeroed."""
+    """Covered count of the system vs the same moduli with residues zeroed.
+
+    One period scan, of the system itself; the zeroed count comes from the
+    grouped inclusion-exclusion behind the density identity.
+    """
     prof = multiplicity_profile(system, period_budget)
-    zero = multiplicity_profile(system.zeroed(), period_budget)
-    return RogersReport(prof.period, prof.covered, zero.covered)
+    zero = _inclusion_exclusion_covered(system.moduli())
+    return RogersReport(prof.period, prof.covered, zero)
 
 
 @dataclass(frozen=True)

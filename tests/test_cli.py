@@ -1,9 +1,12 @@
 """Tests for file formats, report rendering and command exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -239,32 +242,35 @@ def test_exit_unknown_command():
         main(["no-such-command"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["density", "0/2 1/3"],
-        ["mu", "0/2 1/4 3/4"],
-        ["density-check", "0/2 1/4 3/4"],
-        ["rogers", "0/2 1/4 3/4"],
-        ["level-gap", "0/2 1/4 3/4", "--prime", "2"],
-        ["level-gap", "0/2 1/4 3/4", "--prime", "2", "--alpha", "2"],
-        ["simpson", "0/2 1/4 3/4"],
-        ["bounds", "--M", "2"],
-        ["qbound", "--q", "8", "--M", "2"],
-        ["group-info", "S3"],
-        ["group-suite", "D6"],
-        ["hs-search", "C6"],
-        ["hs-search", "--max-order", "8"],
-        ["enumerate-covers", "S3", "--k", "4"],
-        ["max-index", "group C4\n0 : 2\n1 : \n3 : \n"],
-        ["uniform-cover", "group C4\n0 : 2\n1 : \n3 : \n"],
-        ["union-bound", "group C12\n0 : 2\n1 : 3\n"],
-        ["aligned-union", "group C12\nH : 6\n0 : 3\n1 : 3\n5 : 3\n"],
-    ],
-)
+EXIT_ZERO_ARGV = [
+    ["density", "0/2 1/3"],
+    ["mu", "0/2 1/4 3/4"],
+    ["density-check", "0/2 1/4 3/4"],
+    ["rogers", "0/2 1/4 3/4"],
+    ["level-gap", "0/2 1/4 3/4", "--prime", "2"],
+    ["level-gap", "0/2 1/4 3/4", "--prime", "2", "--alpha", "2"],
+    ["simpson", "0/2 1/4 3/4"],
+    ["bounds", "--M", "2"],
+    ["qbound", "--q", "8", "--M", "2"],
+    ["group-info", "S3"],
+    ["group-suite", "D6"],
+    ["hs-search", "C6"],
+    ["hs-search", "--max-order", "8"],
+    ["enumerate-covers", "S3", "--k", "4"],
+    ["max-index", "group C4\n0 : 2\n1 : \n3 : \n"],
+    ["uniform-cover", "group C4\n0 : 2\n1 : \n3 : \n"],
+    ["union-bound", "group C12\n0 : 2\n1 : 3\n"],
+    ["aligned-union", "group C12\nH : 6\n0 : 3\n1 : 3\n5 : 3\n"],
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_ZERO_ARGV)
 def test_exit_zero_commands(argv, capsys):
     assert main(argv) == 0
-    assert "status: pass" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    # a handler registered under the wrong name would print another name
+    assert lines[1] == f"command: {argv[0]}"
+    assert lines[-1] == "status: pass"
 
 
 def test_exit_truncated_enumeration(capsys):
@@ -380,10 +386,11 @@ def test_max_order_below_one_is_a_usage_error(value, capsys):
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch):
-    def fault(args):
+    def fault(args, rep):
         raise RuntimeError("chain walk logic error")
 
-    monkeypatch.setitem(cli._HANDLERS, "group-info", fault)
+    # the parser is built per call, so it registers the patched handler
+    monkeypatch.setattr(cli, "_cmd_group_info", fault)
     assert main(["group-info", "S3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -398,7 +405,7 @@ def test_internal_fault_exits_3(capsys, monkeypatch):
         (["density", "0/2 1/4 3/4"], 1),
         (["simpson", "0/2 1/4 3/4"], 1),
         (["density-check", "0/2 1/4 3/4"], 1),
-        (["rogers", "0/2 1/4 3/4"], 2),
+        (["rogers", "0/2 1/4 3/4"], 1),
         (["level-gap", "0/2 1/4 3/4", "--prime", "2"], 1),
         (["mu", "0/2 1/4 3/4"], 0),
     ],
@@ -486,9 +493,9 @@ def test_uniform_cover_witnesses(capsys):
     assert "* equal-index-pair = true" in out
 
 
-def test_uniform_cover_non_solvable_inline_record(capsys):
-    # the cosets of A4 (index 5) and of D5 (index 6) in A5: a uniform
-    # 2-cover under no hypothesis of the index bound
+def a5_two_cover_text():
+    """The cosets of A4 (index 5) and of D5 (index 6) in A5, as an inline
+    record: a uniform 2-cover under no hypothesis of the index bound."""
     gens = ["(1 2 3 4 5)", "(1 2 3)"]
     G = group_from_generators(5, gens, name="A5")
     lines = ["group A5", "degree 5"] + [f"gen {g}" for g in gens] + ["order 60", "end"]
@@ -499,7 +506,14 @@ def test_uniform_cover_non_solvable_inline_record(capsys):
             if not seen >> x & 1:
                 seen |= left_coset_mask(G, x, H)
                 lines.append(f"{cycles_str(G.perms[x]) if x else 'e'} : {' '.join(sub)}")
-    assert main(["uniform-cover", "\n".join(lines) + "\n"]) == 0
+    return "\n".join(lines) + "\n"
+
+
+A5_TWO_COVER = a5_two_cover_text()
+
+
+def test_uniform_cover_non_solvable_inline_record(capsys):
+    assert main(["uniform-cover", A5_TWO_COVER]) == 0
     out = capsys.readouterr().out
     assert "entries: 11" in out and "m = 2" in out
     assert "conditions = a=False b=False c=False" in out
@@ -507,8 +521,112 @@ def test_uniform_cover_non_solvable_inline_record(capsys):
     assert "no applicable condition; bound reported, not asserted" in out
 
 
+# every bound asserted only under a hypothesis, run with the hypothesis
+# false: (argv, the unmarked line, the warning or None)
+FLAG_FALSE = [
+    (
+        # H of order 2 is not normal in S3, so no series starts at it
+        ["union-bound", "group S3\nH : 1\n0 : 1\n"],
+        "  coset-lower-bound = true  (cosets-met=1, index-multiple-count=1)",
+        "no subnormality or series hypothesis; bound reported, not asserted",
+    ),
+    (
+        # a non-normal entry and a non-normal H
+        ["aligned-union", "group S3\nH : 1\n0 : \n0 : 1\n"],
+        "  gcd-bound = true  (lhs=1, rhs=3/2)",
+        "no applicable case; bound reported, not asserted",
+    ),
+    (
+        # the three cosets of a non-subnormal subgroup of order 2
+        ["max-index", "group S3\n0 : 1\n2 : 1\n5 : 1\n"],
+        "  multiplicity-at-least-least-prime = true",
+        "not every subgroup is subnormal; probe reported, not asserted",
+    ),
+    (
+        ["uniform-cover", A5_TWO_COVER],
+        "  equal-index-pair = true  (prime=5, pair=[0, 1])",
+        None,
+    ),
+    (
+        ["uniform-cover", A5_TWO_COVER],
+        "  top-multiplicity-floor = true  (top-multiplicity=5, floor=2)",
+        None,
+    ),
+    (
+        ["uniform-cover", A5_TWO_COVER],
+        "  max-multiplicity-floor = true  (max-multiplicity=6, min-prime=2)",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, line, warning",
+    FLAG_FALSE,
+    ids=[
+        "union-bound",
+        "aligned-union",
+        "max-index",
+        "equal-index-pair",
+        "top-multiplicity-floor",
+        "max-multiplicity-floor",
+    ],
+)
+def test_unasserted_bound_is_printed_unmarked(argv, line, warning, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert line in out.splitlines()
+    if warning is not None:
+        assert f"warnings:\n  - {warning}\n" in out
+
+
 def test_hs_search_reports_multisets(capsys):
     assert main(["hs-search", "D6"]) == 0
     out = capsys.readouterr().out
     assert "* no-counterexample[D6] = true" in out
     assert "nodes=151" in out
+
+
+# ------------------------------------------------------------ golden reports
+
+GOLDEN_PATH = Path(__file__).with_name("golden_reports.json")
+# every exit-zero input but bounds (its binary64 diagnostics depend on the
+# platform's libm), verify-cover, and the unasserted-bound inputs, in both
+# formats; --help is left out, its headings differ across Python versions
+GOLDEN_ARGV = [
+    [*argv, "--format", fmt]
+    for argv in {
+        json.dumps(argv): argv
+        for argv in [a for a in EXIT_ZERO_ARGV if a[0] != "bounds"]
+        + [["verify-cover", "0/2 1/4 3/4"]]
+        + [argv for argv, _, _ in FLAG_FALSE]
+    }.values()
+    for fmt in ("text", "structured")
+]
+
+
+def golden_record(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_golden_reports_cover_every_input():
+    assert [r["argv"] for r in json.loads(GOLDEN_PATH.read_text())] == GOLDEN_ARGV
+
+
+@pytest.mark.parametrize(
+    "index", range(len(GOLDEN_ARGV)), ids=[f"{a[0]}-{a[-1]}" for a in GOLDEN_ARGV]
+)
+def test_golden_report(index):
+    # exit code, stdout and stderr byte for byte as recorded
+    record = json.loads(GOLDEN_PATH.read_text())[index]
+    assert golden_record(record["argv"]) == record
+
+
+if __name__ == "__main__":
+    # rewrite the golden file from the current code:
+    #   PYTHONPATH=src python tests/test_cli.py
+    records = [golden_record(argv) for argv in GOLDEN_ARGV]
+    GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n")

@@ -15,7 +15,7 @@ from coverlab.errors import PeriodBudgetError
 from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
     FULL_VECTOR_MAX,
-    _inclusion_exclusion_density,
+    _inclusion_exclusion_covered,
     CoverClassification,
     ResidueClass,
     ResidueSystem,
@@ -288,6 +288,10 @@ def test_density_identity_random(moduli):
     assert check_density_identity(moduli).holds
 
 
+def grouped_density(moduli) -> Fraction:
+    return Fraction(_inclusion_exclusion_covered(moduli), math.lcm(*moduli))
+
+
 def subset_walk_density(moduli) -> Fraction:
     """Differential oracle: the 2**k subset walk the grouped sum replaced.
 
@@ -313,13 +317,13 @@ def subset_walk_density(moduli) -> Fraction:
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=12))
 @settings(deadline=None)
 def test_grouped_inclusion_exclusion_matches_subset_walk(moduli):
-    assert _inclusion_exclusion_density(moduli) == subset_walk_density(moduli)
+    assert grouped_density(moduli) == subset_walk_density(moduli)
 
 
 def test_grouped_inclusion_exclusion_on_twenty_divisors():
     divisors = [d for d in divisor_list(720720) if d > 1]
     moduli = random.Random(20).sample(divisors, 20)
-    assert _inclusion_exclusion_density(moduli) == subset_walk_density(moduli)
+    assert grouped_density(moduli) == subset_walk_density(moduli)
 
 
 def test_density_identity_beyond_twenty_moduli():
@@ -347,6 +351,16 @@ def test_rogers_example():
 @given(residue_systems)
 def test_rogers_random(s):
     assert check_rogers(s).holds
+
+
+def test_rogers_zeroed_count_matches_scan():
+    # the zeroed side is summed, not scanned; the scan stays its oracle
+    rng = random.Random(31)
+    divisors = divisor_list(55440)
+    for _ in range(300):
+        moduli = rng.choices(divisors, k=rng.randint(1, 8))
+        s = ResidueSystem.from_pairs([(rng.randrange(n), n) for n in moduli])
+        assert check_rogers(s).zeroed_covered == multiplicity_profile(s.zeroed()).covered
 
 
 # --------------------------------------------------------------- level gap
