@@ -4,10 +4,12 @@ Parses cover and group files, dispatches to the check modules, and
 prints one report per invocation, as fixed-layout text or as JSON.
 Exit status: 0 when every asserted check holds, 1 when one fails, 2 on
 bad input (a `--budget` or `--max-order` below 1 included) or an
-exceeded budget, 3 on an internal fault.  Informational values never
-affect the status.  Identical inputs, seed and version give
-byte-identical output; rationals are printed exactly, as num/den in
-text and as string pairs in JSON.
+exceeded budget, 3 on an internal fault, and 141 (128 + SIGPIPE, as a
+shell reports a pipe writer killed by its closed reader) when standard
+output is closed before the report is written, with no traceback.
+Informational values never affect the status.  Identical inputs, seed
+and version give byte-identical output; rationals are printed exactly,
+as num/den in text and as string pairs in JSON.
 
 A command is declared once, in `_build_parser`: one registration names
 it and gives its help, its input argument and its handler.  `main` makes
@@ -20,7 +22,8 @@ Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
 either a catalog name or one record in the catalog format.  Coset-cover
 files start with a `group` line (catalog name, or a full inline record
-through `end`), then an optional `H : <elements>` line, then one
+through `end`), then an optional `H : <elements>` line, which only
+`union-bound` and `aligned-union` accept, then one
 `representative : <subgroup elements>` line per coset; elements are ids
 or cycle texts, and subgroups are closed over whatever is listed.
 Every positional file argument also accepts the content itself inline.
@@ -231,6 +234,22 @@ def parse_group_cover_file(
     path_or_text: str,
 ) -> tuple[FiniteGroup, Subgroup, list[tuple[int, Subgroup]]]:
     """(group, H, entries); H defaults to the trivial subgroup."""
+    G, H, _, entries = _parse_group_cover(path_or_text)
+    return G, H, entries
+
+
+def _coset_system(path_or_text: str) -> CosetSystem:
+    """The cover of a command that has no use for H: an H line is refused."""
+    G, _, h_line, entries = _parse_group_cover(path_or_text)
+    if h_line is not None:
+        raise FormatError(f"line {h_line}: this command takes no H line")
+    return CosetSystem.from_pairs(G, entries)
+
+
+def _parse_group_cover(
+    path_or_text: str,
+) -> tuple[FiniteGroup, Subgroup, Optional[int], list[tuple[int, Subgroup]]]:
+    """(group, H, line number of the H line or None, entries)."""
     text = _load(path_or_text)
     lines = _clean_lines(text)
     if not lines:
@@ -241,7 +260,7 @@ def parse_group_cover_file(
     G, pos = _parse_group_header(text, lines)
     H = trivial_subgroup(G)
     entries: list[tuple[int, Subgroup]] = []
-    seen_h = False
+    h_line = None
     for lineno, line in lines[pos:]:
         left, sep, right = line.partition(":")
         if not sep:
@@ -251,11 +270,11 @@ def parse_group_cover_file(
         left = left.strip()
         toks = _tokens(right)
         if left == "H":
-            if seen_h:
+            if h_line is not None:
                 raise FormatError(f"line {lineno}: duplicate H line")
             if entries:
                 raise FormatError(f"line {lineno}: H line must precede entries")
-            seen_h = True
+            h_line = lineno
             H = subgroup_closure(G, [_element(G, t, lineno) for t in toks])
         else:
             rep = _element(G, left, lineno)
@@ -263,7 +282,7 @@ def parse_group_cover_file(
             entries.append((rep, sub))
     if not entries:
         raise FormatError("no cover entries found")
-    return G, H, entries
+    return G, H, h_line, entries
 
 
 def serialize_group_cover(cover: CosetSystem, H: Optional[Subgroup] = None) -> str:
@@ -607,9 +626,9 @@ def _cmd_aligned_union(args, rep: Report) -> None:
 
 
 def _cmd_uniform_cover(args, rep: Report) -> None:
-    G, H, entries = parse_group_cover_file(args.cover)
-    uc = check_uniform_cover(CosetSystem.from_pairs(G, entries))
-    rep.inputs.update(group=G.name, entries=len(entries))
+    cover = _coset_system(args.cover)
+    uc = check_uniform_cover(cover)
+    rep.inputs.update(group=cover.parent.name, entries=len(cover))
     rep.info("m", uc.m)
     rep.info("indices", uc.indices)
     rep.info("prime", uc.prime)
@@ -657,9 +676,9 @@ def _cmd_uniform_cover(args, rep: Report) -> None:
 
 
 def _cmd_max_index(args, rep: Report) -> None:
-    G, H, entries = parse_group_cover_file(args.cover)
-    mi = probe_max_index_multiplicity(CosetSystem.from_pairs(G, entries))
-    rep.inputs.update(group=G.name, entries=len(entries))
+    cover = _coset_system(args.cover)
+    mi = probe_max_index_multiplicity(cover)
+    rep.inputs.update(group=cover.parent.name, entries=len(cover))
     rep.info("n-max", mi.n_max)
     rep.info("multiplicity", mi.multiplicity)
     rep.info("least-prime", mi.least_prime)
@@ -805,7 +824,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    print(render_text(report) if args.format == "text" else render_json(report))
+    try:
+        print(render_text(report) if args.format == "text" else render_json(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # cannot raise again (as the Python signal docs show)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     if report.truncated:
         return 2
     return 0 if report.passed else 1

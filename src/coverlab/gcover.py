@@ -9,10 +9,11 @@ coset, then on the least element still short of its multiplicity; a
 node is one coset tried at a branch.  Covers come out in lexicographic
 order of their canonical coset positions.  Cosets are bitmasks, computed
 once per system (the enumerator hands over the masks it already holds);
-weight profiles are bit-sliced level masks, a subgroup's left-coset
-partition is a group memo fact, and the arithmetic of an index multiset
-is computed once per multiset.  Every inequality is evaluated in exact
-rational arithmetic.
+a weight profile sums them into binary bit planes (`levels.profile`,
+shared with the residue layer), a subgroup's left-coset partition is a
+group memo fact, and the arithmetic of an index multiset is computed
+once per multiset.  Every inequality is evaluated in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .group import (
     prime_quotient_series,
     quotient_group,
 )
+from .levels import profile
 
 # hard caps for the exhaustive explorers; exactness over coverage
 ENUM_ORDER_MAX = 24
@@ -143,25 +145,19 @@ def weight_profile(cover: CosetSystem) -> WeightProfile:
     """
     G = cover.parent
     full = G.full_mask()
-    # level[j]: the elements covered at least j times, as in _exact_covers;
-    # a coset adds one to each of its elements, carrying up level by level
-    level = [full] + [0] * len(cover.masks)
-    for carry in cover.masks:
-        j = 1
-        while carry:
-            level[j], carry = level[j] | carry, level[j] & carry
-            j += 1
-    lo = sum(1 for lv in level[1:] if lv == full)
-    hi = sum(1 for lv in level[1:] if lv)
+    lo, hi, covered, planes = profile(full, cover.masks)
     if lo == hi:
         counts = (lo,) * G.order
     else:
-        counts = tuple(sum(lv >> x & 1 for lv in level[1:]) for x in range(G.order))
+        counts = tuple(
+            sum((plane >> x & 1) << j for j, plane in enumerate(planes))
+            for x in range(G.order)
+        )
     return WeightProfile(
         counts=counts,
         min_w=lo,
         max_w=hi,
-        covered=level[1].bit_count(),
+        covered=covered,
         uniform_m=lo if lo == hi else None,
         is_cover=lo >= 1,
         is_partition=lo == hi == 1,
@@ -316,9 +312,7 @@ def check_union_lower_bound(
         hyp = "series"
     else:
         hyp = "none"
-    return UnionBoundReport(
-        index_h=h, indices=ns, lhs=met, rhs=rhs, hypothesis=hyp
-    )
+    return UnionBoundReport(index_h=h, indices=ns, lhs=met, rhs=rhs, hypothesis=hyp)
 
 
 @dataclass(frozen=True)
@@ -372,9 +366,7 @@ def check_aligned_union_bound(
     elif all_normal and is_subnormal(G, H).is_subnormal:
         case = "b"
     elif all_normal:
-        inter = G.full_mask()
-        for _, sub in pairs:
-            inter &= sub.mask
+        inter = reduce(and_, (sub.mask for _, sub in pairs))
         if is_solvable(quotient_group(G, Subgroup(G, inter))):
             case = "c"
     if case == "none" and h_normal:

@@ -1,33 +1,29 @@
 """Residue systems a_i + n_i Z and their covering behaviour.
 
 The covering function w(x) counts the classes containing x; it is
-periodic with period lcm(n_1, ..., n_k), so every global statement about
-the system is decided by one scan over a full period, and each check runs
-that scan once per system.  Scans are exact integer counting (numpy int64
-vectors), never floating point.
-
-The scan walks the period in chunks of FULL_VECTOR_MAX (10**6) residues.
-A period that fits one chunk keeps its per-residue vector; above that only
-min/max/sum/covered survive.  Periods beyond the period budget (default
-10**7) are refused before any chunk is allocated.
+periodic with period L = lcm(n_1, ..., n_k), so every global statement
+about the system is decided by one scan over a full period, and each
+check runs that scan once per system.  Scans are exact integer counting,
+never floating point: the system is a coset cover of Z/L, its classes
+are L-bit masks, and `levels.profile` sums them into binary bit planes.
+Periods beyond the period budget (default 10**7) are refused before any
+mask is built.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import (
     divisor_list, euler_phi, euler_product, factorize, is_prime, least_prime
 )
 from .errors import PeriodBudgetError
+from .levels import profile
 
-FULL_VECTOR_MAX = 10**6
 DEFAULT_PERIOD_BUDGET = 10**7
 
 
@@ -91,10 +87,8 @@ class ResidueSystem:
 class MultiplicityProfile:
     """Exact summary of w(x) over one period.
 
-    counts is the per-residue vector (length = period) when the period
-    fits one chunk of FULL_VECTOR_MAX residues, None when the scan took
-    several chunks.  sum_w always equals sum over classes of
-    period // modulus (double count).
+    covered counts the residues with w >= 1; sum_w always equals the sum
+    over classes of period // modulus (double count).
     """
 
     period: int
@@ -102,28 +96,42 @@ class MultiplicityProfile:
     max_w: int
     sum_w: int
     covered: int
-    counts: Optional[np.ndarray]
 
 
 def multiplicity_profile(
     system: ResidueSystem, period_budget: Optional[int] = None
 ) -> MultiplicityProfile:
-    """Scan one full period of the covering function, chunk by chunk."""
+    """Scan one full period of the covering function, one mask per batch.
+
+    A batch is the classes of one modulus n with distinct residues, the
+    j-th copy of a class joining the j-th batch; they are disjoint, so
+    their residue pattern of width n doubles out to one mask of the period.
+    """
     budget = DEFAULT_PERIOD_BUDGET if period_budget is None else period_budget
     period = system.period()
     if period > budget:
         raise PeriodBudgetError(f"period {period} exceeds budget {budget}")
-    min_w, max_w, sum_w, covered = len(system), 0, 0, 0
-    for lo in range(0, period, FULL_VECTOR_MAX):
-        block = np.zeros(min(FULL_VECTOR_MAX, period - lo), dtype=np.int64)
-        for c in system.classes:
-            block[(c.residue - lo) % c.modulus :: c.modulus] += 1
-        min_w = min(min_w, int(block.min()))
-        max_w = max(max_w, int(block.max()))
-        sum_w += int(block.sum())
-        covered += int(np.count_nonzero(block))
-    counts = block if period <= FULL_VECTOR_MAX else None
-    return MultiplicityProfile(period, min_w, max_w, sum_w, covered, counts)
+    full = (1 << period) - 1
+    min_w, max_w, covered, _ = profile(full, _batch_masks(system, full))
+    sum_w = sum(period // n for n in system.moduli())
+    return MultiplicityProfile(period, min_w, max_w, sum_w, covered)
+
+
+def _batch_masks(system: ResidueSystem, full: int) -> Iterator[int]:
+    batches: defaultdict = defaultdict(list)
+    for c, copies in Counter(system.classes).items():
+        for j in range(copies):
+            batches[c.modulus, j].append(c.residue)
+    period = full.bit_length()
+    for (n, _), residues in batches.items():
+        pattern = bytearray((n + 7) // 8)
+        for a in residues:
+            pattern[a >> 3] |= 1 << (a & 7)
+        mask, width = int.from_bytes(pattern, "little"), n
+        while width < period:
+            mask |= mask << width
+            width *= 2
+        yield mask & full
 
 
 @dataclass(frozen=True)
@@ -384,13 +392,12 @@ def check_simpson(
         raise ValueError("system is not an exact cover")
     if cls.k < 2:
         raise ValueError("need at least two classes")
-    period = system.period()
-    fact = factorize(period)
+    fact = factorize(cls.period)
     mult = Counter(system.moduli())
     m = max(mult.values())
     rhs = m * euler_product(fact.primes())
     return SimpsonReport(
-        period=period,
+        period=cls.period,
         largest_prime=fact.pairs[-1][0],
         max_multiplicity=m,
         rhs=rhs,

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -34,6 +36,8 @@ from coverlab.group import (
     trivial_subgroup,
 )
 from coverlab.zcover import ResidueSystem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ------------------------------------------------------------ cover files
@@ -385,6 +389,41 @@ def test_max_order_below_one_is_a_usage_error(value, capsys):
     assert captured.err == f"error: --max-order must be at least 1, got {value}\n"
 
 
+def _run_cli(code: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run python -c code in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, **kwargs)
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the report is written: no traceback, 141
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(
+            "import sys; from coverlab.cli import main; sys.exit(main(['max-index', "
+            "'group C4\\n0 : 2\\n1 : \\n3 : \\n']))",
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
+def test_commands_leave_numpy_unimported():
+    proc = _run_cli(
+        "import sys; from coverlab.cli import main; "
+        "codes = [main(['group-info', 'S3']), main(['verify-cover', '0/2 1/4 3/4'])]; "
+        "assert codes == [0, 0], codes; "
+        "assert 'numpy' not in sys.modules",
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_internal_fault_exits_3(capsys, monkeypatch):
     def fault(args, rep):
         raise RuntimeError("chain walk logic error")
@@ -437,6 +476,15 @@ def test_group_cover_check_refusal(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: system is not a uniform cover\n"
+
+
+@pytest.mark.parametrize("command", ["uniform-cover", "max-index"])
+def test_h_line_refused_where_unused(command, capsys):
+    # only union-bound and aligned-union read H; the others refuse the line
+    assert main([command, "group C4\nH : 2\n0 : 2\n1 : \n3 : \n"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: this command takes no H line\n"
 
 
 # ---------------------------------------------------------------- output

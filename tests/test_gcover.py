@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from coverlab import gcover
-from coverlab.arith import euler_product, factorize, least_prime
+from coverlab.arith import divisor_list, euler_product, factorize, least_prime
 from coverlab.errors import SearchBudgetError
 from coverlab.gcover import (
     DEFAULT_NODE_BUDGET,
@@ -41,6 +41,7 @@ from coverlab.group import (
     catalog_group,
     core_of,
     cycles_str,
+    cyclic_group,
     full_subgroup,
     group_from_generators,
     has_normal_sylow,
@@ -53,6 +54,7 @@ from coverlab.group import (
     subgroup_closure,
     trivial_subgroup,
 )
+from coverlab.zcover import ResidueSystem, multiplicity_profile
 
 
 def sub_of_size(G, size, which=0):
@@ -156,6 +158,29 @@ def test_profile_trivial_cover():
     G = catalog_group("S3")
     w = weight_profile(CosetSystem.from_pairs(G, [(0, full_subgroup(G))]))
     assert w.is_trivial and w.uniform_m == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_profile_matches_the_residue_layer(seed):
+    # a residue system of period L is a coset cover of Z/L: the class a mod n
+    # is the coset a + <n>, so both layers give the same min, max and covered
+    rng = random.Random(seed)
+    for _ in range(25):
+        ns = divisor_list(rng.randint(1, 200))
+        pairs = []
+        for _ in range(rng.randint(1, 8)):
+            n = rng.choice(ns)
+            pairs += [(rng.randrange(n), n)] * rng.choice((1, 1, 2, 3))
+        system = ResidueSystem.from_pairs(pairs)
+        L = system.period()
+        G = cyclic_group(L)
+        cover = CosetSystem.from_pairs(
+            G, [(a, sum(1 << x for x in range(0, L, n))) for a, n in pairs]
+        )
+        w = weight_profile(cover)
+        z = multiplicity_profile(system)
+        assert (w.min_w, w.max_w, w.covered) == (z.min_w, z.max_w, z.covered), pairs
+        assert w.counts == tuple(sum(x % n == a for a, n in pairs) for x in range(L))
 
 
 def test_reciprocal_sum():

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coverlab import zcover
 from coverlab.arith import divisor_list, euler_phi
 from coverlab.errors import PeriodBudgetError
+from coverlab.levels import profile
 from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
-    FULL_VECTOR_MAX,
+    _batch_masks,
     _inclusion_exclusion_covered,
     CoverClassification,
     ResidueClass,
@@ -97,61 +99,97 @@ def test_zeroed_and_period():
 # ----------------------------------------------------------------- profile
 
 
+def scan(s: ResidueSystem) -> tuple[int, int, int, int, int]:
+    """Reference scan: (period, min, max, sum, covered) of the per-residue
+    count vector, one numpy slice add per class."""
+    counts = np.zeros(s.period(), dtype=np.int32)
+    for c in s.classes:
+        counts[c.residue :: c.modulus] += 1
+    return (
+        len(counts), int(counts.min()), int(counts.max()), int(counts.sum()),
+        int(np.count_nonzero(counts)),
+    )
+
+
+def summary(p) -> tuple[int, int, int, int, int]:
+    return (p.period, p.min_w, p.max_w, p.sum_w, p.covered)
+
+
 def test_profile_whole_line():
     p = multiplicity_profile(sys_of((0, 1)))
-    assert (p.period, p.min_w, p.max_w) == (1, 1, 1)
-    assert list(p.counts) == [1]
+    assert summary(p) == (1, 1, 1, 1, 1) == scan(sys_of((0, 1)))
 
 
 def test_profile_exact_cover():
     p = multiplicity_profile(EXACT4)
-    assert p.period == 4
-    assert list(p.counts) == [1, 1, 1, 1]
+    assert summary(p) == (4, 1, 1, 4, 4) == scan(EXACT4)
 
 
 def test_profile_min_max():
-    p = multiplicity_profile(sys_of((0, 2), (0, 3), (1, 4), (5, 6), (7, 12)))
+    s = sys_of((0, 2), (0, 3), (1, 4), (5, 6), (7, 12))
+    p = multiplicity_profile(s)
     assert (p.min_w, p.max_w) == (1, 2)
+    assert summary(p) == scan(s)
 
 
 def test_profile_streams_above_vector_max():
-    # period 2**21 exceeds the full-vector bound; the streamed result
-    # must match a direct numpy scan
+    # a period of 2**21 set by one class of full modulus
     s = sys_of((1, 2), (3, 8), (5, 2**21))
     p = multiplicity_profile(s)
-    assert p.period == 2**21 > FULL_VECTOR_MAX
-    assert p.counts is None
-    counts = np.zeros(p.period, dtype=np.int64)
-    for c in s.classes:
-        counts[c.residue :: c.modulus] += 1
-    assert p.min_w == counts.min()
-    assert p.max_w == counts.max()
-    assert p.sum_w == counts.sum()
-    assert p.covered == np.count_nonzero(counts)
+    assert p.period == 2**21
+    assert summary(p) == scan(s)
 
 
-@pytest.mark.parametrize(
-    "period",
-    [FULL_VECTOR_MAX - 1, FULL_VECTOR_MAX, FULL_VECTOR_MAX + 3, 3 * FULL_VECTOR_MAX + 1],
-)
+@pytest.mark.parametrize("period", [999_999, 10**6, 10**6 + 3, 3 * 10**6 + 1])
 def test_profile_across_chunk_boundaries(period):
-    # two classes of full modulus sit in the last chunk and just past the
-    # first boundary; the others are offset so each chunk starts mid-stride
+    # periods at and around multiples of 10**6; classes of full modulus
+    # sit at the end of the period and just past 10**6, and the others
+    # start mid-stride
     small = [d for d in divisor_list(period) if 1 < d < period][:2]
-    pairs = [(period - 1, period), (min(FULL_VECTOR_MAX + 1, period - 2), period)]
+    pairs = [(period - 1, period), (min(10**6 + 1, period - 2), period)]
     pairs += [(d - 1, d) for d in small] + [(d // 2, d) for d in small]
     s = sys_of(*pairs)
+    assert summary(multiplicity_profile(s)) == scan(s)
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4, 5])
+def test_profile_repeated_classes(copies):
+    # the j-th copy of a class lands in the j-th batch of its modulus
+    s = sys_of(*[(1, 4)] * copies, (3, 4), (1, 4), (0, 6), *[(2, 6)] * copies, (5, 12))
+    assert summary(multiplicity_profile(s)) == scan(s)
+
+
+def test_profile_at_primorial_period():
+    # 2*3*5*...*19 = 9,699,690, inside the default budget
+    s = sys_of((1, 2), (1, 2), (0, 3), (2, 5), (3, 7), (3, 7), (0, 11), (4, 13),
+               (16, 17), (7, 19), (9_699_689, 9_699_690))
     p = multiplicity_profile(s)
-    assert p.period == period
-    counts = np.zeros(period, dtype=np.int64)
-    for c in s.classes:
-        counts[c.residue :: c.modulus] += 1
-    assert (p.min_w, p.max_w) == (counts.min(), counts.max())
-    assert p.sum_w == counts.sum()
-    assert p.covered == np.count_nonzero(counts)
-    assert (p.counts is None) == (period > FULL_VECTOR_MAX)
-    if p.counts is not None:
-        assert np.array_equal(p.counts, counts)
+    assert p.period == 9_699_690
+    assert summary(p) == scan(s)
+
+
+def test_profile_planes_grow_with_the_log_of_the_count():
+    # 300 copies of one class: bit planes, not one level mask per count
+    s = sys_of(*[(0, 2)] * 300, (5, 9_699_690))
+    period = s.period()
+    full = (1 << period) - 1
+    lo, hi, covered, planes = profile(full, _batch_masks(s, full))
+    assert len(planes) <= math.ceil(math.log2(301)) == 9
+    assert (lo, hi, covered) == (0, 300, period // 2 + 1)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=40))
+def test_planes_hold_each_count_in_binary(masks):
+    # bit j of the count of x is bit x of planes[j]; min and max are over
+    # the points of full only
+    full = 2**12 - 1 - 0b1010
+    lo, hi, covered, planes = profile(full, masks)
+    counts = [sum(m >> x & 1 for m in masks) for x in range(12)]
+    assert [sum((p >> x & 1) << j for j, p in enumerate(planes)) for x in range(12)] == counts
+    inside = [counts[x] for x in range(12) if full >> x & 1]
+    assert (lo, hi) == (min(inside), max(inside))
+    assert covered == sum(1 for c in counts if c)
+    assert len(planes) == max(counts).bit_length()
 
 
 def test_period_budget_refusal():
@@ -162,12 +200,20 @@ def test_period_budget_refusal():
         multiplicity_profile(sys_of((0, 11), (0, 13)), period_budget=100)
 
 
+def test_period_refused_before_any_mask(monkeypatch):
+    def no_masks(*args):
+        raise AssertionError("a mask was built for a refused period")
+
+    monkeypatch.setattr(zcover, "_batch_masks", no_masks)
+    with pytest.raises(PeriodBudgetError):
+        multiplicity_profile(sys_of((0, 11), (0, 13)), period_budget=100)
+
+
 @given(residue_systems)
 def test_double_counting(s):
     p = multiplicity_profile(s)
     assert p.sum_w == sum(p.period // c.modulus for c in s.classes)
-    assert p.min_w == min(p.counts)
-    assert p.max_w == max(p.counts)
+    assert summary(p) == scan(s)
 
 
 # ---------------------------------------------------------------- classify
