@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import SieveCapacityError
+from .errors import InputError, SieveCapacityError
 
 Rational = Fraction
 
@@ -39,7 +39,7 @@ def set_sieve_capacity(capacity: int) -> None:
     """Raise or lower the sieve cap.  Cannot drop below what is already sieved."""
     global _capacity
     if capacity < _sieved_to:
-        raise ValueError(f"capacity {capacity} below already sieved bound {_sieved_to}")
+        raise InputError(f"capacity {capacity} below already sieved bound {_sieved_to}")
     _capacity = capacity
 
 
@@ -123,7 +123,7 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division over sieve primes."""
     if n < 1:
-        raise ValueError(f"cannot factor {n}, need n >= 1")
+        raise InputError(f"cannot factor {n}, need n >= 1")
     pairs = []
     rest = n
     for p in primes_upto(math.isqrt(n)):
@@ -143,7 +143,7 @@ def factorize(n: int) -> Factorization:
 def euler_phi(n: int) -> int:
     """Euler totient, multiplicative over the factorization.  n >= 1."""
     if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
+        raise InputError(f"euler_phi needs n >= 1, got {n}")
     out = n
     for p, _ in factorize(n).pairs:
         out = out // p * (p - 1)
@@ -161,16 +161,16 @@ def divisor_list(n: int) -> list[int]:
 def least_prime(n: int) -> int:
     """Smallest prime divisor of n >= 2."""
     if n < 2:
-        raise ValueError(f"least_prime needs n >= 2, got {n}")
+        raise InputError(f"least_prime needs n >= 2, got {n}")
     return factorize(n).pairs[0][0]
 
 
 def gcd_lcm(values: list[int]) -> tuple[int, int]:
     """Exact (gcd, lcm) of a nonempty list of positive integers."""
     if not values:
-        raise ValueError("gcd_lcm of an empty list")
+        raise InputError("gcd_lcm of an empty list")
     if any(v < 1 for v in values):
-        raise ValueError(f"gcd_lcm needs positive integers, got {values}")
+        raise InputError(f"gcd_lcm needs positive integers, got {values}")
     return math.gcd(*values), math.lcm(*values)
 
 

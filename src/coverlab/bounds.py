@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import euler_factors, mertens_product, prime_counts, primes_upto, sieve_capacity
-from .errors import SieveCapacityError
+from .errors import InputError, SieveCapacityError
 
 ZETA2 = math.pi**2 / 6
 EULER_GAMMA = 0.5772156649015329
@@ -51,9 +51,9 @@ def _scan_bound(m_hi: int) -> int:
 def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
     """c(M) for every M in [m_lo, m_hi] from one ascending scan."""
     if m_lo < 2:
-        raise ValueError(f"c(M) is defined here for M >= 2, got {m_lo}")
+        raise InputError(f"c(M) is defined here for M >= 2, got {m_lo}")
     if m_hi < m_lo:
-        raise ValueError("empty range")
+        raise InputError("empty range")
     capacity = sieve_capacity()
     bound = min(_scan_bound(m_hi), capacity)
     while True:
@@ -161,7 +161,7 @@ def c_of(M: int) -> int:
 def mertens_holds_at(x: int, M: int) -> bool:
     """Exact check of the defining inequality prod_{p <= x} p/(p-1) <= x/M."""
     if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
+        raise InputError(f"need x >= 1, got {x}")
     num, den = euler_factors(primes_upto(x))
     return M * num <= x * den
 
@@ -215,7 +215,7 @@ class BoundReport:
 
 def bound_report(M: int) -> BoundReport:
     if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
+        raise InputError(f"need M >= 2, got {M}")
     c = c_of(M)
     pi_c, theta_c = prime_counts(c)
     floor_part, escalated = alpha_floor(c)
@@ -251,9 +251,9 @@ class QBoundReport:
 
 def check_q_bound(q: int, M: int) -> QBoundReport:
     if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
+        raise InputError(f"need q >= 1, got {q}")
     if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
+        raise InputError(f"need M >= 2, got {M}")
     premise = Fraction(q) < M * mertens_product(q)
     conclusion = q < c_of(M)
     return QBoundReport(q=q, m=M, premise=premise, conclusion=conclusion)

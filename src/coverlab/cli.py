@@ -3,10 +3,11 @@
 Parses cover and group files, dispatches to the check modules, and
 prints one report per invocation, as fixed-layout text or as JSON.
 Exit status: 0 when every asserted check holds, 1 when one fails, 2 on
-bad input (a `--budget` or `--max-order` below 1 included) or an
-exceeded budget, 3 on an internal fault, and 141 (128 + SIGPIPE, as a
-shell reports a pipe writer killed by its closed reader) when standard
-output is closed before the report is written, with no traceback.
+an InputError (refused input, a `--budget` or `--max-order` below 1
+included) or a BudgetError, 3 on any other exception (an internal fault,
+with its traceback), and 141 (128 + SIGPIPE, as a shell reports a pipe
+writer killed by its closed reader) when standard output is closed
+before the report is written, with no traceback.
 Informational values never affect the status.  Identical inputs, seed
 and version give byte-identical output; rationals are printed exactly,
 as num/den in text and as string pairs in JSON.
@@ -47,7 +48,7 @@ from . import __version__
 # unused here; perfbench/test_perfbench.py warms the sieve through cli.factorize
 from .arith import factorize  # noqa: F401
 from .bounds import bound_report, check_q_bound
-from .errors import BudgetError
+from .errors import BudgetError, InputError
 from .gcover import (
     DEFAULT_NODE_BUDGET,
     CosetSystem,
@@ -71,6 +72,7 @@ from .group import (
     load_catalog,
     parse_cycles,
     parse_group_records,
+    parse_int,
     realize_record,
     structural_suite,
     subgroup_closure,
@@ -88,10 +90,6 @@ from .zcover import (
     multiplicity_profile,
     mu_of_divisor_closure,
 )
-
-
-class FormatError(ValueError):
-    """Malformed input file or inline text."""
 
 
 # ------------------------------------------------------------------ parsing
@@ -117,17 +115,15 @@ def parse_cover_file(path_or_text: str) -> ResidueSystem:
         for tok in line.split():
             m = _CLASS_RE.fullmatch(tok)
             if m is None:
-                raise FormatError(f"line {lineno}: bad class {tok!r}, want a/n")
-            a, n = int(m.group(1)), int(m.group(2))
+                raise InputError(f"line {lineno}: bad class {tok!r}, want a/n")
+            a, n = parse_int(m.group(1)), parse_int(m.group(2))
             if n < 1:
-                raise FormatError(f"line {lineno}: modulus must be >= 1 in {tok!r}")
+                raise InputError(f"line {lineno}: modulus must be >= 1 in {tok!r}")
             if not 0 <= a < n:
-                raise FormatError(
-                    f"line {lineno}: residue {a} out of range for modulus {n}"
-                )
+                raise InputError(f"line {lineno}: residue {a} out of range for modulus {n}")
             pairs.append((a, n))
     if not pairs:
-        raise FormatError("no residue classes found")
+        raise InputError("no residue classes found")
     return ResidueSystem.from_pairs(pairs)
 
 
@@ -155,19 +151,16 @@ def _parse_group_header(text: str, lines: list) -> tuple[FiniteGroup, int]:
         key, _, rest = first.partition(" ")
         name = rest.strip() if key == "group" else first
         if not name:
-            raise FormatError(f"line {lineno}: group needs a name")
+            raise InputError(f"line {lineno}: group needs a name")
         try:
             return catalog_group(name), 1
         except KeyError:
-            raise FormatError(f"line {lineno}: no catalog group named {name!r}")
+            raise InputError(f"line {lineno}: no catalog group named {name!r}")
     header = "\n".join(text.splitlines()[: lines[span - 1][0]])
-    try:
-        records = parse_group_records(header)
-        if len(records) != 1:
-            raise ValueError(f"expected exactly one group record, got {len(records)}")
-        return realize_record(records[0]), span
-    except ValueError as e:
-        raise FormatError(str(e))
+    records = parse_group_records(header)
+    if len(records) != 1:
+        raise InputError(f"expected exactly one group record, got {len(records)}")
+    return realize_record(records[0]), span
 
 
 def parse_group_file(path_or_text: str) -> FiniteGroup:
@@ -175,10 +168,10 @@ def parse_group_file(path_or_text: str) -> FiniteGroup:
     text = _load(path_or_text)
     lines = _clean_lines(text)
     if not lines:
-        raise FormatError("empty group file")
+        raise InputError("empty group file")
     G, span = _parse_group_header(text, lines)
     if span < len(lines):
-        raise FormatError(f"line {lines[span][0]}: a group file holds one group only")
+        raise InputError(f"line {lines[span][0]}: a group file holds one group only")
     return G
 
 
@@ -189,7 +182,7 @@ def serialize_group(G: FiniteGroup) -> str:
     numbering from the identity then reproduces ids in listed order.
     """
     if G.perms is None:
-        raise ValueError("group has no permutation realization")
+        raise InputError("group has no permutation realization")
     degree = len(G.perms[0])
     lines = [f"group {G.name}", f"degree {degree}"]
     for x in range(1, G.order):
@@ -204,30 +197,26 @@ def serialize_group(G: FiniteGroup) -> str:
 _TOKEN_RE = re.compile(r"(?:\([^()]*\))+|[^\s()]+")
 
 
-def _tokens(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
-
-
 def _element(G: FiniteGroup, tok: str, lineno: int) -> int:
     if tok == "e":
         return 0
-    if tok.isdigit():
-        x = int(tok)
+    if tok.isdecimal():
+        x = parse_int(tok)
         if x >= G.order:
-            raise FormatError(f"line {lineno}: element id {x} out of range")
+            raise InputError(f"line {lineno}: element id {x} out of range")
         return x
     if tok.startswith("("):
         if G.perms is None:
-            raise FormatError(f"line {lineno}: group has no permutation elements")
+            raise InputError(f"line {lineno}: group has no permutation elements")
         try:
             perm = parse_cycles(len(G.perms[0]), tok)
-        except ValueError as e:
-            raise FormatError(f"line {lineno}: {e}")
+        except InputError as e:
+            raise InputError(f"line {lineno}: {e}")
         try:
             return G.perms.index(perm)
         except ValueError:
-            raise FormatError(f"line {lineno}: permutation {tok} not in the group")
-    raise FormatError(f"line {lineno}: bad element token {tok!r}")
+            raise InputError(f"line {lineno}: permutation {tok} not in the group")
+    raise InputError(f"line {lineno}: bad element token {tok!r}")
 
 
 def parse_group_cover_file(
@@ -242,7 +231,7 @@ def _coset_system(path_or_text: str) -> CosetSystem:
     """The cover of a command that has no use for H: an H line is refused."""
     G, _, h_line, entries = _parse_group_cover(path_or_text)
     if h_line is not None:
-        raise FormatError(f"line {h_line}: this command takes no H line")
+        raise InputError(f"line {h_line}: this command takes no H line")
     return CosetSystem.from_pairs(G, entries)
 
 
@@ -253,10 +242,10 @@ def _parse_group_cover(
     text = _load(path_or_text)
     lines = _clean_lines(text)
     if not lines:
-        raise FormatError("empty cover file")
+        raise InputError("empty cover file")
     lineno, first = lines[0]
     if first.split()[0] != "group":
-        raise FormatError(f"line {lineno}: cover must start with a group line")
+        raise InputError(f"line {lineno}: cover must start with a group line")
     G, pos = _parse_group_header(text, lines)
     H = trivial_subgroup(G)
     entries: list[tuple[int, Subgroup]] = []
@@ -264,16 +253,14 @@ def _parse_group_cover(
     for lineno, line in lines[pos:]:
         left, sep, right = line.partition(":")
         if not sep:
-            raise FormatError(
-                f"line {lineno}: want 'rep : elements' or 'H : elements'"
-            )
+            raise InputError(f"line {lineno}: want 'rep : elements' or 'H : elements'")
         left = left.strip()
-        toks = _tokens(right)
+        toks = _TOKEN_RE.findall(right)
         if left == "H":
             if h_line is not None:
-                raise FormatError(f"line {lineno}: duplicate H line")
+                raise InputError(f"line {lineno}: duplicate H line")
             if entries:
-                raise FormatError(f"line {lineno}: H line must precede entries")
+                raise InputError(f"line {lineno}: H line must precede entries")
             h_line = lineno
             H = subgroup_closure(G, [_element(G, t, lineno) for t in toks])
         else:
@@ -281,7 +268,7 @@ def _parse_group_cover(
             sub = subgroup_closure(G, [_element(G, t, lineno) for t in toks])
             entries.append((rep, sub))
     if not entries:
-        raise FormatError("no cover entries found")
+        raise InputError("no cover entries found")
     return G, H, h_line, entries
 
 
@@ -413,31 +400,21 @@ def render_json(report: Report) -> str:
 # ------------------------------------------------------------------ budgets
 
 
-def _requested_budget(args) -> Optional[int]:
+def _budget(args, cap: int) -> int:
+    """cap, lowered by --budget or else COVERLAB_BUDGET, never raised."""
     if args.budget is not None:
         source, req = "--budget", args.budget
     else:
         env = os.environ.get("COVERLAB_BUDGET")
         if env is None:
-            return None
+            return cap
         try:
             source, req = "COVERLAB_BUDGET", int(env)
         except ValueError:
-            raise FormatError(f"COVERLAB_BUDGET is not an integer: {env!r}")
+            raise InputError(f"COVERLAB_BUDGET is not an integer: {env!r}")
     if req < 1:
-        raise FormatError(f"{source} must be at least 1, got {req}")
-    return req
-
-
-def _period_budget(args) -> Optional[int]:
-    # flags lower the compile-time cap, never raise it
-    req = _requested_budget(args)
-    return None if req is None else min(req, DEFAULT_PERIOD_BUDGET)
-
-
-def _node_budget(args) -> int:
-    req = _requested_budget(args)
-    return DEFAULT_NODE_BUDGET if req is None else min(req, DEFAULT_NODE_BUDGET)
+        raise InputError(f"{source} must be at least 1, got {req}")
+    return min(req, cap)
 
 
 # ----------------------------------------------------------------- commands
@@ -446,7 +423,7 @@ def _node_budget(args) -> int:
 def _cmd_verify_cover(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
     rep.inputs["cover"] = str(system)
-    cls = classify(system, _period_budget(args))
+    cls = classify(system, _budget(args, DEFAULT_PERIOD_BUDGET))
     rep.info("classes", cls.k)
     rep.info("period", cls.period)
     rep.info("min-multiplicity", cls.min_w)
@@ -468,7 +445,7 @@ def _cmd_verify_cover(args, rep: Report) -> None:
 def _cmd_density(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
     rep.inputs["cover"] = str(system)
-    prof = multiplicity_profile(system, _period_budget(args))
+    prof = multiplicity_profile(system, _budget(args, DEFAULT_PERIOD_BUDGET))
     rep.info("period", prof.period)
     rep.info("covered", prof.covered)
     rep.info("density", Fraction(prof.covered, prof.period))
@@ -486,7 +463,7 @@ def _cmd_mu(args, rep: Report) -> None:
 def _cmd_density_check(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
     rep.inputs["cover"] = str(system)
-    dual = check_density_identity(system.moduli(), _period_budget(args))
+    dual = check_density_identity(system.moduli(), _budget(args, DEFAULT_PERIOD_BUDGET))
     rep.info("scan-density", dual.lhs)
     rep.info("inclusion-exclusion", dual.rhs)
     rep.check("identity", dual.holds)
@@ -495,7 +472,7 @@ def _cmd_density_check(args, rep: Report) -> None:
 def _cmd_rogers(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
     rep.inputs["cover"] = str(system)
-    rr = check_rogers(system, _period_budget(args))
+    rr = check_rogers(system, _budget(args, DEFAULT_PERIOD_BUDGET))
     rep.info("covered", rr.shifted_covered)
     rep.info("zeroed-covered", rr.zeroed_covered)
     rep.check("covers-at-least-zeroed", rr.holds, {"period": rr.period})
@@ -505,7 +482,7 @@ def _cmd_level_gap(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
     rep.inputs.update(cover=str(system), prime=args.prime, alpha=args.alpha)
     alphas = None if args.alpha is None else (args.alpha,)
-    reports = check_level_gaps(system, args.prime, alphas, _period_budget(args))
+    reports = check_level_gaps(system, args.prime, alphas, _budget(args, DEFAULT_PERIOD_BUDGET))
     for r in reports:
         rep.check(
             f"index-bound[alpha={r.alpha}]",
@@ -535,7 +512,7 @@ def _cmd_level_gap(args, rep: Report) -> None:
 def _cmd_simpson(args, rep: Report) -> None:
     system = parse_cover_file(args.cover)
     rep.inputs["cover"] = str(system)
-    sr = check_simpson(system, _period_budget(args))
+    sr = check_simpson(system, _budget(args, DEFAULT_PERIOD_BUDGET))
     rep.info("largest-prime", sr.largest_prime)
     rep.info("max-multiplicity", sr.max_multiplicity)
     rep.info("bound", sr.rhs)
@@ -694,7 +671,7 @@ def _cmd_max_index(args, rep: Report) -> None:
 
 def _cmd_hs_search(args, rep: Report) -> None:
     if args.max_order < 1:
-        raise FormatError(f"--max-order must be at least 1, got {args.max_order}")
+        raise InputError(f"--max-order must be at least 1, got {args.max_order}")
     if args.group is not None:
         groups = [parse_group_file(args.group)]
         scope = groups[0].name
@@ -703,7 +680,7 @@ def _cmd_hs_search(args, rep: Report) -> None:
         groups = [g for g in load_catalog() if cap is None or g.order <= cap]
         scope = "catalog" if args.all else f"catalog order <= {cap}"
     rep.inputs["scope"] = scope
-    budget = _node_budget(args)
+    budget = _budget(args, DEFAULT_NODE_BUDGET)
     for G in groups:
         try:
             result = search_distinct_index_partition(G, node_budget=budget)
@@ -725,7 +702,7 @@ def _cmd_hs_search(args, rep: Report) -> None:
 def _cmd_enumerate_covers(args, rep: Report) -> None:
     G = parse_group_file(args.group)
     rep.inputs.update(group=G.name, m=args.m, k=args.k)
-    stream = enumerate_uniform_covers(G, args.k, args.m, node_budget=_node_budget(args))
+    stream = enumerate_uniform_covers(G, args.k, args.m, _budget(args, DEFAULT_NODE_BUDGET))
     shapes: Counter = Counter()
     total = 0
     for cover in stream:
@@ -814,11 +791,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = Report(args.command, {}, seed=args.seed)
     try:
         args.handler(args, report)
+    except InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
         traceback.print_exc()

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterator, Optional, Sequence, Union
 
 from .arith import divisor_list, euler_product, factorize
-from .errors import SearchBudgetError
+from .errors import InputError, SearchBudgetError
 from .group import (
     FiniteGroup,
     Subgroup,
@@ -77,12 +77,12 @@ class CosetSystem:
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("coset system needs at least one entry")
+            raise InputError("coset system needs at least one entry")
         for rep, sub in self.entries:
             if sub.parent is not self.parent:
                 raise ValueError("entry subgroup belongs to a different group")
             if not 0 <= rep < self.parent.order:
-                raise ValueError(f"representative {rep} out of range")
+                raise InputError(f"representative {rep} out of range")
         if not self.masks:
             masks = tuple(left_coset_mask(self.parent, rep, sub) for rep, sub in self.entries)
             object.__setattr__(self, "masks", masks)
@@ -168,9 +168,9 @@ def weight_profile(cover: CosetSystem) -> WeightProfile:
 def _require_nontrivial_uniform(cover: CosetSystem) -> WeightProfile:
     prof = weight_profile(cover)
     if prof.uniform_m is None or prof.uniform_m == 0:
-        raise ValueError("system is not a uniform cover")
+        raise InputError("system is not a uniform cover")
     if prof.is_trivial:
-        raise ValueError("system is trivial (every subgroup is the whole group)")
+        raise InputError("system is trivial (every subgroup is the whole group)")
     return prof
 
 
@@ -300,7 +300,7 @@ def check_union_lower_bound(
     system = CosetSystem.from_pairs(G, entries)
     for _, sub in system.entries:
         if sub.mask & H.mask != H.mask:
-            raise ValueError("every entry subgroup must contain H")
+            raise InputError("every entry subgroup must contain H")
     h = H.index
     union = reduce(or_, system.masks)
     met = sum(1 for c in _left_cosets(G, H.mask) if c & union)
@@ -346,7 +346,7 @@ def check_aligned_union_bound(
     pairs = system.entries
     union = reduce(or_, system.masks)
     if not _is_union_of(union, _left_cosets(G, H.mask)):
-        raise ValueError("union of the cosets is not a union of left H-cosets")
+        raise InputError("union of the cosets is not a union of left H-cosets")
 
     h = H.index
     ns = system.indices()
@@ -724,11 +724,11 @@ def enumerate_uniform_covers(
     set, after the covers found so far.
     """
     if G.order > ENUM_ORDER_MAX:
-        raise ValueError(f"enumeration capped at order {ENUM_ORDER_MAX}")
+        raise InputError(f"enumeration capped at order {ENUM_ORDER_MAX}")
     if not 1 <= k_max <= ENUM_K_MAX:
-        raise ValueError(f"k_max must be in 1..{ENUM_K_MAX}")
+        raise InputError(f"k_max must be in 1..{ENUM_K_MAX}")
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InputError("m must be positive")
     cosets = _cosets(G, all_subgroups(G))
     stream = CoverStream()
     counter = _Nodes(node_budget, f"cover enumeration on {G.name}")
@@ -820,7 +820,7 @@ def search_distinct_index_partition(
     on every group anyone has ever looked at.
     """
     if G.order > SEARCH_ORDER_MAX:
-        raise ValueError(f"search capped at order {SEARCH_ORDER_MAX}")
+        raise InputError(f"search capped at order {SEARCH_ORDER_MAX}")
     subs = all_subgroups(G)
     indices = {sub.index for sub in subs}
     counter = _Nodes(node_budget, f"partition search on {G.name}")

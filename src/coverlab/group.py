@@ -56,7 +56,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime
-from .errors import BudgetError
+from .errors import BudgetError, InputError
 
 ORDER_CAP = 200
 INDEX_INTERSECTION_CAP = 10**6
@@ -89,7 +89,7 @@ def _check_associative(table) -> None:
     """Light's test over a greedy generating set: (a*b)*g == a*(b*g) for
     all a, b and each generator g.  The g that pass are closed under
     products and the generators reach every element, so the table is
-    associative.  Raises ValueError at the first failing triple."""
+    associative.  Raises InputError at the first failing triple."""
     n = len(table)
     gens: list[int] = []
     seen = 1
@@ -100,7 +100,7 @@ def _check_associative(table) -> None:
         for a, ra in enumerate(table):
             if [col[v] for v in ra] != [ra[v] for v in col]:
                 b = next(b for b in range(n) if col[ra[b]] != ra[col[b]])
-                raise ValueError(f"associativity fails at a={a}, b={b}, c={g}")
+                raise InputError(f"associativity fails at a={a}, b={b}, c={g}")
         gens.append(g)
         seen = _right_reach(table, gens)
 
@@ -158,18 +158,18 @@ class FiniteGroup:
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
-            raise ValueError("empty table")
+            raise InputError("empty table")
         _check_order_cap(n)
         rng = range(n)
         for row in table:
             if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValueError("table is not square over element ids")
+                raise InputError("table is not square over element ids")
         if any(table[0][j] != j for j in rng) or any(table[i][0] != i for i in rng):
-            raise ValueError("element 0 does not act as identity")
+            raise InputError("element 0 does not act as identity")
         full = set(rng)
         for i in rng:
             if set(table[i]) != full or {table[j][i] for j in rng} != full:
-                raise ValueError(f"table is not a Latin square at line {i}")
+                raise InputError(f"table is not a Latin square at line {i}")
         _check_associative(table)
         inv = [None] * n
         for i in rng:
@@ -305,7 +305,7 @@ class Subgroup:
 
     def __post_init__(self):
         if not self.parent.is_subgroup_mask(self.mask):
-            raise ValueError("mask is not closed under the group operation")
+            raise InputError("mask is not closed under the group operation")
 
     def __eq__(self, other):
         return (
@@ -351,7 +351,7 @@ def subgroup_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     mask = 1
     for x in elements:
         if not 0 <= x < G.order:
-            raise ValueError(f"element id {x} out of range for {G.name}")
+            raise InputError(f"element id {x} out of range for {G.name}")
         mask |= 1 << x
     return Subgroup(G, G.closure_mask(mask))
 
@@ -369,6 +369,14 @@ def left_coset_mask(G: FiniteGroup, rep: int, H: Subgroup) -> int:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def parse_int(text: str) -> int:
+    """int(text), refused with InputError where int() refuses it."""
+    try:
+        return int(text)
+    except ValueError as e:  # not an integer, or more digits than int() converts
+        raise InputError(str(e))
+
+
 def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
     """Cycle notation on points 1..degree to a 0-based image tuple.
 
@@ -381,15 +389,15 @@ def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
         return tuple(perm)
     consumed = _CYCLE_RE.sub("", text).strip()
     if consumed:
-        raise ValueError(f"unparsed cycle text {text!r}")
+        raise InputError(f"unparsed cycle text {text!r}")
     for body in _CYCLE_RE.findall(text):
-        pts = [int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
+        pts = [parse_int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
         if not pts:
             continue
         if len(set(pts)) != len(pts):
-            raise ValueError(f"repeated point in cycle ({body})")
+            raise InputError(f"repeated point in cycle ({body})")
         if any(not 1 <= p <= degree for p in pts):
-            raise ValueError(f"point out of range 1..{degree} in ({body})")
+            raise InputError(f"point out of range 1..{degree} in ({body})")
         cyc = list(range(degree))
         for a, b in zip(pts, pts[1:] + pts[:1]):
             cyc[a - 1] = b - 1
@@ -419,7 +427,7 @@ def cycles_str(perm: Sequence[int]) -> str:
 def _check_perm(degree: int, perm: Sequence[int]) -> tuple[int, ...]:
     perm = tuple(perm)
     if sorted(perm) != list(range(degree)):
-        raise ValueError(f"not a permutation of 0..{degree - 1}: {perm}")
+        raise InputError(f"not a permutation of 0..{degree - 1}: {perm}")
     return perm
 
 
@@ -478,7 +486,7 @@ def group_from_generators(
 def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
     """Z/n with element i the residue i."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise InputError(f"need n >= 1, got {n}")
     _check_order_cap(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=name or f"Z{n}", labels=[str(i) for i in range(n)])
@@ -639,7 +647,7 @@ def hall_subgroup(G: FiniteGroup, omega: Iterable[int]) -> Optional[Subgroup]:
     omega = set(omega)
     for p in omega:
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
     target = 1
     for p, e in factorize(G.order).pairs:
         if p in omega:
@@ -751,7 +759,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
 
 def _quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
     if not is_normal(G, N):
-        raise ValueError("quotient by a non-normal subgroup")
+        raise InputError("quotient by a non-normal subgroup")
     if N.mask == 1:
         return G
     n = G.order
@@ -793,9 +801,9 @@ class GroupRecord:
 
 
 def _positive_field(lineno: int, key: str, rest: str) -> int:
-    if rest.isdecimal() and int(rest) > 0:
+    if rest.isdecimal() and parse_int(rest) > 0:
         return int(rest)
-    raise ValueError(f"line {lineno}: {key} must be a positive integer, got {rest!r}")
+    raise InputError(f"line {lineno}: {key} must be a positive integer, got {rest!r}")
 
 
 def parse_group_records(text: str) -> list[GroupRecord]:
@@ -821,12 +829,12 @@ def parse_group_records(text: str) -> list[GroupRecord]:
         rest = rest.strip()
         if key == "group":
             if in_block:
-                raise ValueError(f"line {lineno}: nested group block")
+                raise InputError(f"line {lineno}: nested group block")
             if not rest:
-                raise ValueError(f"line {lineno}: group needs a name")
+                raise InputError(f"line {lineno}: group needs a name")
             in_block, start, name, degree, order, gens = True, lineno, rest, None, None, []
         elif not in_block:
-            raise ValueError(f"line {lineno}: {key!r} outside a group block")
+            raise InputError(f"line {lineno}: {key!r} outside a group block")
         elif key == "degree":
             degree = _positive_field(lineno, key, rest)
         elif key == "order":
@@ -835,13 +843,13 @@ def parse_group_records(text: str) -> list[GroupRecord]:
             gens.append(rest)
         elif key == "end":
             if degree is None or order is None:
-                raise ValueError(f"line {start}: record {name!r} is missing degree or order")
+                raise InputError(f"line {start}: record {name!r} is missing degree or order")
             records.append(GroupRecord(name, degree, tuple(gens), order))
             in_block = False
         else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+            raise InputError(f"line {lineno}: unknown key {key!r}")
     if in_block:
-        raise ValueError(f"line {start}: record {name!r} not closed with end")
+        raise InputError(f"line {start}: record {name!r} not closed with end")
     return records
 
 
@@ -855,7 +863,7 @@ def realize_record(rec: GroupRecord) -> FiniteGroup:
         )
     G = group_from_generators(rec.degree, rec.generators, name=rec.name)
     if G.order != rec.expected_order:
-        raise ValueError(
+        raise InputError(
             f"group {rec.name}: generators close to order {G.order}, "
             f"record says {rec.expected_order}"
         )
@@ -975,11 +983,11 @@ def check_index_intersection(G: FiniteGroup, subs: Sequence[Subgroup]) -> bool:
     """Subnormal subgroups: the index of their intersection divides the
     product of their indices, and both have the same prime divisors."""
     if not subs:
-        raise ValueError("need at least one subgroup")
+        raise InputError("need at least one subgroup")
     for H in subs:
         _require_same_parent(G, H)
         if not is_subnormal(G, H).is_subnormal:
-            raise ValueError("requires subnormal subgroups")
+            raise InputError("requires subnormal subgroups")
     mask = G.full_mask()
     prod = 1
     for H in subs:
@@ -994,7 +1002,7 @@ def check_core_primes(G: FiniteGroup, H: Subgroup) -> bool:
     prime divisors as the index of H."""
     _require_same_parent(G, H)
     if not is_subnormal(G, H).is_subnormal:
-        raise ValueError("requires a subnormal subgroup")
+        raise InputError("requires a subnormal subgroup")
     return _prime_support(core_of(G, H).index) == _prime_support(H.index)
 
 
@@ -1002,9 +1010,9 @@ def check_hall_normality(G: FiniteGroup, H: Subgroup) -> bool:
     """A subnormal subgroup whose order and index are coprime is normal."""
     _require_same_parent(G, H)
     if math.gcd(H.size, H.index) != 1:
-        raise ValueError("requires a Hall subgroup")
+        raise InputError("requires a Hall subgroup")
     if not is_subnormal(G, H).is_subnormal:
-        raise ValueError("requires a subnormal subgroup")
+        raise InputError("requires a subnormal subgroup")
     return is_normal(G, H)
 
 
@@ -1040,7 +1048,7 @@ def check_solvable_tower(G: FiniteGroup, p: int) -> bool:
     prime-quotient series from the trivial subgroup exists with every
     index-p step before any other step."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     direct = is_solvable(G) and is_normal(G, sylow_subgroup(G, p))
     series = prime_quotient_series(G, trivial_subgroup(G), p_first=p)
     return direct == (series is not None)

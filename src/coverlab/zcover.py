@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .arith import (
     divisor_list, euler_phi, euler_product, factorize, is_prime, least_prime
 )
-from .errors import PeriodBudgetError
+from .errors import InputError, PeriodBudgetError
 from .levels import profile
 
 DEFAULT_PERIOD_BUDGET = 10**7
@@ -36,9 +36,9 @@ class ResidueClass:
 
     def __post_init__(self):
         if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
+            raise InputError(f"modulus must be >= 1, got {self.modulus}")
         if not 0 <= self.residue < self.modulus:
-            raise ValueError(f"residue {self.residue} not in [0, {self.modulus})")
+            raise InputError(f"residue {self.residue} not in [0, {self.modulus})")
 
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
@@ -55,7 +55,7 @@ class ResidueSystem:
 
     def __post_init__(self):
         if not self.classes:
-            raise ValueError("a residue system needs at least one class")
+            raise InputError("a residue system needs at least one class")
         object.__setattr__(self, "classes", tuple(self.classes))
 
     @staticmethod
@@ -123,15 +123,19 @@ def _batch_masks(system: ResidueSystem, full: int) -> Iterator[int]:
         for j in range(copies):
             batches[c.modulus, j].append(c.residue)
     period = full.bit_length()
+    key = mask = None
     for (n, _), residues in batches.items():
-        pattern = bytearray((n + 7) // 8)
-        for a in residues:
-            pattern[a >> 3] |= 1 << (a & 7)
-        mask, width = int.from_bytes(pattern, "little"), n
-        while width < period:
-            mask |= mask << width
-            width *= 2
-        yield mask & full
+        if (n, residues) != key:  # the copies of a class reuse one mask
+            key = n, residues
+            pattern = bytearray((n + 7) // 8)
+            for a in residues:
+                pattern[a >> 3] |= 1 << (a & 7)
+            mask, width = int.from_bytes(pattern, "little"), n
+            while width < period:
+                mask |= mask << width
+                width *= 2
+            mask &= full
+        yield mask
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def mu_of_divisor_closure(values: Iterable[int]) -> int:
     closure: set[int] = set()
     for v in values:
         if v < 1:
-            raise ValueError(f"divisor closure needs positive integers, got {v}")
+            raise InputError(f"divisor closure needs positive integers, got {v}")
         closure.update(divisor_list(v))
     return sum(euler_phi(d) for d in closure)
 
@@ -232,7 +236,7 @@ def check_density_identity(
     over one period, which must fit the budget before the sum starts.
     """
     if not moduli:
-        raise ValueError("need at least one modulus")
+        raise InputError("need at least one modulus")
     system = ResidueSystem.from_pairs([(0, n) for n in moduli])
     lhs = density_union(system, period_budget)
     rhs = Fraction(_inclusion_exclusion_covered(moduli), math.lcm(*moduli))
@@ -307,21 +311,21 @@ def check_level_gaps(
     period = system.period()
     fact = factorize(period)
     if not fact.pairs:
-        raise ValueError("trivial period, no primes to designate")
+        raise InputError("trivial period, no primes to designate")
     p = fact.pairs[-1][0] if prime is None else prime
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     alpha_top = fact.ord_of(p)
     if alpha_top == 0:
-        raise ValueError(f"{p} does not divide the period {period}")
+        raise InputError(f"{p} does not divide the period {period}")
     orders = [factorize(n).ord_of(p) if n % p == 0 else 0 for n in moduli]
     lam = tuple(sorted(set(orders)))
     levels = [v for v in lam if v > 0] if alphas is None else list(alphas)
     for alpha in levels:
         if alpha < 1 or alpha not in lam:
-            raise ValueError(f"alpha must be a positive member of {lam}, got {alpha}")
+            raise InputError(f"alpha must be a positive member of {lam}, got {alpha}")
     if classify(system, period_budget).uniform_m is None:
-        raise ValueError("system is not a uniform cover")
+        raise InputError("system is not a uniform cover")
     epsilon_others = Fraction(1)
     for q, e in fact.pairs:
         if q != p:
@@ -389,9 +393,9 @@ def check_simpson(
     """Largest prime of the period vs M * prod p/(p-1) for exact covers, k > 1."""
     cls = classify(system, period_budget)
     if not cls.is_exact:
-        raise ValueError("system is not an exact cover")
+        raise InputError("system is not an exact cover")
     if cls.k < 2:
-        raise ValueError("need at least two classes")
+        raise InputError("need at least two classes")
     fact = factorize(cls.period)
     mult = Counter(system.moduli())
     m = max(mult.values())
@@ -409,7 +413,7 @@ def largest_modulus_multiplicity(system: ResidueSystem) -> tuple[int, int, int]:
     moduli = system.moduli()
     n_max = max(moduli)
     if n_max < 2:
-        raise ValueError("all moduli are 1")
+        raise InputError("all moduli are 1")
     mult = Counter(moduli)[n_max]
     return n_max, mult, least_prime(n_max)
 
@@ -425,9 +429,9 @@ def generate_exact_cover(script: Sequence[tuple[int, int]]) -> ResidueSystem:
     classes = [ResidueClass(0, 1)]
     for step, (i, d) in enumerate(script):
         if not 0 <= i < len(classes):
-            raise ValueError(f"step {step}: class index {i} out of range")
+            raise InputError(f"step {step}: class index {i} out of range")
         if d < 2:
-            raise ValueError(f"step {step}: split factor must be >= 2, got {d}")
+            raise InputError(f"step {step}: split factor must be >= 2, got {d}")
         a, n = classes[i].residue, classes[i].modulus
         classes[i : i + 1] = [ResidueClass(a + j * n, d * n) for j in range(d)]
     return ResidueSystem(tuple(classes))

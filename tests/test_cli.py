@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from coverlab import cli, zcover
+from coverlab.arith import factorize
+from coverlab.bounds import bound_report
 from coverlab.cli import (
-    FormatError,
     main,
     parse_cover_file,
     parse_group_cover_file,
@@ -23,10 +24,12 @@ from coverlab.cli import (
     serialize_group,
     serialize_group_cover,
 )
-from coverlab.gcover import CosetSystem
+from coverlab.errors import InputError
+from coverlab.gcover import CosetSystem, enumerate_uniform_covers
 from coverlab.group import (
     all_subgroups,
     catalog_group,
+    cyclic_group,
     cycles_str,
     group_from_generators,
     left_coset_mask,
@@ -35,7 +38,7 @@ from coverlab.group import (
     subgroup_closure,
     trivial_subgroup,
 )
-from coverlab.zcover import ResidueSystem
+from coverlab.zcover import ResidueSystem, check_simpson
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,11 +78,11 @@ def test_cover_round_trip_random():
 
 
 def test_cover_parse_errors():
-    with pytest.raises(FormatError, match="out of range"):
+    with pytest.raises(InputError, match="out of range"):
         parse_cover_file("5/4")
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(InputError, match="line 2"):
         parse_cover_file("0/2\n1/4 junk\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_cover_file("")
 
 
@@ -106,9 +109,9 @@ def test_group_round_trip_tables():
 
 
 def test_group_parse_errors():
-    with pytest.raises(FormatError, match="catalog"):
+    with pytest.raises(InputError, match="catalog"):
         parse_group_file("NoSuchGroup")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_group_file("group X\ndegree 3\ngen (1 2 3)\norder 3\n")  # no end
 
 
@@ -116,9 +119,9 @@ def test_group_record_errors_keep_file_line_numbers():
     # a comment line inside the record must not shift the reported line
     record = "group V\ndegree 4\n# a comment\ngen (1 2)\ncolour red\norder 4\nend\n"
     message = r"^line 5: unknown key 'colour'$"
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(InputError, match=message):
         parse_group_file(record)
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(InputError, match=message):
         parse_group_cover_file(record + "0 : 1\n2 : 1\n")
 
 
@@ -137,7 +140,7 @@ BAD_RECORDS = [
     ids=["degree-not-a-number", "degree-negative", "order-zero", "no-degree", "no-end"],
 )
 def test_group_record_field_errors_name_their_line(text, message, capsys):
-    with pytest.raises(FormatError, match=f"^{message}$"):
+    with pytest.raises(InputError, match=f"^{message}$"):
         parse_group_file(text)
     assert main(["group-info", text]) == 2
     captured = capsys.readouterr()
@@ -191,15 +194,15 @@ def test_group_cover_round_trip():
 
 
 def test_group_cover_parse_errors():
-    with pytest.raises(FormatError, match="group line"):
+    with pytest.raises(InputError, match="group line"):
         parse_group_cover_file("0 : 1\n")
-    with pytest.raises(FormatError, match="duplicate H"):
+    with pytest.raises(InputError, match="duplicate H"):
         parse_group_cover_file("group C4\nH : 2\nH : 2\n0 : 2\n")
-    with pytest.raises(FormatError, match="precede"):
+    with pytest.raises(InputError, match="precede"):
         parse_group_cover_file("group C4\n0 : 2\nH : 2\n")
-    with pytest.raises(FormatError, match="no cover entries"):
+    with pytest.raises(InputError, match="no cover entries"):
         parse_group_cover_file("group C4\n")
-    with pytest.raises(FormatError, match="element id"):
+    with pytest.raises(InputError, match="element id"):
         parse_group_cover_file("group C4\n9 : 2\n")
 
 
@@ -234,6 +237,12 @@ def test_budget_flag_beats_env(capsys, monkeypatch):
     # the flag requests more than the env but stays under the cap
     assert main(["density", "--budget", "5000000", "0/2 1/999983"]) == 0
     capsys.readouterr()
+
+
+def test_budget_flag_never_raises_the_cap(capsys):
+    assert main(["density", "--budget", "20000000", "0/2 1/9999991"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "budget exceeded: period 19999982 exceeds budget 10000000\n"
 
 
 def test_exit_no_command(capsys):
@@ -435,6 +444,79 @@ def test_internal_fault_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("Traceback")
     assert captured.err.endswith("\ninternal error: chain walk logic error\n")
+
+
+def test_bare_value_error_is_an_internal_fault(capsys, monkeypatch):
+    # only an InputError is a refused input; a ValueError from a broken
+    # invariant or the standard library is a fault of the program
+    def fault(args, rep):
+        raise ValueError("mask count drifted")
+
+    monkeypatch.setattr(cli, "_cmd_group_info", fault)
+    assert main(["group-info", "S3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("\ninternal error: mask count drifted\n")
+
+
+def test_input_error_is_a_refusal(capsys, monkeypatch):
+    def refuse(args, rep):
+        raise InputError("line 3: no such subgroup")
+
+    monkeypatch.setattr(cli, "_cmd_group_info", refuse)
+    assert main(["group-info", "S3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: no such subgroup\n"
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: factorize(0),
+        lambda: bound_report(1),
+        lambda: ResidueSystem(()),
+        lambda: check_simpson(ResidueSystem.from_pairs([(0, 2), (1, 3)])),
+        lambda: cyclic_group(0),
+        lambda: parse_cycles(3, "(1 a)"),
+        lambda: enumerate_uniform_covers(catalog_group("S3"), 9, 1),
+    ],
+    ids=["arith", "bounds", "zcover-type", "zcover-check", "group", "group-parser", "gcover"],
+)
+def test_library_refusals_are_input_errors(refuse):
+    with pytest.raises(InputError):
+        refuse()
+
+
+def test_foreign_subgroup_is_an_invariant_fault():
+    # a subgroup of another group object is the program's own mix-up
+    S3, other = catalog_group("S3"), group_from_generators(3, ["(1 2 3)", "(1 2)"])
+    with pytest.raises(ValueError) as caught:
+        CosetSystem(S3, ((0, trivial_subgroup(other)),))
+    assert not isinstance(caught.value, InputError)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cover", "1/" + "7" * 5000],
+        ["uniform-cover", "group C4\n0 : " + "1" * 5000 + "\n"],
+        ["group-info", "group X\ndegree " + "3" * 5000 + "\norder 1\nend\n"],
+        ["group-info", "group X\ndegree 3\ngen (1 " + "2" * 5000 + ")\norder 2\nend\n"],
+    ],
+    ids=["cover-token", "element-id", "record-field", "cycle-point"],
+)
+def test_integer_beyond_int_digit_limit_is_refused(argv, capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default); the parsers turn that into a refusal, not an internal fault
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 5000:
+        pytest.skip("this interpreter converts 5000-digit integers")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -641,7 +723,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_reports.json")
 # every exit-zero input but bounds (its binary64 diagnostics depend on the
 # platform's libm), verify-cover, and the unasserted-bound inputs, in both
 # formats; --help is left out, its headings differ across Python versions
-GOLDEN_ARGV = [
+GOLDEN_REPORTS = [
     [*argv, "--format", fmt]
     for argv in {
         json.dumps(argv): argv
@@ -651,6 +733,61 @@ GOLDEN_ARGV = [
     }.values()
     for fmt in ("text", "structured")
 ]
+S3_CYCLES = "group X\ndegree 3\ngen (1 2 3)\ngen (1 2)\n"
+C25 = f"group C25\ndegree 25\ngen {_cycle(1, 25)}\norder 25\nend\n"
+# one refused input per handler-level refusal (argparse's own errors exit
+# through SystemExit and are not recorded): exit 2, a one-line stderr
+GOLDEN_REFUSALS = {
+    "verify-cover-residue": ["verify-cover", "9/4"],
+    "verify-cover-token": ["verify-cover", "x/4"],
+    "verify-cover-comments-only": ["verify-cover", "# no classes\n"],
+    "verify-cover-period-budget": ["verify-cover", "0/2 1/9999991"],
+    "density-budget-zero": ["density", "--budget", "0", "0/2"],
+    "level-gap-prime": ["level-gap", "0/2 1/4 3/4", "--prime", "3"],
+    "level-gap-alpha": ["level-gap", "0/2 1/4 3/4", "--alpha", "5"],
+    "simpson-not-exact": ["simpson", "0/2 1/3"],
+    "simpson-one-class": ["simpson", "0/1"],
+    "qbound-q": ["qbound", "--q", "0", "--M", "5"],
+    "qbound-M": ["qbound", "--q", "3", "--M", "1"],
+    "bounds-M": ["bounds", "--M", "1"],
+    "group-info-unknown-name": ["group-info", "NoSuchGroup"],
+    "group-info-nameless": ["group-info", "group"],
+    "group-info-cycle-letter": ["group-info", "group X\ndegree 3\ngen (1 a)\norder 2\nend\n"],
+    "group-info-cycle-text": ["group-info", "group X\ndegree 3\ngen (1 2) x\norder 2\nend\n"],
+    "group-info-cycle-repeat": ["group-info", "group X\ndegree 3\ngen (1 2 1)\norder 2\nend\n"],
+    "group-info-cycle-point": ["group-info", "group X\ndegree 3\ngen (1 4)\norder 2\nend\n"],
+    "group-info-unknown-key": ["group-info", "group X\ndegree 3\ncolour red\norder 1\nend\n"],
+    "group-info-outside-block": ["group-info", "degree 3\ngroup X\norder 1\nend\n"],
+    "group-info-nested": ["group-info", "group X\ngroup Y\nend\n"],
+    "group-info-no-end": ["group-info", "group X\ndegree 3\norder 1\n"],
+    "group-info-two-records": ["group-info", "group X\ndegree 1\norder 1\nend\ngroup Y\ndegree 1\norder 1\nend\n"],
+    "group-info-order-mismatch": ["group-info", S3_CYCLES + "order 3\nend\n"],
+    "group-info-order-cap": ["group-info", "group X\ndegree 3\ngen (1 2 3)\norder 201\nend\n"],
+    "group-info-two-groups": ["group-info", "S3\nC4"],
+    "group-info-empty": ["group-info", "# nothing\n"],
+    "uniform-cover-not-uniform": ["uniform-cover", "group C6\n0 : 2\n1 : 3\n"],
+    "uniform-cover-trivial": ["uniform-cover", "group C4\n0 : 1\n"],
+    "uniform-cover-h-line": ["uniform-cover", "group C4\nH : 2\n0 : 2\n1 : \n3 : \n"],
+    "uniform-cover-no-group-line": ["uniform-cover", "C4\n0 : 1\n"],
+    "uniform-cover-no-entries": ["uniform-cover", "group C4\n"],
+    "uniform-cover-entry-syntax": ["uniform-cover", "group C4\n0 : 1\n2 3\n"],
+    "uniform-cover-element-token": ["uniform-cover", "group C4\n0 : x\n"],
+    "uniform-cover-cycle": ["uniform-cover", S3_CYCLES + "order 6\nend\n0 : (1 5)\n"],
+    "uniform-cover-perm": ["uniform-cover", "group C4\n0 : (1 2)\n"],
+    "max-index-not-uniform": ["max-index", "group C6\n0 : 2\n1 : 3\n"],
+    "union-bound-element-id": ["union-bound", "group C4\n0 : 9\n"],
+    "union-bound-duplicate-h": ["union-bound", "group C4\nH : 2\nH : 2\n0 : 1\n"],
+    "union-bound-late-h": ["union-bound", "group C4\n0 : 1\nH : 2\n"],
+    "union-bound-h-outside": ["union-bound", "group C4\nH : 1\n0 : 2\n"],
+    "aligned-union-not-h-union": ["aligned-union", "group C4\nH : 2\n0 : \n"],
+    "hs-search-max-order": ["hs-search", "--max-order", "0"],
+    "hs-search-order": ["hs-search", C25],
+    "enumerate-covers-order": ["enumerate-covers", C25],
+    "enumerate-covers-k": ["enumerate-covers", "S3", "--k", "9"],
+    "enumerate-covers-m": ["enumerate-covers", "S3", "--m", "0"],
+}
+GOLDEN_ARGV = GOLDEN_REPORTS + list(GOLDEN_REFUSALS.values())
+GOLDEN_IDS = [f"{a[0]}-{a[-1]}" for a in GOLDEN_REPORTS] + list(GOLDEN_REFUSALS)
 
 
 def golden_record(argv):
@@ -664,9 +801,7 @@ def test_golden_reports_cover_every_input():
     assert [r["argv"] for r in json.loads(GOLDEN_PATH.read_text())] == GOLDEN_ARGV
 
 
-@pytest.mark.parametrize(
-    "index", range(len(GOLDEN_ARGV)), ids=[f"{a[0]}-{a[-1]}" for a in GOLDEN_ARGV]
-)
+@pytest.mark.parametrize("index", range(len(GOLDEN_ARGV)), ids=GOLDEN_IDS)
 def test_golden_report(index):
     # exit code, stdout and stderr byte for byte as recorded
     record = json.loads(GOLDEN_PATH.read_text())[index]

@@ -178,6 +178,23 @@ def test_profile_planes_grow_with_the_log_of_the_count():
     assert (lo, hi, covered) == (0, 300, period // 2 + 1)
 
 
+def test_copies_of_a_class_share_one_mask(monkeypatch):
+    # the 300 batches of 0/2 hold the same residues of the same modulus:
+    # one period mask is built for them, not one per copy (at a period
+    # near 10**7 that is 1.2 MB per copy)
+    received = []
+
+    def spy(full, masks):
+        received.extend(masks)
+        return profile(full, received)
+
+    monkeypatch.setattr(zcover, "profile", spy)
+    p = multiplicity_profile(sys_of(*[(0, 2)] * 300, (1, 30_030)))
+    assert len(received) == 301
+    assert len({id(mask) for mask in received}) == 2
+    assert (p.min_w, p.max_w, p.covered) == (0, 300, 30_030 // 2 + 1)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=40))
 def test_planes_hold_each_count_in_binary(masks):
     # bit j of the count of x is bit x of planes[j]; min and max are over
