@@ -65,14 +65,15 @@ from .group import (
     all_subgroups,
     catalog_group,
     center_mask,
+    clean_lines,
     cycles_str,
     is_pyramidal,
     is_solvable,
     is_subnormal,
     load_catalog,
     parse_cycles,
-    parse_group_records,
     parse_int,
+    read_group_records,
     realize_record,
     structural_suite,
     subgroup_closure,
@@ -111,7 +112,7 @@ _CLASS_RE = re.compile(r"(\d+)/(\d+)")
 
 def parse_cover_file(path_or_text: str) -> ResidueSystem:
     pairs = []
-    for lineno, line in _clean_lines(_load(path_or_text)):
+    for lineno, line in clean_lines(_load(path_or_text)):
         for tok in line.split():
             m = _CLASS_RE.fullmatch(tok)
             if m is None:
@@ -131,20 +132,11 @@ def serialize_cover(system: ResidueSystem) -> str:
     return "\n".join(str(c) for c in system.classes) + "\n"
 
 
-def _clean_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines() or [text], 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
-
-
-def _parse_group_header(text: str, lines: list) -> tuple[FiniteGroup, int]:
+def _parse_group_header(lines: list[tuple[int, str]]) -> tuple[FiniteGroup, int]:
     """(group, clean lines used) for the top of a group or coset-cover file:
-    every line before the first later one holding a ':' (a cover entry).
-    One line names a catalog group, bare or after `group`; more lines are
-    one record, parsed from the raw text so line numbers are the file's."""
+    every clean line before the first later one holding a ':' (a cover
+    entry).  One line names a catalog group, bare or after `group`; more
+    lines are one record, read from those lines with the file's numbers."""
     span = next((i for i in range(1, len(lines)) if ":" in lines[i][1]), len(lines))
     if span == 1:
         lineno, first = lines[0]
@@ -156,8 +148,7 @@ def _parse_group_header(text: str, lines: list) -> tuple[FiniteGroup, int]:
             return catalog_group(name), 1
         except KeyError:
             raise InputError(f"line {lineno}: no catalog group named {name!r}")
-    header = "\n".join(text.splitlines()[: lines[span - 1][0]])
-    records = parse_group_records(header)
+    records = read_group_records(lines[:span])
     if len(records) != 1:
         raise InputError(f"expected exactly one group record, got {len(records)}")
     return realize_record(records[0]), span
@@ -165,11 +156,10 @@ def _parse_group_header(text: str, lines: list) -> tuple[FiniteGroup, int]:
 
 def parse_group_file(path_or_text: str) -> FiniteGroup:
     """A catalog name (bare or after `group`), or one full record."""
-    text = _load(path_or_text)
-    lines = _clean_lines(text)
+    lines = clean_lines(_load(path_or_text))
     if not lines:
         raise InputError("empty group file")
-    G, span = _parse_group_header(text, lines)
+    G, span = _parse_group_header(lines)
     if span < len(lines):
         raise InputError(f"line {lines[span][0]}: a group file holds one group only")
     return G
@@ -220,33 +210,19 @@ def _element(G: FiniteGroup, tok: str, lineno: int) -> int:
 
 
 def parse_group_cover_file(
-    path_or_text: str,
+    path_or_text: str, takes_h: bool = True
 ) -> tuple[FiniteGroup, Subgroup, list[tuple[int, Subgroup]]]:
-    """(group, H, entries); H defaults to the trivial subgroup."""
-    G, H, _, entries = _parse_group_cover(path_or_text)
-    return G, H, entries
-
-
-def _coset_system(path_or_text: str) -> CosetSystem:
-    """The cover of a command that has no use for H: an H line is refused."""
-    G, _, h_line, entries = _parse_group_cover(path_or_text)
-    if h_line is not None:
-        raise InputError(f"line {h_line}: this command takes no H line")
-    return CosetSystem.from_pairs(G, entries)
-
-
-def _parse_group_cover(
-    path_or_text: str,
-) -> tuple[FiniteGroup, Subgroup, Optional[int], list[tuple[int, Subgroup]]]:
-    """(group, H, line number of the H line or None, entries)."""
-    text = _load(path_or_text)
-    lines = _clean_lines(text)
+    """(group, H, entries) of a coset-cover file, the one reader of every
+    coset command; H defaults to the trivial subgroup.  With takes_h
+    False, for a command that has no use for H, an H line is refused once
+    the whole file has parsed and has entries."""
+    lines = clean_lines(_load(path_or_text))
     if not lines:
         raise InputError("empty cover file")
     lineno, first = lines[0]
     if first.split()[0] != "group":
         raise InputError(f"line {lineno}: cover must start with a group line")
-    G, pos = _parse_group_header(text, lines)
+    G, pos = _parse_group_header(lines)
     H = trivial_subgroup(G)
     entries: list[tuple[int, Subgroup]] = []
     h_line = None
@@ -269,7 +245,14 @@ def _parse_group_cover(
             entries.append((rep, sub))
     if not entries:
         raise InputError("no cover entries found")
-    return G, H, h_line, entries
+    if h_line is not None and not takes_h:
+        raise InputError(f"line {h_line}: this command takes no H line")
+    return G, H, entries
+
+
+def _coset_system(path_or_text: str) -> CosetSystem:
+    G, _, entries = parse_group_cover_file(path_or_text, takes_h=False)
+    return CosetSystem.from_pairs(G, entries)
 
 
 def serialize_group_cover(cover: CosetSystem, H: Optional[Subgroup] = None) -> str:

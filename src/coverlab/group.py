@@ -7,18 +7,18 @@ alone, and their tables are filled along the generator graph rather than
 by composing permutations.  Subgroups are immutable bitmasks over element
 ids.
 
-Every fact derived from a group -- closures, generating sets, cores,
-quotients, normality, subnormality, normal Sylow subgroups,
-prime-quotient series, solvability, abelianness, pyramidality and the
-subgroup lattice -- lives in one memo on the group, keyed by (fact, mask)
-and read through FiniteGroup.memo.  A fact about the whole group is keyed
-by its full mask.  The quotient by the trivial subgroup is the group
-itself, so its lattice is never enumerated twice.  Pyramidal chains and
-prime-quotient series are one walk up the lattice through normal steps
-of prime index, and a subgroup's pyramidality is a fact at its mask.
-Element labels are a fact at the full mask too: explicit labels are
-stored there at construction, and a permutation group's cycle strings
-are made from its perms on first read.
+Every fact derived from a group -- closures with their generating sets
+(one fact), cores, quotients, normality, subnormality, normal Sylow
+subgroups, prime-quotient series, solvability, abelianness, pyramidality
+and the subgroup lattice -- lives in one memo on the group, keyed by
+(fact, mask) and read through FiniteGroup.memo.  A fact about the whole
+group is keyed by its full mask.  The quotient by the trivial subgroup
+is the group itself, so its lattice is never enumerated twice.
+Pyramidal chains and prime-quotient series are one walk up the lattice
+through normal steps of prime index, and a subgroup's pyramidality is a
+fact at its mask.  Element labels are a fact at the full mask too:
+explicit labels are stored there at construction, and a permutation
+group's cycle strings are made from its perms on first read.
 
 The bundled catalog is checked at load: closure orders, counts per
 order, and distinct fingerprints within an order.  The subgroup count,
@@ -33,7 +33,9 @@ per double coset HgH.  A core intersects one conjugate per left coset.
 
 Every group has at most ORDER_CAP elements: a record is refused at its
 declared order, a closure as it outgrows the cap, a larger table before
-it is checked, and a cyclic group before its table is built.
+it is checked, and a cyclic group before its table is built.  A
+permutation group has degree at most DEGREE_CAP, refused before any
+permutation is built.
 The structural suite refuses an index-intersection sweep of more than
 INDEX_INTERSECTION_CAP instances before it checks any.
 
@@ -59,6 +61,7 @@ from .arith import factorize, is_prime
 from .errors import BudgetError, InputError
 
 ORDER_CAP = 200
+DEGREE_CAP = 10_000
 INDEX_INTERSECTION_CAP = 10**6
 
 
@@ -239,11 +242,11 @@ class FiniteGroup:
 
     def closure_mask(self, mask: int) -> int:
         """Bitmask of the subgroup generated by the elements set in mask."""
-        return self.memo("closure", mask, lambda: _generate(self.table, mask)[1])
+        return self.memo("generated", mask, _generate, self.table, mask)[1]
 
     def generators(self, mask: int) -> tuple[int, ...]:
-        """A reduced generating set of the subgroup mask."""
-        return self.memo("generators", mask, lambda: _generate(self.table, mask)[0])
+        """A reduced generating set of the subgroup mask (one fact with its closure)."""
+        return self.memo("generated", mask, _generate, self.table, mask)[0]
 
     def conj_mask(self, g: int, mask: int) -> int:
         out = 0
@@ -439,8 +442,14 @@ def group_from_generators(
     Generators may be cycle-notation strings (points 1..degree) or
     0-based image tuples.  Element 0 is the identity; products explored
     in generator order fix the rest of the numbering.  The closure stops
-    with BudgetError as soon as it outgrows ORDER_CAP.
+    with BudgetError as soon as it outgrows ORDER_CAP; a degree above
+    DEGREE_CAP is refused before any permutation is built.
     """
+    if degree > DEGREE_CAP:
+        raise BudgetError(
+            f"group {name or 'from generators'}: degree {degree} is above "
+            f"the degree cap {DEGREE_CAP}"
+        )
     gens = []
     for g in generators:
         if isinstance(g, str):
@@ -501,9 +510,10 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     the seeds, which reaches every subgroup since each is generated by
     finitely many of its cyclic subgroups.  A join extends the known
     subgroup by the seed's generator (cyclic extension), and lands in
-    the closure memo under the mask of the union it generates.  A seed
-    whose generator lies in a double coset HgH already joined to H is
-    skipped: its join <H, g> is the one already found.
+    the memo, with generators, under the mask of the union it generates;
+    so does every subgroup found.  A seed whose generator lies in a
+    double coset HgH already joined to H is skipped: its join <H, g> is
+    the one already found.
     """
     return G.memo("lattice", G.full_mask(), _lattice, G)
 
@@ -525,23 +535,23 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
             if math.gcd(k, m) == 1:
                 found |= 1 << x
         cyclics[mask] = g
-    gens = {c: (g,) for c, g in cyclics.items()}
-    gens[1] = ()
-    frontier = list(gens)
+    # subgroup mask -> its generated fact (generators, mask), one value
+    # shared by every join that lands on the subgroup
+    facts = {c: ((g,), c) for c, g in cyclics.items()}
+    facts[1] = ((), 1)
+    frontier = list(facts)
     while frontier:
         new = []
         for h in frontier:
-            elems = list(_bits(h))
+            elems, hgens = list(_bits(h)), facts[h][0]
             joined = h  # H and the double cosets HgH joined so far
             for c, g in cyclics.items():
                 if joined >> g & 1:
                     continue
-                j = G.memo(
-                    "closure", h | c, lambda: _extend(table, elems, h, gens[h], g)[1]
-                )
-                if j not in gens:
-                    gens[j] = gens[h] + (g,)
-                    new.append(j)
+                fact = G.memo("generated", h | c, _join, table, facts, elems, h, g)
+                if fact[1] not in facts:
+                    facts[fact[1]] = fact
+                    new.append(fact[1])
                 # HgH is disjoint from joined: grow it from Hg by right
                 # multiplication with the generators of H
                 coset = [table[a][g] for a in elems]
@@ -549,17 +559,24 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
                     joined |= 1 << y
                 for y in coset:
                     row = table[y]
-                    for s in gens[h]:
+                    for s in hgens:
                         z = row[s]
                         if not joined >> z & 1:
                             joined |= 1 << z
                             coset.append(z)
         frontier = new
-    for m in gens:  # each mask found is its own closure
-        G.memo("closure", m, int, m)
+    for m, fact in facts.items():  # each mask found is its own closure
+        G.memo("generated", m, lambda: fact)
     return tuple(
-        Subgroup(G, m) for m in sorted(gens, key=lambda m: (m.bit_count(), m))
+        Subgroup(G, m) for m in sorted(facts, key=lambda m: (m.bit_count(), m))
     )
+
+
+def _join(table, facts: dict, elems: list[int], h: int, g: int) -> tuple:
+    """The generated fact of <H, g>, for H = facts[h] with elements elems
+    and g outside it: the lattice's own value when that join is known."""
+    j = _extend(table, elems, h, facts[h][0], g)[1]
+    return facts[j] if j in facts else (facts[h][0] + (g,), j)
 
 
 def _require_same_parent(G: FiniteGroup, H: Subgroup) -> None:
@@ -806,6 +823,17 @@ def _positive_field(lineno: int, key: str, rest: str) -> int:
     raise InputError(f"line {lineno}: {key} must be a positive integer, got {rest!r}")
 
 
+def clean_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every line of text that holds more
+    than a comment; `#` starts a comment.  Every input reader reads these."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
 def parse_group_records(text: str) -> list[GroupRecord]:
     """Parse concatenated group records.
 
@@ -817,14 +845,17 @@ def parse_group_records(text: str) -> list[GroupRecord]:
         order <expected>
         end
     """
+    return read_group_records(clean_lines(text))
+
+
+def read_group_records(lines: Sequence[tuple[int, str]]) -> list[GroupRecord]:
+    """The records in clean (line number, text) pairs, as clean_lines
+    gives them; errors name the line numbers the pairs carry."""
     records = []
     name = degree = order = start = None  # start: the record's group line
     gens: list[str] = []
     in_block = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "group":

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import coverlab.group as group_module
 from coverlab import cli, zcover
 from coverlab.arith import factorize
 from coverlab.bounds import bound_report
@@ -342,6 +343,7 @@ MISSTATED = (
     "order 6\nend\n"
 )
 C2000_REFUSAL = "group C2000: record says order 2000, above the order cap 200"
+HUGE_DEGREE = "group X\ndegree 100000000\ngen (1 2)\norder 2\nend\n"
 
 
 @pytest.mark.parametrize(
@@ -360,6 +362,21 @@ def test_group_over_order_cap_refused_before_its_table(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"budget exceeded: {message}\n"
+
+
+def test_degree_over_cap_refused_before_any_permutation(capsys, monkeypatch):
+    def no_cycles(*args):
+        raise AssertionError("parse_cycles called")
+
+    monkeypatch.setattr(group_module, "parse_cycles", no_cycles)
+    start = time.perf_counter()
+    assert main(["group-info", HUGE_DEGREE]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: group X: degree 100000000 is above the degree cap 10000\n"
+    )
 
 
 def test_density_check_takes_more_than_twenty_moduli(capsys):
@@ -569,6 +586,29 @@ def test_h_line_refused_where_unused(command, capsys):
     assert captured.err == "error: line 2: this command takes no H line\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["union-bound", "group C4\nH : 2\n0 : 2\n1 : 2\n"],
+        ["aligned-union", "group C4\nH : 2\n0 : 2\n1 : 2\n"],
+        ["uniform-cover", "group C4\n0 : 2\n1 : 2\n"],
+        ["max-index", "group C4\n0 : 2\n1 : 2\n"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_coset_commands_share_one_reader(argv, capsys, monkeypatch):
+    original = cli.parse_group_cover_file
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_group_cover_file", counted)
+    assert main(argv) == 0
+    assert [args[0] for args in calls] == [argv[1]]
+
+
 # ---------------------------------------------------------------- output
 
 
@@ -734,6 +774,11 @@ GOLDEN_REPORTS = [
     for fmt in ("text", "structured")
 ]
 S3_CYCLES = "group X\ndegree 3\ngen (1 2 3)\ngen (1 2)\n"
+# comment and blank lines before and inside the header, then an unknown key
+COMMENTED_RECORD = (
+    "# lead\n\ngroup V # four points\n# inside\n\ndegree 4\ngen (1 2)\n"
+    "colour red\norder 4\nend\n"
+)
 C25 = f"group C25\ndegree 25\ngen {_cycle(1, 25)}\norder 25\nend\n"
 # one refused input per handler-level refusal (argparse's own errors exit
 # through SystemExit and are not recorded): exit 2, a one-line stderr
@@ -765,6 +810,8 @@ GOLDEN_REFUSALS = {
     "group-info-order-cap": ["group-info", "group X\ndegree 3\ngen (1 2 3)\norder 201\nend\n"],
     "group-info-two-groups": ["group-info", "S3\nC4"],
     "group-info-empty": ["group-info", "# nothing\n"],
+    "group-info-commented-record-key": ["group-info", COMMENTED_RECORD],
+    "group-info-degree-cap": ["group-info", HUGE_DEGREE],
     "uniform-cover-not-uniform": ["uniform-cover", "group C6\n0 : 2\n1 : 3\n"],
     "uniform-cover-trivial": ["uniform-cover", "group C4\n0 : 1\n"],
     "uniform-cover-h-line": ["uniform-cover", "group C4\nH : 2\n0 : 2\n1 : \n3 : \n"],
@@ -774,6 +821,13 @@ GOLDEN_REFUSALS = {
     "uniform-cover-element-token": ["uniform-cover", "group C4\n0 : x\n"],
     "uniform-cover-cycle": ["uniform-cover", S3_CYCLES + "order 6\nend\n0 : (1 5)\n"],
     "uniform-cover-perm": ["uniform-cover", "group C4\n0 : (1 2)\n"],
+    # several faults in one input: the reported one pins the readers' order
+    "uniform-cover-h-line-no-entries": ["uniform-cover", "group C4\nH : 2\n"],
+    "uniform-cover-h-line-bad-h": ["uniform-cover", "group C4\nH : x\n0 : 1\n"],
+    "uniform-cover-h-line-duplicate": ["uniform-cover", "group C4\nH : 2\nH : 2\n0 : 2\n"],
+    "uniform-cover-commented-record-key": ["uniform-cover", COMMENTED_RECORD + "0 : 1\n2 : 1\n"],
+    "max-index-h-line-bad-token": ["max-index", "group C4\nH : 2\n0 : x\n"],
+    "max-index-h-line-not-uniform": ["max-index", "group C6\nH : 2\n0 : 2\n1 : 3\n"],
     "max-index-not-uniform": ["max-index", "group C6\n0 : 2\n1 : 3\n"],
     "union-bound-element-id": ["union-bound", "group C4\n0 : 9\n"],
     "union-bound-duplicate-h": ["union-bound", "group C4\nH : 2\nH : 2\n0 : 1\n"],

@@ -16,6 +16,7 @@ import coverlab.group as group_module
 from coverlab.arith import factorize, is_prime
 from coverlab.errors import BudgetError
 from coverlab.group import (
+    DEGREE_CAP,
     ORDER_CAP,
     FiniteGroup,
     Subgroup,
@@ -458,6 +459,15 @@ def test_order_cap_boundary():
         cyclic_group(201)
 
 
+def test_degree_cap_boundary():
+    assert DEGREE_CAP == 10_000
+    G = group_from_generators(DEGREE_CAP, [f"(1 2)({DEGREE_CAP - 1} {DEGREE_CAP})"])
+    assert G.order == 2 and len(G.perms[0]) == DEGREE_CAP
+    message = "^group X: degree 10001 is above the degree cap 10000$"
+    with pytest.raises(BudgetError, match=message):
+        group_from_generators(DEGREE_CAP + 1, ["(1 2)"], name="X")
+
+
 def test_cyclic_group_over_cap_refused_before_its_table():
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="^table of order 2000 is above the order cap 200$"):
@@ -541,6 +551,25 @@ def test_double_coset_pruned_lattice_matches_unpruned_joins():
     ):
         masks = tuple(H.mask for H in all_subgroups(G))
         assert masks == oracle_lattice_masks(G, closure), G.name
+
+
+def test_lattice_seeds_every_subgroups_generators(monkeypatch):
+    # a fresh table, so no earlier test has filled its memo
+    G = FiniteGroup(catalog_group("SD16").table, name="SD16")
+    subs = all_subgroups(G)
+    runs = []
+    original = group_module._generate
+
+    def counted(table, mask):
+        runs.append(mask)
+        return original(table, mask)
+
+    monkeypatch.setattr(group_module, "_generate", counted)
+    gens = {H.mask: G.generators(H.mask) for H in subs}
+    assert all(G.closure_mask(H.mask) == H.mask for H in subs)
+    assert runs == []
+    for mask, gs in gens.items():
+        assert original(G.table, sum(1 << g for g in gs) | 1)[1] == mask
 
 
 def test_subgroup_closure_generates():
