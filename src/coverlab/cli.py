@@ -12,12 +12,15 @@ Informational values never affect the status.  Identical inputs, seed
 and version give byte-identical output; rationals are printed exactly,
 as num/den in text and as string pairs in JSON.
 
-A command is declared once, in `_build_parser`: one registration names
-it and gives its help, its input argument and its handler.  `main` makes
-the report; the handler fills its inputs and adds its verdicts.  A bound
-the paper asserts only under a hypothesis goes through `Report.claim`:
-when the hypothesis fails, the bound is printed unmarked, with a warning
-where the report gives one, and does not affect the status.
+A command is declared once, in the `_commands` table: name, handler,
+help and own arguments.  `main` builds the subparser of the one command
+it runs, and all of them for no command, -h, --version, an unknown
+command or a stray argument, so a usage message lists every command.
+`main` makes the report; the handler fills its inputs and adds its
+verdicts.  A bound the paper asserts only under a hypothesis goes
+through `Report.claim`: when the hypothesis fails, the bound is printed
+unmarked, with a warning where the report gives one, and does not affect
+the status.
 
 Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
@@ -700,74 +703,81 @@ def _cmd_enumerate_covers(args, rep: Report) -> None:
         rep.warnings.append("node budget exhausted before the search space")
 
 
-_COVER = ("cover", "cover file path or inline a/n text")
-_GROUP = ("group", "group file path, catalog name, or record text")
-_GROUP_COVER = ("cover", "coset-cover file path or inline text")
+_COMMON = {
+    "--seed": dict(type=int, default=None, help="echoed in the report"),
+    "--budget": dict(type=int, default=None,
+                     help="lower the period/node budget (never raises the compiled cap)"),
+    "--format": dict(choices=("text", "structured"), default="text", help="output format"),
+}
+_COVER = {"cover": dict(help="cover file path or inline a/n text")}
+_GROUP = {"group": dict(help="group file path, catalog name, or record text")}
+_GROUP_COVER = {"cover": dict(help="coset-cover file path or inline text")}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="echoed in the report")
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="lower the period/node budget (never raises the compiled cap)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="output format",
-    )
+def _commands() -> dict:
+    """Every command, declared once: name -> (handler, help, own arguments).
+    Made per call, so a handler patched after import is the one run."""
+    return {
+        "verify-cover": (_cmd_verify_cover, "classify a residue system", _COVER),
+        "density": (_cmd_density, "exact density of the union over one period", _COVER),
+        "mu": (_cmd_mu, "count the divisor closure of the moduli", _COVER),
+        "density-check": (_cmd_density_check, "scan density against inclusion-exclusion", _COVER),
+        "rogers": (_cmd_rogers, "shifted union covers at least the zeroed union", _COVER),
+        "level-gap": (_cmd_level_gap, "index bound for uniform covers at one prime level", _COVER | {
+            "--prime": dict(type=int, default=None, help="designated prime (default largest)"),
+            "--alpha": dict(type=int, default=None, help="level (default: every level)"),
+        }),
+        "simpson": (_cmd_simpson, "largest period prime bound for exact covers", _COVER),
+        "bounds": (_cmd_bounds, "threshold quantities at one multiplicity bound", {
+            "--M": dict(type=int, required=True),
+        }),
+        "qbound": (_cmd_qbound, "prime-size implication at (q, M)", {
+            "--q": dict(type=int, required=True),
+            "--M": dict(type=int, required=True),
+        }),
+        "group-info": (_cmd_group_info, "order, lattice and series facts for one group", _GROUP),
+        "group-suite": (_cmd_group_suite, "all structural identities on one group", _GROUP),
+        "union-bound": (_cmd_union_bound, "count of H-cosets met by a union of cosets", _GROUP_COVER),
+        "aligned-union": (_cmd_aligned_union, "index-gcd bound for H-aligned unions", _GROUP_COVER),
+        "uniform-cover": (_cmd_uniform_cover, "exact index bound for a uniform cover", _GROUP_COVER),
+        "max-index": (_cmd_max_index, "multiplicity of the largest index", _GROUP_COVER),
+        "hs-search": (_cmd_hs_search, "hunt for a distinct-index partition", {
+            "group": dict(nargs="?", default=None, help="single group (default: catalog sweep)"),
+            "--max-order": dict(type=int, default=12, help="catalog sweep order cap"),
+            "--all": dict(action="store_true", help="sweep the whole catalog"),
+        }),
+        "enumerate-covers": (_cmd_enumerate_covers, "enumerate nontrivial uniform covers", _GROUP | {
+            "--m": dict(type=int, default=1, help="exact multiplicity of every element"),
+            "--k": dict(type=int, default=4, help="maximum number of cosets"),
+        }),
+    }
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The top parser, with only the subparser argv[0] names, if any, else all."""
+    commands = _commands()
     parser = argparse.ArgumentParser(
         prog="coverlab",
         description="Exact checks for covering systems of Z and coset covers of finite groups.",
     )
     parser.add_argument("--version", action="version", version=f"coverlab {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    def command(name, handler, help_text, positional=None):
-        # the one registration of a command: name, help, input and handler
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if positional is not None:
-            p.add_argument(positional[0], help=positional[1])
+    for name in [argv[0]] if argv and argv[0] in commands else commands:
+        handler, help_text, arguments = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (_COMMON | arguments).items():
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-        return p
-
-    command("verify-cover", _cmd_verify_cover, "classify a residue system", _COVER)
-    command("density", _cmd_density, "exact density of the union over one period", _COVER)
-    command("mu", _cmd_mu, "count the divisor closure of the moduli", _COVER)
-    command("density-check", _cmd_density_check, "scan density against inclusion-exclusion", _COVER)
-    command("rogers", _cmd_rogers, "shifted union covers at least the zeroed union", _COVER)
-    p = command("level-gap", _cmd_level_gap, "index bound for uniform covers at one prime level", _COVER)
-    p.add_argument("--prime", type=int, default=None, help="designated prime (default largest)")
-    p.add_argument("--alpha", type=int, default=None, help="level (default: every level)")
-    command("simpson", _cmd_simpson, "largest period prime bound for exact covers", _COVER)
-    p = command("bounds", _cmd_bounds, "threshold quantities at one multiplicity bound")
-    p.add_argument("--M", type=int, required=True)
-    p = command("qbound", _cmd_qbound, "prime-size implication at (q, M)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    command("group-info", _cmd_group_info, "order, lattice and series facts for one group", _GROUP)
-    command("group-suite", _cmd_group_suite, "all structural identities on one group", _GROUP)
-    command("union-bound", _cmd_union_bound, "count of H-cosets met by a union of cosets", _GROUP_COVER)
-    command("aligned-union", _cmd_aligned_union, "index-gcd bound for H-aligned unions", _GROUP_COVER)
-    command("uniform-cover", _cmd_uniform_cover, "exact index bound for a uniform cover", _GROUP_COVER)
-    command("max-index", _cmd_max_index, "multiplicity of the largest index", _GROUP_COVER)
-    p = command("hs-search", _cmd_hs_search, "hunt for a distinct-index partition")
-    p.add_argument("group", nargs="?", default=None, help="single group (default: catalog sweep)")
-    p.add_argument("--max-order", type=int, default=12, help="catalog sweep order cap")
-    p.add_argument("--all", action="store_true", help="sweep the whole catalog")
-    p = command("enumerate-covers", _cmd_enumerate_covers, "enumerate nontrivial uniform covers", _GROUP)
-    p.add_argument("--m", type=int, default=1, help="exact multiplicity of every element")
-    p.add_argument("--k", type=int, default=4, help="maximum number of cosets")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # refused by the full parser, whose usage lists every command
+        args = _build_parser().parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2

@@ -1,5 +1,6 @@
 """Tests for file formats, report rendering and command exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -248,12 +249,94 @@ def test_budget_flag_never_raises_the_cap(capsys):
 
 def test_exit_no_command(capsys):
     assert main([]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == cli._build_parser().format_help()
 
 
-def test_exit_unknown_command():
-    with pytest.raises(SystemExit):
+def test_exit_unknown_command(capsys):
+    with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
+    assert e.value.code == 2
+    usage = capsys.readouterr().err.split("\ncoverlab: error:")[0]
+    assert usage.startswith("usage: coverlab ")
+    assert "enumerate-covers" in usage
+
+
+# every command, in the order `coverlab -h` lists them
+COMMANDS = (
+    "verify-cover", "density", "mu", "density-check", "rogers", "level-gap",
+    "simpson", "bounds", "qbound", "group-info", "group-suite", "union-bound",
+    "aligned-union", "uniform-cover", "max-index", "hs-search", "enumerate-covers",
+)
+# arguments each command parses, where one positional "x" does not do
+PARSES = {"bounds": ["--M", "2"], "qbound": ["--q", "8", "--M", "2"]}
+# each command's own int option, where it has one
+INT_OPTION = {"level-gap": "--prime", "bounds": "--M", "qbound": "--M", "enumerate-covers": "--k"}
+
+
+def _usage_argv():
+    cases = [["-h"], ["--version"], ["nope"], ["--seed", "1"], ["simpson", "0/2", "1/2"]]
+    for name in COMMANDS:
+        ok = [name] + PARSES.get(name, ["x"])
+        cases += [[name, "-h"], [name, "--bogus"], [name, "--seed", "x"]]
+        cases += [ok + ["--format", "xml"], ok + ["extra"], ok + ["--vers"]]
+        if name != "hs-search":  # its group is optional: bare, it sweeps the catalog
+            cases.append([name])
+        if name in INT_OPTION:
+            cases.append([name, INT_OPTION[name], "x"])
+    return cases
+
+
+def _exit_outcome(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            call()
+            code = None
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _usage_argv(), ids=" ".join)
+def test_usage_matches_the_full_parser(argv, monkeypatch):
+    # main builds only the parser argv names; its help pages and usage
+    # errors must be the full parser's, compared in this interpreter
+    # because help headings differ between Python versions
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = _exit_outcome(lambda: cli._build_parser().parse_args(argv))
+        assert expected[0] is not None  # every case exits in the parser
+        assert _exit_outcome(lambda: main(argv)) == expected
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    assert main(["mu", "0/2 1/4 3/4"]) == 0
+    assert len(built) == 2  # the top parser and mu's
+
+
+def test_help_builds_every_command_parser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as e:
+        main(["-h"])
+    assert e.value.code == 0
+    assert [prog for prog in built if prog and prog.startswith("coverlab ")] == [
+        f"coverlab {name}" for name in COMMANDS
+    ]
+    out = capsys.readouterr().out
+    assert all(name in out for name in COMMANDS)
 
 
 EXIT_ZERO_ARGV = [
@@ -437,6 +520,18 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 141
+
+
+def test_import_builds_no_parser():
+    # parser construction belongs to main, not to the import every run pays
+    proc = _run_cli(
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]; "
+        "import coverlab.cli; assert built == [], len(built)",
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_commands_leave_numpy_unimported():
