@@ -20,10 +20,10 @@ fact at its mask.  Element labels are a fact at the full mask too:
 explicit labels are stored there at construction, and a permutation
 group's cycle strings are made from its perms on first read.
 
-The bundled catalog is checked at load: closure orders, counts per
-order, and distinct fingerprints within an order.  The subgroup count,
-the one fingerprint part that needs a lattice, is computed only for
-groups that tie on all the other parts.
+A lookup by catalog name realizes and checks only the named records:
+declared order, generators, degree, closure order and table.  The full
+load also checks counts per order and distinct fingerprints within an
+order, counting subgroups only inside a tie on every other part.
 
 Closures use Dimino's coset extension over a reduced generating set: each
 element of the mask that is not yet in the subgroup grows it by whole
@@ -52,7 +52,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Optional, Sequence
@@ -939,59 +939,74 @@ def fingerprint(G: FiniteGroup) -> tuple:
 
 # number of isomorphism classes of groups of order 1..16; the catalog is
 # complete per the standard classification, which we assume rather than
-# re-derive, but the file is counted against this table at load
+# re-derive, but the full load counts the file against this table
 _GROUPS_OF_ORDER = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
 
-_catalog_cache: Optional[tuple] = None
+
+class _Catalog:
+    """A catalog file's records by name, each realized at most once: one object per name."""
+
+    def __init__(self, text: str):
+        self.records: dict[str, GroupRecord] = {}
+        for rec in parse_group_records(text):
+            if self.records.setdefault(rec.name, rec) is not rec:
+                raise ValueError(f"catalog names {rec.name!r} twice")
+        self.groups: dict[str, FiniteGroup] = {}
+
+    def realize(self, names: Sequence[str]) -> tuple[FiniteGroup, ...]:
+        """The named groups; an unknown name is refused before any build."""
+        for name in names:
+            if name not in self.records:
+                raise KeyError(f"no catalog group named {name!r}")
+        for name in names:
+            if name not in self.groups:
+                self.groups[name] = realize_record(self.records[name])
+        return tuple(self.groups[name] for name in names)
+
+    @cached_property
+    def whole(self) -> tuple[FiniteGroup, ...]:
+        """Every group, once checked across records (see the module docstring)."""
+        groups = self.realize(tuple(self.records))
+        counts = Counter(g.order for g in groups)
+        for order, expected in enumerate(_GROUPS_OF_ORDER, 1):
+            if counts.get(order, 0) != expected:
+                raise ValueError(
+                    f"catalog has {counts.get(order, 0)} groups of order {order}, "
+                    f"classification says {expected}"
+                )
+        ties: dict[tuple, list] = {}  # keyed by the cheap parts, order first
+        for g in groups:
+            ties.setdefault(_cheap_fingerprint(g), []).append(g)
+        for tie in ties.values():
+            if len(tie) > 1 and len({fingerprint(g) for g in tie}) < len(tie):
+                raise ValueError(f"catalog fingerprint collision at order {tie[0].order}")
+        return groups
 
 
-def load_catalog() -> tuple[FiniteGroup, ...]:
-    """All groups of order <= 16, realized and validated once per
-    process.  The fingerprint check counts subgroups only for groups
-    that tie on every other fingerprint part: on the bundled file that
-    is C4:C4 and Q8xC2, so a load enumerates 2 lattices."""
+_catalog_cache: Optional[_Catalog] = None  # the bundled file, parsed on first read
+
+
+def _catalog() -> _Catalog:
     global _catalog_cache
     if _catalog_cache is None:
-        text = (
-            resources.files("coverlab").joinpath("data/groups_le16.txt").read_text()
-        )
-        _catalog_cache = _realize_catalog(text)
+        text = resources.files("coverlab").joinpath("data/groups_le16.txt").read_text()
+        _catalog_cache = _Catalog(text)
     return _catalog_cache
 
 
-def _realize_catalog(text: str) -> tuple[FiniteGroup, ...]:
-    """Realize every record of a catalog file and validate the whole.
-
-    Each record's closure order is checked, the count per order against
-    the classification, and full fingerprints must differ within an
-    order.  Only groups that tie on every part but the subgroup count
-    have their lattices enumerated for that last check."""
-    groups = tuple(realize_record(r) for r in parse_group_records(text))
-    counts = Counter(g.order for g in groups)
-    for order, expected in enumerate(_GROUPS_OF_ORDER, 1):
-        if counts.get(order, 0) != expected:
-            raise ValueError(
-                f"catalog has {counts.get(order, 0)} groups of order {order}, "
-                f"classification says {expected}"
-            )
-    ties: dict[tuple, list] = {}  # keyed by the cheap parts, order first
-    for g in groups:
-        ties.setdefault(_cheap_fingerprint(g), []).append(g)
-    for tie in ties.values():
-        if len(tie) > 1 and len({fingerprint(g) for g in tie}) < len(tie):
-            raise ValueError(f"catalog fingerprint collision at order {tie[0].order}")
-    return groups
+def load_catalog(*names: str) -> tuple[FiniteGroup, ...]:
+    """The named groups of the bundled catalog, or all 42 of order <= 16
+    with no names.  Only the full load checks across records; on the
+    bundled file it enumerates 2 lattices (C4:C4 and Q8xC2)."""
+    return _catalog().realize(names) if names else _catalog().whole
 
 
 def catalog_group(name: str) -> FiniteGroup:
-    for g in load_catalog():
-        if g.name == name:
-            return g
-    raise KeyError(f"no catalog group named {name!r}")
+    return load_catalog(name)[0]
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(g.name for g in load_catalog())
+    return tuple(_catalog().records)
 
 
 # ---------------------------------------------------------------------------

@@ -704,6 +704,75 @@ def test_coset_commands_share_one_reader(argv, capsys, monkeypatch):
     assert [args[0] for args in calls] == [argv[1]]
 
 
+def _count_realized(monkeypatch) -> list:
+    """Names of the catalog records realized from a fresh catalog read."""
+    realized = []
+    realize = group_module.realize_record
+
+    def counted(rec):
+        realized.append(rec.name)
+        return realize(rec)
+
+    monkeypatch.setattr(group_module, "_catalog_cache", None)
+    monkeypatch.setattr(group_module, "realize_record", counted)
+    return realized
+
+
+SD16_TRIVIAL_COVER = "group SD16\n" + "".join(f"{x} : \n" for x in range(16))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["group-info", "Q8"], "Q8"), (["uniform-cover", SD16_TRIVIAL_COVER], "SD16")],
+    ids=["group-info", "uniform-cover"],
+)
+def test_a_catalog_name_realizes_only_its_record(argv, name, capsys, monkeypatch):
+    realized = _count_realized(monkeypatch)
+    assert main(argv) == 0
+    assert realized == [name]
+
+
+def test_an_unknown_catalog_name_is_refused_before_any_build(capsys, monkeypatch):
+    realized = _count_realized(monkeypatch)
+    assert main(["group-info", "NoSuch"]) == 2
+    assert capsys.readouterr().err == "error: line 1: no catalog group named 'NoSuch'\n"
+    assert realized == []
+
+
+def test_a_catalog_sweep_realizes_and_checks_every_record(capsys, monkeypatch):
+    realized = _count_realized(monkeypatch)
+    cheap = []
+    fingerprint = group_module._cheap_fingerprint
+    monkeypatch.setattr(
+        group_module, "_cheap_fingerprint", lambda G: cheap.append(G) or fingerprint(G)
+    )
+    assert main(["hs-search", "--max-order", "1"]) == 0
+    assert len(realized) == len(set(realized)) == 42
+    assert {G.name for G in cheap} == set(realized)
+
+
+def test_a_duplicate_catalog_name_is_a_fault(capsys, monkeypatch):
+    parse = group_module.parse_group_records
+    monkeypatch.setattr(group_module, "_catalog_cache", None)
+    monkeypatch.setattr(group_module, "parse_group_records", lambda text: parse(text) + parse(text))
+    assert main(["group-info", "Q8"]) == 3
+    assert capsys.readouterr().err.endswith("\ninternal error: catalog names 'C1' twice\n")
+
+
+def test_catalog_lookups_share_one_object_per_name():
+    # a named lookup before the full load and one after it, fresh process
+    proc = _run_cli(
+        "from coverlab.group import _catalog_cache, catalog_group, catalog_names, load_catalog; "
+        "assert _catalog_cache is None; q8 = catalog_group('Q8'); "
+        "full = dict(zip(catalog_names(), load_catalog())); "
+        "assert full['Q8'] is q8 and catalog_group('S3') is full['S3']; "
+        "d4, again = load_catalog('D4', 'Q8'); assert d4 is full['D4'] and again is q8; "
+        "assert load_catalog() is load_catalog()",
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 # ---------------------------------------------------------------- output
 
 

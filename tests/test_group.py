@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import coverlab.group as group_module
 from coverlab.arith import factorize, is_prime
-from coverlab.errors import BudgetError
+from coverlab.errors import BudgetError, InputError
 from coverlab.group import (
     DEGREE_CAP,
     ORDER_CAP,
@@ -334,14 +334,14 @@ def test_catalog_check_refuses_an_injected_isomorphic_pair(monkeypatch):
 
     monkeypatch.setattr(group_module, "all_subgroups", counted)
     with pytest.raises(ValueError, match="catalog fingerprint collision at order 4$"):
-        group_module._realize_catalog(text.replace(c4, klein))
+        group_module._Catalog(text.replace(c4, klein)).whole
     assert sorted(lattices) == ["C2xC2", "V4"]
 
 
 def test_catalog_check_passes_the_shipped_cheap_tie():
     # C4:C4 and Q8xC2 agree on every fingerprint part but the subgroup
     # count (15 against 19), so the shipped catalog loads only through it
-    groups = group_module._realize_catalog(_shipped_catalog_text())
+    groups = group_module._Catalog(_shipped_catalog_text()).whole
     ties: dict[tuple, list] = {}
     for g in groups:
         ties.setdefault(group_module._cheap_fingerprint(g), []).append(g)
@@ -383,6 +383,40 @@ def test_catalog_file_matches_its_generator():
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_group("M11")
+
+
+def test_catalog_names_realize_nothing(monkeypatch):
+    names = tuple(g.name for g in load_catalog())
+    monkeypatch.setattr(group_module, "_catalog_cache", None)
+    monkeypatch.setattr(group_module, "realize_record", lambda rec: pytest.fail(rec.name))
+    assert catalog_names() == names
+
+
+def test_a_fresh_named_lookup_matches_the_full_load(monkeypatch):
+    for G in load_catalog():
+        monkeypatch.setattr(group_module, "_catalog_cache", None)
+        H = catalog_group(G.name)
+        assert H is not G
+        assert (H.perms, H.table) == (G.perms, G.table), G.name
+
+
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        ("order 8", "order 16", InputError, "close to order 8, record says 16"),
+        ("order 8", "order 201", BudgetError, "above the order cap"),
+        ("degree 8", "degree 100000000", BudgetError, "above the degree cap"),
+        ("(1 2 5 6)(3 8 7 4)", "(1 2 5 9)", InputError, "out of range"),
+    ],
+)
+def test_a_named_lookup_keeps_its_record_checks(old, new, error, message):
+    text = _shipped_catalog_text()
+    q8 = text[text.index("group Q8\n") :]
+    q8 = q8[: q8.index("end\n")]
+    catalog = group_module._Catalog(text.replace(q8, q8.replace(old, new)))
+    with pytest.raises(error, match=message):
+        catalog.realize(("Q8",))
+    assert catalog.realize(("D4",))[0].order == 8
 
 
 # ----------------------------------------------------------- construction
