@@ -4,129 +4,10 @@ Exact verification of covering identities and index bounds, prime-power
 threshold functions, a small-group catalog with subgroup machinery, and
 desk-scale exhaustive searches.  Everything that can be exact is exact;
 floating point appears only in clearly labelled diagnostics.
-"""
 
-from .arith import (
-    Factorization,
-    Rational,
-    divisor_list,
-    euler_factors,
-    euler_phi,
-    euler_product,
-    factorize,
-    gcd_lcm,
-    is_prime,
-    least_prime,
-    mertens_product,
-    prime_counts,
-    primes_upto,
-    set_sieve_capacity,
-    sieve_capacity,
-)
-from .bounds import (
-    BoundReport,
-    QBoundReport,
-    alpha_floor,
-    bound_report,
-    c_of,
-    c_range,
-    check_q_bound,
-    mertens_holds_at,
-)
-from .errors import (
-    BudgetError,
-    InputError,
-    PeriodBudgetError,
-    SearchBudgetError,
-    SieveCapacityError,
-)
-from .gcover import (
-    AlignedUnionReport,
-    CosetSystem,
-    CoverStream,
-    EqualPairReport,
-    HsSearchResult,
-    KernelReport,
-    MaxIndexReport,
-    SquarefreeBound,
-    UniformCoverReport,
-    UnionBoundReport,
-    WeightProfile,
-    check_aligned_union_bound,
-    check_uniform_cover,
-    check_union_lower_bound,
-    enumerate_uniform_covers,
-    feasible_distinct_index_sets,
-    kernel_of,
-    probe_max_index_multiplicity,
-    reciprocal_index_sum,
-    search_distinct_index_partition,
-    weight_profile,
-)
-from .group import (
-    FiniteGroup,
-    GroupRecord,
-    Subgroup,
-    SubnormalityReport,
-    SuiteLine,
-    all_subgroups,
-    catalog_group,
-    catalog_names,
-    center_mask,
-    check_core_primes,
-    check_core_sylow_exclusion,
-    check_hall_normality,
-    check_index_intersection,
-    check_pyramidal_sylow,
-    check_solvable_tower,
-    core_excluded_primes,
-    core_of,
-    cyclic_group,
-    cycles_str,
-    derived_series,
-    fingerprint,
-    full_subgroup,
-    group_from_generators,
-    hall_subgroup,
-    has_normal_sylow,
-    is_normal,
-    is_pyramidal,
-    is_solvable,
-    is_subnormal,
-    left_coset_mask,
-    load_catalog,
-    parse_cycles,
-    parse_group_records,
-    prime_quotient_series,
-    pyramidal_chain,
-    quotient_group,
-    realize_record,
-    structural_suite,
-    subgroup_as_group,
-    subgroup_closure,
-    sylow_subgroup,
-    trivial_subgroup,
-)
-from .zcover import (
-    CoverClassification,
-    DualCheck,
-    LevelGapReport,
-    MultiplicityProfile,
-    ResidueClass,
-    ResidueSystem,
-    RogersReport,
-    SimpsonReport,
-    check_density_identity,
-    check_level_gap,
-    check_level_gaps,
-    check_rogers,
-    check_simpson,
-    classify,
-    density_union,
-    generate_exact_cover,
-    largest_modulus_multiplicity,
-    multiplicity_profile,
-    mu_of_divisor_closure,
-)
+Public names are imported from their own module (coverlab.arith,
+coverlab.zcover, coverlab.group, ...), so importing one layer loads only
+the layers it uses.
+"""
 
 __version__ = "0.1.0"

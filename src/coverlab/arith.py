@@ -2,13 +2,13 @@
 
 All rational arithmetic goes through fractions.Fraction, which already
 gives reduced arbitrary-precision fractions (denominator > 0, gcd of
-numerator and denominator equal to 1).  The alias Rational below is the
-single rational type of the package; nothing here ever compares floats
-where an exact comparison is possible.
+numerator and denominator equal to 1); it is the single rational type of
+the package, and nothing here ever compares floats where an exact
+comparison is possible.
 
 Primes come from a lazily grown sieve of Eratosthenes with a hard
-capacity (default 10**7).  Asking for primes beyond the capacity raises
-SieveCapacityError instead of silently thrashing.
+capacity, SIEVE_CAPACITY (10**7).  Asking for primes beyond the capacity
+raises SieveCapacityError instead of silently thrashing.
 """
 
 from __future__ import annotations
@@ -21,36 +21,18 @@ from typing import Iterable
 
 from .errors import InputError, SieveCapacityError
 
-Rational = Fraction
+SIEVE_CAPACITY = 10_000_000
 
-DEFAULT_SIEVE_CAPACITY = 10_000_000
-
-_capacity = DEFAULT_SIEVE_CAPACITY
 _sieved_to = 1
 _primes: list[int] = []
-
-
-def sieve_capacity() -> int:
-    """Current hard cap on sieve size."""
-    return _capacity
-
-
-def set_sieve_capacity(capacity: int) -> None:
-    """Raise or lower the sieve cap.  Cannot drop below what is already sieved."""
-    global _capacity
-    if capacity < _sieved_to:
-        raise InputError(f"capacity {capacity} below already sieved bound {_sieved_to}")
-    _capacity = capacity
 
 
 def _extend_sieve(limit: int) -> None:
     global _sieved_to, _primes
     if limit <= _sieved_to:
         return
-    if limit > _capacity:
-        raise SieveCapacityError(f"primes up to {limit} requested, capacity is {_capacity}")
     # grow geometrically so repeated small requests do not resieve
-    limit = min(max(limit, 2 * _sieved_to, 1 << 10), _capacity)
+    limit = min(max(limit, 2 * _sieved_to, 1 << 10), SIEVE_CAPACITY)
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
@@ -64,8 +46,8 @@ def primes_upto(x: int) -> list[int]:
     """All primes p <= x, ascending.  x above the sieve capacity is an error."""
     if x < 2:
         return []
-    if x > _capacity:
-        raise SieveCapacityError(f"primes up to {x} requested, capacity is {_capacity}")
+    if x > SIEVE_CAPACITY:
+        raise SieveCapacityError(f"primes up to {x} requested, capacity is {SIEVE_CAPACITY}")
     _extend_sieve(x)
     return _primes[: bisect_right(_primes, x)]
 

@@ -30,7 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import euler_factors, mertens_product, prime_counts, primes_upto, sieve_capacity
+from .arith import (
+    SIEVE_CAPACITY, euler_factors, mertens_product, prime_counts, primes_upto
+)
 from .errors import InputError, SieveCapacityError
 
 ZETA2 = math.pi**2 / 6
@@ -54,15 +56,14 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
         raise InputError(f"c(M) is defined here for M >= 2, got {m_lo}")
     if m_hi < m_lo:
         raise InputError("empty range")
-    capacity = sieve_capacity()
-    bound = min(_scan_bound(m_hi), capacity)
+    bound = min(_scan_bound(m_hi), SIEVE_CAPACITY)
     while True:
         out = _try_c_range(m_lo, m_hi, bound)
         if out is not None:
             return out
-        if bound == capacity:
-            raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {capacity}")
-        bound = min(2 * bound, capacity)
+        if bound == SIEVE_CAPACITY:
+            raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
+        bound = min(2 * bound, SIEVE_CAPACITY)
 
 
 class _Prefix(NamedTuple):

@@ -652,8 +652,12 @@ def _exact_covers(
     of m, with picks made in a row for one item nondecreasing in position,
     so each multiset appears once.  A branch is cut when the mass missing
     exceeds the free slots times the largest option allowed; the first
-    node past nodes.budget raises SearchBudgetError.
+    node past nodes.budget raises SearchBudgetError.  Each item lies in m
+    of the options picked, so none is found when m exceeds k_max, and that
+    answer comes before anything is sized by m.
     """
+    if m > k_max:
+        return
     sizes = [mask.bit_count() for mask in masks]
     holders = [[i for i, mk in enumerate(masks) if mk >> x & 1] for x in range(n_items)]
     picked: list[int] = []

@@ -85,17 +85,33 @@ class ResidueSystem:
 
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """Exact summary of w(x) over one period.
+    """Exact summary of w(x) over one period of a system of k classes.
 
     covered counts the residues with w >= 1; sum_w always equals the sum
-    over classes of period // modulus (double count).
+    over classes of period // modulus (double count).  The system is
+    trivial exactly when every modulus is 1.
     """
 
+    k: int
     period: int
     min_w: int
     max_w: int
     sum_w: int
     covered: int
+    is_trivial: bool
+
+    @property
+    def is_cover(self) -> bool:
+        return self.min_w >= 1
+
+    @property
+    def is_exact(self) -> bool:
+        return self.min_w == self.max_w == 1
+
+    @property
+    def uniform_m(self) -> Optional[int]:
+        """The constant value of w, None when w is not constant."""
+        return self.min_w if self.min_w == self.max_w else None
 
 
 def multiplicity_profile(
@@ -113,8 +129,10 @@ def multiplicity_profile(
         raise PeriodBudgetError(f"period {period} exceeds budget {budget}")
     full = (1 << period) - 1
     min_w, max_w, covered, _ = profile(full, _batch_masks(system, full))
-    sum_w = sum(period // n for n in system.moduli())
-    return MultiplicityProfile(period, min_w, max_w, sum_w, covered)
+    moduli = system.moduli()
+    sum_w = sum(period // n for n in moduli)
+    trivial = all(n == 1 for n in moduli)
+    return MultiplicityProfile(len(system), period, min_w, max_w, sum_w, covered, trivial)
 
 
 def _batch_masks(system: ResidueSystem, full: int) -> Iterator[int]:
@@ -138,39 +156,11 @@ def _batch_masks(system: ResidueSystem, full: int) -> Iterator[int]:
         yield mask
 
 
-@dataclass(frozen=True)
-class CoverClassification:
-    k: int
-    period: int
-    min_w: int
-    max_w: int
-    covered: int
-    is_cover: bool
-    is_exact: bool
-    uniform_m: Optional[int]
-    is_trivial: bool
-
-
 def classify(
     system: ResidueSystem, period_budget: Optional[int] = None
-) -> CoverClassification:
-    """Cover / exact cover / uniform m-cover flags from one period scan.
-
-    The system is trivial exactly when every modulus is 1.
-    """
-    prof = multiplicity_profile(system, period_budget)
-    uniform = prof.min_w == prof.max_w
-    return CoverClassification(
-        k=len(system),
-        period=prof.period,
-        min_w=prof.min_w,
-        max_w=prof.max_w,
-        covered=prof.covered,
-        is_cover=prof.min_w >= 1,
-        is_exact=prof.min_w == 1 and prof.max_w == 1,
-        uniform_m=prof.min_w if uniform else None,
-        is_trivial=all(n == 1 for n in system.moduli()),
-    )
+) -> MultiplicityProfile:
+    """Cover / exact cover / uniform m-cover flags from one period scan."""
+    return multiplicity_profile(system, period_budget)
 
 
 def density_union(

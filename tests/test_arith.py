@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverlab.arith import (
+    SIEVE_CAPACITY,
     Factorization,
-    Rational,
     divisor_list,
     euler_phi,
     euler_product,
@@ -21,8 +21,6 @@ from coverlab.arith import (
     mertens_product,
     prime_counts,
     primes_upto,
-    set_sieve_capacity,
-    sieve_capacity,
 )
 from coverlab.errors import SieveCapacityError
 
@@ -47,10 +45,6 @@ def brute_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def test_rational_is_exact_fraction():
-    assert Rational is Fraction
-
-
 # ------------------------------------------------------------------- primes
 
 
@@ -68,14 +62,7 @@ def test_is_prime_against_sieve():
 
 def test_capacity_refusal():
     with pytest.raises(SieveCapacityError):
-        primes_upto(sieve_capacity() + 1)
-
-
-def test_capacity_cannot_drop_below_sieved():
-    primes_upto(100)  # force some sieving
-    with pytest.raises(ValueError):
-        set_sieve_capacity(1)
-    set_sieve_capacity(sieve_capacity())  # no-op is fine
+        primes_upto(SIEVE_CAPACITY + 1)
 
 
 # -------------------------------------------------------------- factorize

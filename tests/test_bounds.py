@@ -133,7 +133,8 @@ def test_threshold_scan_builds_no_fraction(monkeypatch):
 def test_c_range_stops_at_the_sieve_capacity(monkeypatch):
     # 3 M ln M asks for about 45,700 at M = 2000, past a 40,000 sieve,
     # but c(2000) lies below it
-    monkeypatch.setattr(arith_module, "_capacity", 40000)
+    monkeypatch.setattr(arith_module, "SIEVE_CAPACITY", 40000)
+    monkeypatch.setattr(bounds_module, "SIEVE_CAPACITY", 40000)
     assert c_range(2000, 2000) == {2000: 37542}
     with pytest.raises(SieveCapacityError, match="40000"):
         c_range(3000, 3000)  # c(3000) = 58700

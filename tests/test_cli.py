@@ -339,6 +339,33 @@ def test_help_builds_every_command_parser(capsys, monkeypatch):
     assert all(name in out for name in COMMANDS)
 
 
+A4_IN_A5 = ["(1 2 3)", "(1 2)(3 4)"]
+D5_IN_A5 = ["(1 2 3 4 5)", "(2 5)(3 4)"]
+
+
+def a5_cosets_text(*subgroups):
+    """Every left coset of each subgroup (given by generators) of A5, as an
+    inline record."""
+    gens = ["(1 2 3 4 5)", "(1 2 3)"]
+    G = group_from_generators(5, gens, name="A5")
+    lines = ["group A5", "degree 5"] + [f"gen {g}" for g in gens] + ["order 60", "end"]
+    for sub in subgroups:
+        H = subgroup_closure(G, [G.perms.index(parse_cycles(5, c)) for c in sub])
+        seen = 0
+        for x in range(G.order):
+            if not seen >> x & 1:
+                seen |= left_coset_mask(G, x, H)
+                lines.append(f"{cycles_str(G.perms[x]) if x else 'e'} : {' '.join(sub)}")
+    return "\n".join(lines) + "\n"
+
+
+# the cosets of A4 (index 5) and of D5 (index 6): a uniform 2-cover under no
+# hypothesis of the index bound
+A5_TWO_COVER = a5_cosets_text(A4_IN_A5, D5_IN_A5)
+# the five cosets of A4 alone: condition a holds only vacuously
+A5_A4_COSETS = a5_cosets_text(A4_IN_A5)
+
+
 EXIT_ZERO_ARGV = [
     ["density", "0/2 1/3"],
     ["mu", "0/2 1/4 3/4"],
@@ -358,6 +385,11 @@ EXIT_ZERO_ARGV = [
     ["uniform-cover", "group C4\n0 : 2\n1 : \n3 : \n"],
     ["union-bound", "group C12\n0 : 2\n1 : 3\n"],
     ["aligned-union", "group C12\nH : 6\n0 : 3\n1 : 3\n5 : 3\n"],
+    # report branches no other input reaches: the squarefree multiplicity
+    # line, case d with both branches, and condition a held vacuously
+    ["uniform-cover", "group S3\n0 : 2 5\n1 : 2 5\n"],
+    ["aligned-union", "group S3\n0 : 1\n2 : 1\n3 : 1\n"],
+    ["uniform-cover", A5_A4_COSETS],
 ]
 
 
@@ -543,6 +575,42 @@ def test_commands_leave_numpy_unimported():
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_uniform_m_above_k_allocates_nothing():
+    # every element lies in exactly m cosets, so a uniform m-cover has at
+    # least m of them: with m above k there is none, and the answer comes
+    # before anything is sized by m; the child caps its own address space
+    argv = ["coverlab", "enumerate-covers", "C6", "--k", "3", "--m", "1000000000"]
+    code = (
+        "import resource, runpy, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        f"sys.argv = {argv!r}; "
+        "runpy.run_module('coverlab.cli', run_name='__main__', alter_sys=True)"
+    )
+    start = time.perf_counter()
+    proc = _run_cli(code, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert "  covers = 0" in proc.stdout.splitlines()
+    assert elapsed < 1.0
+
+
+def test_a_layer_loads_only_what_it_imports():
+    def loaded(module):
+        proc = _run_cli(
+            f"import sys, {module}; "
+            "print(*sorted(m for m in sys.modules if m.startswith('coverlab')))",
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert loaded("coverlab.arith") == ["coverlab", "coverlab.arith", "coverlab.errors"]
+    assert {"coverlab.bounds", "coverlab.gcover", "coverlab.group"}.isdisjoint(
+        loaded("coverlab.zcover")
+    )
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch):
@@ -825,25 +893,6 @@ def test_uniform_cover_witnesses(capsys):
     out = capsys.readouterr().out
     assert "* index-bound = true" in out
     assert "* equal-index-pair = true" in out
-
-
-def a5_two_cover_text():
-    """The cosets of A4 (index 5) and of D5 (index 6) in A5, as an inline
-    record: a uniform 2-cover under no hypothesis of the index bound."""
-    gens = ["(1 2 3 4 5)", "(1 2 3)"]
-    G = group_from_generators(5, gens, name="A5")
-    lines = ["group A5", "degree 5"] + [f"gen {g}" for g in gens] + ["order 60", "end"]
-    for sub in (["(1 2 3)", "(1 2)(3 4)"], ["(1 2 3 4 5)", "(2 5)(3 4)"]):
-        H = subgroup_closure(G, [G.perms.index(parse_cycles(5, c)) for c in sub])
-        seen = 0
-        for x in range(G.order):
-            if not seen >> x & 1:
-                seen |= left_coset_mask(G, x, H)
-                lines.append(f"{cycles_str(G.perms[x]) if x else 'e'} : {' '.join(sub)}")
-    return "\n".join(lines) + "\n"
-
-
-A5_TWO_COVER = a5_two_cover_text()
 
 
 def test_uniform_cover_non_solvable_inline_record(capsys):

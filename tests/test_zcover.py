@@ -18,7 +18,6 @@ from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
     _batch_masks,
     _inclusion_exclusion_covered,
-    CoverClassification,
     ResidueClass,
     ResidueSystem,
     check_density_identity,
@@ -239,6 +238,8 @@ def test_double_counting(s):
 def test_classify_exact():
     c = classify(EXACT4)
     assert c.is_cover and c.is_exact and c.uniform_m == 1 and not c.is_trivial
+    # the flags are read off the one profile record
+    assert c == multiplicity_profile(EXACT4) and (c.k, c.period) == (3, 4)
 
 
 def test_classify_uniform_2():
