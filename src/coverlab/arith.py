@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, SieveCapacityError
 
@@ -74,8 +73,7 @@ def _balanced_prod(values: list[int]) -> int:
     return values[0]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization n = prod p**e with the pairs sorted by p."""
 
     n: int

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -195,8 +194,7 @@ def alpha_floor(c: int) -> tuple[int, bool]:
     return math.floor(v), False
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Derived quantities at one multiplicity bound M.
 
     l_value is (2 + log2(zeta(2) c)) * pi(c) * log c in binary64;
@@ -236,8 +234,7 @@ def bound_report(M: int) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class QBoundReport:
+class QBoundReport(NamedTuple):
     """q < M prod_{p <= q} p/(p-1) forces q < c(M)."""
 
     q: int

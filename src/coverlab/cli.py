@@ -42,7 +42,6 @@ import re
 import sys
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -270,23 +269,21 @@ def serialize_group_cover(cover: CosetSystem, H: Optional[Subgroup] = None) -> s
 # ---------------------------------------------------------------- reporting
 
 
-@dataclass
 class Verdict:
-    name: str
-    value: object
-    witness: Optional[dict] = None
-    asserted: bool = False
+    __slots__ = ("name", "value", "witness", "asserted")
+
+    def __init__(self, name: str, value: object, witness: Optional[dict], asserted: bool):
+        self.name, self.value, self.witness, self.asserted = name, value, witness, asserted
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    verdicts: list[Verdict] = field(default_factory=list)
-    seed: Optional[int] = None
-    warnings: list[str] = field(default_factory=list)
-    truncated: bool = False
-    version: str = __version__
+    __slots__ = ("command", "inputs", "seed", "verdicts", "warnings", "truncated")
+
+    def __init__(self, command: str, seed: Optional[int]):
+        self.command, self.inputs, self.seed = command, {}, seed
+        self.verdicts: list[Verdict] = []
+        self.warnings: list[str] = []
+        self.truncated = False
 
     def info(self, name, value, witness=None):
         self.verdicts.append(Verdict(name, value, witness, asserted=False))
@@ -325,7 +322,7 @@ def _fmt(value) -> str:
 
 
 def render_text(report: Report) -> str:
-    lines = [f"coverlab {report.version}", f"command: {report.command}"]
+    lines = [f"coverlab {__version__}", f"command: {report.command}"]
     lines.append(f"seed: {_fmt(report.seed)}")
     if report.inputs:
         lines.append("inputs:")
@@ -378,7 +375,7 @@ def render_json(report: Report) -> str:
         "warnings": list(report.warnings),
         "truncated": report.truncated,
         "status": "pass" if report.passed else "fail",
-        "version": report.version,
+        "version": __version__,
     }
     return json.dumps(tree, sort_keys=True, indent=2)
 
@@ -781,7 +778,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    report = Report(args.command, {}, seed=args.seed)
+    report = Report(args.command, args.seed)
     try:
         args.handler(args, report)
     except InputError as e:

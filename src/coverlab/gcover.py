@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from operator import and_, or_
 from types import MappingProxyType
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .arith import divisor_list, euler_product, factorize
 from .errors import InputError, SearchBudgetError
@@ -62,32 +61,40 @@ EntryLike = tuple[int, Union[Subgroup, int]]
 # ------------------------------------------------------------------ systems
 
 
-@dataclass(frozen=True)
 class CosetSystem:
     """Left cosets rep*sub over one parent group, in given order.
 
     Entries may repeat; n_i denotes the index of the i-th subgroup.
     masks holds the coset of each entry as a bitmask: computed here
-    unless a caller that already holds them hands them over.
+    unless a caller that already holds them hands them over.  Two
+    systems are equal when their parents and entries are; masks do not
+    take part.
     """
 
-    parent: FiniteGroup
-    entries: tuple[tuple[int, Subgroup], ...]
-    masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("parent", "entries", "masks")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, parent: FiniteGroup, entries: tuple[tuple[int, Subgroup], ...],
+                 masks: tuple[int, ...] = ()):
+        if not entries:
             raise InputError("coset system needs at least one entry")
-        for rep, sub in self.entries:
-            if sub.parent is not self.parent:
+        for rep, sub in entries:
+            if sub.parent is not parent:
                 raise ValueError("entry subgroup belongs to a different group")
-            if not 0 <= rep < self.parent.order:
+            if not 0 <= rep < parent.order:
                 raise InputError(f"representative {rep} out of range")
-        if not self.masks:
-            masks = tuple(left_coset_mask(self.parent, rep, sub) for rep, sub in self.entries)
-            object.__setattr__(self, "masks", masks)
-        elif len(self.masks) != len(self.entries):
+        if not masks:
+            masks = tuple(left_coset_mask(parent, rep, sub) for rep, sub in entries)
+        elif len(masks) != len(entries):
             raise ValueError("one coset mask per entry needed")
+        self.parent, self.entries, self.masks = parent, entries, masks
+
+    def __eq__(self, other):
+        if not isinstance(other, CosetSystem):
+            return NotImplemented
+        return (self.parent, self.entries) == (other.parent, other.entries)
+
+    def __hash__(self):
+        return hash((self.parent, self.entries))
 
     @staticmethod
     def from_pairs(G: FiniteGroup, pairs: Sequence[EntryLike]) -> "CosetSystem":
@@ -123,8 +130,7 @@ class CosetSystem:
         )
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     """Covering multiplicities w(x) = #{i : x in a_i G_i} per element."""
 
     counts: tuple[int, ...]
@@ -207,8 +213,7 @@ def _is_union_of(union: int, cosets: Sequence[int]) -> bool:
 # ------------------------------------------------------------------- kernel
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """The subgroup of right translations preserving the weight function."""
 
     kernel: Subgroup
@@ -229,12 +234,15 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
     """
     G = cover.parent
     masks = cover.masks
-    w = weight_profile(cover).counts
-    kmask = 0
-    for x in range(G.order):
-        col = [row[x] for row in G.table]
-        if all(w[col[g]] == w[g] for g in range(G.order)):
-            kmask |= 1 << x
+    prof = weight_profile(cover)
+    if prof.uniform_m is not None:  # every translation keeps a constant w
+        kmask = G.full_mask()
+    else:
+        w, kmask = prof.counts, 0
+        for x in range(G.order):
+            col = [row[x] for row in G.table]
+            if all(w[col[g]] == w[g] for g in range(G.order)):
+                kmask |= 1 << x
     kernel = Subgroup(G, kmask)
 
     subs = [sub.mask for _, sub in cover.entries]
@@ -270,8 +278,7 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
 # ------------------------------------------------- union-of-cosets bounds
 
 
-@dataclass(frozen=True)
-class UnionBoundReport:
+class UnionBoundReport(NamedTuple):
     """H-cosets met by the union, against index-multiple counts below h."""
 
     index_h: int
@@ -315,8 +322,7 @@ def check_union_lower_bound(
     return UnionBoundReport(index_h=h, indices=ns, lhs=met, rhs=rhs, hypothesis=hyp)
 
 
-@dataclass(frozen=True)
-class AlignedUnionReport:
+class AlignedUnionReport(NamedTuple):
     """Index-gcd bound for unions that are exactly unions of H-cosets.
 
     lhs = (n_1,...,n_k) / (h,n_1,...,n_k); rhs = max index multiplicity
@@ -390,8 +396,7 @@ def check_aligned_union_bound(
 # ------------------------------------------------------- uniform covers
 
 
-@dataclass(frozen=True)
-class SquarefreeBound:
+class SquarefreeBound(NamedTuple):
     """Multiplicity floor for uniform covers of squarefree-order groups."""
 
     product_bound: Fraction
@@ -403,8 +408,7 @@ class SquarefreeBound:
         return self.multiplicity >= self.product_bound >= self.weak_bound
 
 
-@dataclass(frozen=True)
-class EqualPairReport:
+class EqualPairReport(NamedTuple):
     """Existence of two equal indices divisible by the designated prime."""
 
     prime: int
@@ -418,8 +422,7 @@ class EqualPairReport:
         return not self.applicable or self.pair is not None
 
 
-@dataclass(frozen=True)
-class UniformCoverReport:
+class UniformCoverReport(NamedTuple):
     """Exact index bound at the largest prime of the index lcm.
 
     The inequality compares prime**beta with epsilon * top_multiplicity
@@ -597,8 +600,7 @@ def reciprocal_index_sum(cover: CosetSystem) -> Fraction:
     return sum((Fraction(1, n) for n in cover.indices()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class MaxIndexReport:
+class MaxIndexReport(NamedTuple):
     """Multiplicity of the largest index against its least prime factor."""
 
     n_max: int
@@ -630,13 +632,13 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
 # ------------------------------------------------------------ exact covers
 
 
-@dataclass
 class _Nodes:
     """Nodes spent by one search; the first past budget is refused as what."""
 
-    budget: int
-    what: str
-    spent: int = 0
+    __slots__ = ("budget", "what", "spent")
+
+    def __init__(self, budget: int, what: str):
+        self.budget, self.what, self.spent = budget, what, 0
 
 
 def _exact_covers(
@@ -758,8 +760,7 @@ def enumerate_uniform_covers(
 # ---------------------------------------------------------------- searches
 
 
-@dataclass(frozen=True)
-class HsSearchResult:
+class HsSearchResult(NamedTuple):
     """Outcome of the distinct-index partition hunt on one group."""
 
     group: str

@@ -51,11 +51,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import factorize, is_prime
 from .errors import BudgetError, InputError
@@ -299,16 +297,15 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup of a fixed parent group, stored as a member bitmask."""
 
-    parent: FiniteGroup
-    mask: int
+    __slots__ = ("parent", "mask")
 
-    def __post_init__(self):
-        if not self.parent.is_subgroup_mask(self.mask):
+    def __init__(self, parent: FiniteGroup, mask: int):
+        if not parent.is_subgroup_mask(mask):
             raise InputError("mask is not closed under the group operation")
+        self.parent, self.mask = parent, mask
 
     def __eq__(self, other):
         return (
@@ -608,8 +605,7 @@ def _core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, mask)
 
 
-@dataclass(frozen=True)
-class SubnormalityReport:
+class SubnormalityReport(NamedTuple):
     """Descending normal-closure chain from G down toward H.
 
     chain[0] is G; each later entry is the normal closure of H in the
@@ -807,8 +803,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
 
 # ------------------------------------------------------------------- catalog
 
-@dataclass(frozen=True)
-class GroupRecord:
+class GroupRecord(NamedTuple):
     """One parsed group file record."""
 
     name: str
@@ -989,6 +984,9 @@ _catalog_cache: Optional[_Catalog] = None  # the bundled file, parsed on first r
 def _catalog() -> _Catalog:
     global _catalog_cache
     if _catalog_cache is None:
+        # imported here: from Python 3.12 on, importlib.resources imports inspect
+        from importlib import resources
+
         text = resources.files("coverlab").joinpath("data/groups_le16.txt").read_text()
         _catalog_cache = _Catalog(text)
     return _catalog_cache
@@ -1100,8 +1098,7 @@ def check_solvable_tower(G: FiniteGroup, p: int) -> bool:
     return direct == (series is not None)
 
 
-@dataclass(frozen=True)
-class SuiteLine:
+class SuiteLine(NamedTuple):
     name: str
     holds: bool
     checked: int

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import (
     divisor_list, euler_phi, euler_product, factorize, is_prime, least_prime
@@ -27,18 +26,25 @@ from .levels import profile
 DEFAULT_PERIOD_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
 class ResidueClass:
     """The arithmetic progression residue + modulus * Z, 0 <= residue < modulus."""
 
-    residue: int
-    modulus: int
+    __slots__ = ("residue", "modulus")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InputError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise InputError(f"residue {self.residue} not in [0, {self.modulus})")
+    def __init__(self, residue: int, modulus: int):
+        if modulus < 1:
+            raise InputError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= residue < modulus:
+            raise InputError(f"residue {residue} not in [0, {modulus})")
+        self.residue, self.modulus = residue, modulus
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueClass):
+            return NotImplemented
+        return (self.residue, self.modulus) == (other.residue, other.modulus)
+
+    def __hash__(self):
+        return hash((self.residue, self.modulus))
 
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
@@ -47,16 +53,23 @@ class ResidueClass:
         return f"{self.residue}/{self.modulus}"
 
 
-@dataclass(frozen=True)
 class ResidueSystem:
     """A finite nonempty list of residue classes, input order preserved."""
 
-    classes: tuple[ResidueClass, ...]
+    __slots__ = ("classes",)
 
-    def __post_init__(self):
+    def __init__(self, classes: Iterable[ResidueClass]):
+        self.classes = tuple(classes)
         if not self.classes:
             raise InputError("a residue system needs at least one class")
-        object.__setattr__(self, "classes", tuple(self.classes))
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueSystem):
+            return NotImplemented
+        return self.classes == other.classes
+
+    def __hash__(self):
+        return hash(self.classes)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "ResidueSystem":
@@ -83,8 +96,7 @@ class ResidueSystem:
         return " ".join(str(c) for c in self.classes)
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(NamedTuple):
     """Exact summary of w(x) over one period of a system of k classes.
 
     covered counts the residues with w >= 1; sum_w always equals the sum
@@ -185,8 +197,7 @@ def mu_of_divisor_closure(values: Iterable[int]) -> int:
     return sum(euler_phi(d) for d in closure)
 
 
-@dataclass(frozen=True)
-class DualCheck:
+class DualCheck(NamedTuple):
     """Two independent computations of one quantity, kept for reporting."""
 
     lhs: Fraction
@@ -233,8 +244,7 @@ def check_density_identity(
     return DualCheck(lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class RogersReport:
+class RogersReport(NamedTuple):
     period: int
     shifted_covered: int
     zeroed_covered: int
@@ -257,8 +267,7 @@ def check_rogers(
     return RogersReport(prof.period, prof.covered, zero)
 
 
-@dataclass(frozen=True)
-class LevelGapReport:
+class LevelGapReport(NamedTuple):
     """Cyclic-case index bound at one designated prime and level alpha.
 
     lam is the set of p-adic orders of the moduli at the designated
@@ -365,8 +374,7 @@ def check_level_gap(
     return check_level_gaps(system, prime, (alpha,), period_budget)[0]
 
 
-@dataclass(frozen=True)
-class SimpsonReport:
+class SimpsonReport(NamedTuple):
     period: int
     largest_prime: int
     max_multiplicity: int

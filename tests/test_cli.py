@@ -9,9 +9,12 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import coverlab.group as group_module
 from coverlab import cli, zcover
@@ -76,7 +79,8 @@ def test_cover_round_trip_random():
             n = rng.randint(1, 60)
             pairs.append((rng.randrange(n), n))
         system = ResidueSystem.from_pairs(pairs)
-        assert parse_cover_file(serialize_cover(system)) == system
+        parsed = parse_cover_file(serialize_cover(system))
+        assert parsed == system and hash(parsed) == hash(system)
 
 
 def test_cover_parse_errors():
@@ -577,6 +581,20 @@ def test_commands_leave_numpy_unimported():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # decorating classes with dataclasses, and the inspect import it pulls
+    # in, was a third of a cold start; records are NamedTuples and plain
+    # classes, so a command loads neither
+    proc = _run_cli(
+        "import sys, coverlab.cli; unwanted = {'dataclasses', 'inspect'}; "
+        "assert not unwanted & set(sys.modules), unwanted & set(sys.modules); "
+        "assert coverlab.cli.main(['verify-cover', '0/2 1/2']) == 0; "
+        "assert not unwanted & set(sys.modules), unwanted & set(sys.modules)",
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_uniform_m_above_k_allocates_nothing():
     # every element lies in exactly m cosets, so a uniform m-cover has at
     # least m of them: with m above k there is none, and the answer comes
@@ -1060,7 +1078,10 @@ GOLDEN_IDS = [f"{a[0]}-{a[-1]}" for a in GOLDEN_REPORTS] + list(GOLDEN_REFUSALS)
 def golden_record(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -1073,6 +1094,78 @@ def test_golden_report(index):
     # exit code, stdout and stderr byte for byte as recorded
     record = json.loads(GOLDEN_PATH.read_text())[index]
     assert golden_record(record["argv"]) == record
+
+
+# ------------------------------------------------------------------- fuzz
+
+FUZZ_NUMBERS = (-1, 0, 1, 2, 3, 5, 8, 24, 1000)
+FUZZ_CHARS = "0123456789 /:()#-eHx\n"
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One edit of a golden input: a flag's number replaced, a text
+    argument spliced (up to 2 characters cut, up to 3 put in), or a
+    --budget added.  The numbers stay small enough that no case sieves to
+    the capacity or searches for long."""
+    seeds = st.sampled_from(EXIT_ZERO_ARGV) | st.sampled_from(list(GOLDEN_REFUSALS.values()))
+    argv = list(draw(seeds))
+    i = draw(st.integers(1, len(argv)))
+    if i == len(argv):
+        argv += ["--budget", str(draw(st.sampled_from(FUZZ_NUMBERS)))]
+    elif argv[i - 1].startswith("--"):
+        argv[i] = str(draw(st.sampled_from(FUZZ_NUMBERS)))
+    elif not argv[i].startswith("--"):
+        text, at, cut = argv[i], draw(st.integers(0, len(argv[i]))), draw(st.integers(0, 2))
+        argv[i] = text[:at] + draw(st.text(FUZZ_CHARS, max_size=3)) + text[at + cut :]
+    return argv
+
+
+def _as_text(value):
+    """A structured report's value as the text report prints it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, list):
+        return "[" + ", ".join(_as_text(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return str(Fraction(int(value["num"]), int(value["den"])))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def assert_formats_agree(text, structured):
+    tree = json.loads(structured)
+    lines = text.splitlines()
+    assert lines[:3] == [f"coverlab {tree['version']}", f"command: {tree['command']}",
+                         f"seed: {_as_text(tree['seed'])}"]
+    inputs = lines[4 : lines.index("verdicts:")] if tree["inputs"] else []
+    assert sorted(inputs) == sorted(f"  {k}: {_as_text(v)}" for k, v in tree["inputs"].items())
+    rest = lines[lines.index("verdicts:") + 1 :]
+    for v in tree["verdicts"]:
+        line, head = rest.pop(0), f"{'*' if v['asserted'] else ' '} {v['name']} = {_as_text(v['value'])}"
+        assert line.startswith(head) and (line == head) == (not v["witness"]), (line, head)
+        for key, w in (v["witness"] or {}).items():
+            assert f"{key}={_as_text(w)}" in line, (line, key)
+    warnings = [f"  - {w}" for w in tree["warnings"]]
+    assert rest == (["warnings:"] + warnings if warnings else []) + (
+        ["truncated: true"] if tree["truncated"] else []
+    ) + [f"status: {'pass' if tree['status'] == 'pass' else 'FAIL'}"]
+
+
+@seed(20030)
+@settings(max_examples=500, deadline=None, database=None)
+@given(fuzz_argv())
+def test_fuzzed_inputs_are_answered_or_refused(argv):
+    # every command, built from the golden inputs: no fault exit, and the
+    # two formats give one report
+    text = golden_record(argv)
+    assert text["exit"] in (0, 1, 2) and "internal error:" not in text["stderr"], text
+    structured = golden_record(argv + ["--format", "structured"])
+    assert structured["exit"] == text["exit"], argv
+    assert bool(text["stdout"]) == bool(structured["stdout"]), argv
+    if text["stdout"]:
+        assert_formats_agree(text["stdout"], structured["stdout"])
 
 
 if __name__ == "__main__":

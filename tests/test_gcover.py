@@ -10,7 +10,7 @@ import pytest
 
 from coverlab import gcover
 from coverlab.arith import divisor_list, euler_product, factorize, least_prime
-from coverlab.errors import SearchBudgetError
+from coverlab.errors import InputError, SearchBudgetError
 from coverlab.gcover import (
     DEFAULT_NODE_BUDGET,
     KERNEL_SUBSET_CAP,
@@ -35,6 +35,7 @@ from coverlab.gcover import (
     weight_profile,
 )
 from coverlab.group import (
+    FiniteGroup,
     Subgroup,
     _bits,
     all_subgroups,
@@ -106,6 +107,28 @@ def test_system_validation():
             check(G, H, [(4, sub_of_size(G, 2))])
         with pytest.raises(ValueError, match="different group"):
             check(G, H, [(0, trivial_subgroup(catalog_group("S3")))])
+
+
+def test_systems_compare_by_parent_and_entries_not_masks():
+    G = catalog_group("C4")
+    entries = ((0, sub_of_size(G, 2)), (1, trivial_subgroup(G)), (3, trivial_subgroup(G)))
+    computed = CosetSystem(G, entries)
+    handed = CosetSystem(G, entries, computed.masks)
+    other = CosetSystem(G, entries, (G.full_mask(),) * 3)  # masks take no part
+    assert computed == handed == other
+    assert hash(computed) == hash(handed) == hash(other)
+    assert computed != CosetSystem(G, entries[::-1])
+    twin = FiniteGroup(G.table, name=G.name)  # same table, another object
+    assert computed != CosetSystem(twin, tuple((r, Subgroup(twin, s.mask)) for r, s in entries))
+    # each refusal keeps its type and message
+    for args, error, message in [
+        ((G, ()), InputError, "coset system needs at least one entry"),
+        ((G, ((4, entries[1][1]),)), InputError, "representative 4 out of range"),
+        ((twin, entries), ValueError, "entry subgroup belongs to a different group"),
+        ((G, entries, (1, 2)), ValueError, "one coset mask per entry needed"),
+    ]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CosetSystem(*args)
 
 
 def test_canonical_form():
@@ -195,6 +218,25 @@ def test_kernel_on_named_partition():
     assert r.kernel.is_full()  # constant weight, every translation fixes it
     assert r.contains_intersection and r.union_property_verified
     assert r.subsets_checked == 7 and not r.capped
+
+
+def test_constant_weight_kernel_matches_the_translation_test():
+    # a uniform cover's kernel is G with no translation tested; the loop of
+    # oracle_kernel_of is the reference
+    for name in ("S3", "D4", "Q8", "A4"):
+        covers = list(enumerate_uniform_covers(catalog_group(name), 5, 1))
+        assert covers
+        for cover in covers:
+            r = kernel_of(cover)
+            assert r.kernel.is_full() and r == oracle_kernel_of(cover), cover
+    # a weight that is not constant is still tested: the one coset H of S3
+    # is kept by exactly the right translations in H, a proper subgroup
+    G = catalog_group("S3")
+    H = sub_of_size(G, 2)
+    cover = CosetSystem.from_pairs(G, [(0, H)])
+    assert weight_profile(cover).uniform_m is None
+    r = kernel_of(cover)
+    assert r.kernel == H and r == oracle_kernel_of(cover)
 
 
 def test_kernel_union_property_exhaustive_small():

@@ -606,6 +606,19 @@ def test_lattice_seeds_every_subgroups_generators(monkeypatch):
         assert original(G.table, sum(1 << g for g in gs) | 1)[1] == mask
 
 
+def test_subgroup_validates_and_compares_by_parent_identity():
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    G, twin = FiniteGroup(table), FiniteGroup(table)
+    with pytest.raises(InputError, match="^mask is not closed under the group operation$"):
+        Subgroup(G, 0b0011)
+    H = Subgroup(G, 0b0101)
+    assert H == Subgroup(G, 0b0101) and hash(H) == hash(Subgroup(G, 0b0101))
+    # the same mask of an equal table is another subgroup when the parent
+    # is another object
+    assert H != Subgroup(twin, 0b0101) and H != Subgroup(G, 0b1111)
+    assert len({H, Subgroup(G, 0b0101), Subgroup(twin, 0b0101)}) == 2
+
+
 def test_subgroup_closure_generates():
     G = catalog_group("D4")
     H = subgroup_closure(G, [x for x in range(8) if G.element_order(x) == 4][:1])

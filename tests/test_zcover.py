@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coverlab import zcover
 from coverlab.arith import divisor_list, euler_phi
-from coverlab.errors import PeriodBudgetError
+from coverlab.errors import InputError, PeriodBudgetError
 from coverlab.levels import profile
 from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
@@ -71,16 +71,30 @@ def normalize_script(raw):
 
 
 def test_residue_class_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"^residue 2 not in \[0, 2\)$"):
         ResidueClass(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^modulus must be >= 1, got 0$"):
         ResidueClass(0, 0)
     assert str(ResidueClass(3, 7)) == "3/7"
+    # equal and hashed by value, and never equal to a plain pair
+    assert ResidueClass(3, 7) == ResidueClass(3, 7)
+    assert hash(ResidueClass(3, 7)) == hash(ResidueClass(3, 7))
+    assert ResidueClass(3, 7) != ResidueClass(3, 8) and ResidueClass(3, 7) != (3, 7)
 
 
 def test_system_requires_a_class():
-    with pytest.raises(ValueError):
-        ResidueSystem(())
+    # an empty iterator too, which is truthy until it is read
+    for empty in ((), [], iter(())):
+        with pytest.raises(InputError, match="^a residue system needs at least one class$"):
+            ResidueSystem(empty)
+
+
+def test_systems_compare_by_their_classes_in_order():
+    s = sys_of((1, 4), (0, 2))
+    same = ResidueSystem([ResidueClass(1, 4), ResidueClass(0, 2)])
+    assert same.classes == s.classes and isinstance(same.classes, tuple)
+    assert same == s and hash(same) == hash(s)
+    assert s != sys_of((0, 2), (1, 4)) and s != s.classes
 
 
 def test_canonical_sorts_but_storage_preserves_order():
