@@ -145,15 +145,6 @@ def least_prime(n: int) -> int:
     return factorize(n).pairs[0][0]
 
 
-def gcd_lcm(values: list[int]) -> tuple[int, int]:
-    """Exact (gcd, lcm) of a nonempty list of positive integers."""
-    if not values:
-        raise InputError("gcd_lcm of an empty list")
-    if any(v < 1 for v in values):
-        raise InputError(f"gcd_lcm needs positive integers, got {values}")
-    return math.gcd(*values), math.lcm(*values)
-
-
 def euler_factors(primes: Iterable[int]) -> tuple[int, int]:
     """(prod p, prod (p-1)) over the given primes, unreduced ((1, 1) for none)."""
     ps = list(primes)
@@ -163,6 +154,16 @@ def euler_factors(primes: Iterable[int]) -> tuple[int, int]:
 def euler_product(primes: Iterable[int]) -> Fraction:
     """prod p/(p-1) over the given primes as an exact fraction (1 for none)."""
     return Fraction(*euler_factors(primes))
+
+
+def index_bound_factor(pairs: Iterable[tuple[int, int]], p: int, a: int) -> Fraction:
+    """(1 - p**-a) * prod (1 - q**-(e+1)) over the pairs (q, e) with q != p:
+    the index bound's factor at the prime p."""
+    out = 1 - Fraction(1, p**a)
+    for q, e in pairs:
+        if q != p:
+            out *= 1 - Fraction(1, q ** (e + 1))
+    return out
 
 
 def mertens_product(x: int) -> Fraction:

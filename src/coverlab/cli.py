@@ -198,8 +198,6 @@ def _element(G: FiniteGroup, tok: str, lineno: int) -> int:
             raise InputError(f"line {lineno}: element id {x} out of range")
         return x
     if tok.startswith("("):
-        if G.perms is None:
-            raise InputError(f"line {lineno}: group has no permutation elements")
         try:
             perm = parse_cycles(len(G.perms[0]), tok)
         except InputError as e:
@@ -384,20 +382,12 @@ def render_json(report: Report) -> str:
 
 
 def _budget(args, cap: int) -> int:
-    """cap, lowered by --budget or else COVERLAB_BUDGET, never raised."""
-    if args.budget is not None:
-        source, req = "--budget", args.budget
-    else:
-        env = os.environ.get("COVERLAB_BUDGET")
-        if env is None:
-            return cap
-        try:
-            source, req = "COVERLAB_BUDGET", int(env)
-        except ValueError:
-            raise InputError(f"COVERLAB_BUDGET is not an integer: {env!r}")
-    if req < 1:
-        raise InputError(f"{source} must be at least 1, got {req}")
-    return min(req, cap)
+    """cap, lowered by --budget, never raised."""
+    if args.budget is None:
+        return cap
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
+    return min(args.budget, cap)
 
 
 # ----------------------------------------------------------------- commands

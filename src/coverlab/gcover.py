@@ -28,7 +28,7 @@ from operator import and_, or_
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .arith import divisor_list, euler_product, factorize
+from .arith import divisor_list, euler_product, factorize, index_bound_factor
 from .errors import InputError, SearchBudgetError
 from .group import (
     FiniteGroup,
@@ -41,6 +41,7 @@ from .group import (
     is_solvable,
     is_subnormal,
     left_coset_mask,
+    left_cosets,
     prime_quotient_series,
     quotient_group,
 )
@@ -186,24 +187,9 @@ def _cosets(G: FiniteGroup, subs: Sequence[Subgroup]) -> list[tuple]:
     out = [
         (sub.index, sub.mask, (c & -c).bit_length() - 1, c, sub)
         for sub in subs
-        for c in _left_cosets(G, sub.mask)
+        for c in left_cosets(G, sub.mask)
     ]
     return sorted(out, key=lambda t: t[:3])
-
-
-def _left_cosets(G: FiniteGroup, mask: int) -> tuple[int, ...]:
-    """The left cosets of the subgroup mask by least member (a group memo fact)."""
-    return G.memo("left_cosets", mask, _coset_partition, G, mask)
-
-
-def _coset_partition(G: FiniteGroup, mask: int) -> tuple[int, ...]:
-    sub = Subgroup(G, mask)
-    out = []
-    rest = G.full_mask()
-    while rest:
-        out.append(left_coset_mask(G, (rest & -rest).bit_length() - 1, sub))
-        rest &= ~out[-1]
-    return tuple(out)
 
 
 def _is_union_of(union: int, cosets: Sequence[int]) -> bool:
@@ -263,7 +249,7 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
     for bits in range(1, every + 1):
         checked += 1
         dmask = kmask & beyond & inside[every ^ bits]
-        if dmask != 1 and not _is_union_of(union[bits], _left_cosets(G, dmask)):
+        if dmask != 1 and not _is_union_of(union[bits], left_cosets(G, dmask)):
             ok = False
             break
     return KernelReport(
@@ -310,7 +296,7 @@ def check_union_lower_bound(
             raise InputError("every entry subgroup must contain H")
     h = H.index
     union = reduce(or_, system.masks)
-    met = sum(1 for c in _left_cosets(G, H.mask) if c & union)
+    met = sum(1 for c in left_cosets(G, H.mask) if c & union)
     ns = system.indices()
     rhs = sum(1 for n in range(h) if any(n % d == 0 for d in ns))
     if all(is_subnormal(G, sub).is_subnormal for _, sub in system.entries):
@@ -351,7 +337,7 @@ def check_aligned_union_bound(
     system = CosetSystem.from_pairs(G, entries)
     pairs = system.entries
     union = reduce(or_, system.masks)
-    if not _is_union_of(union, _left_cosets(G, H.mask)):
+    if not _is_union_of(union, left_cosets(G, H.mask)):
         raise InputError("union of the cosets is not a union of left H-cosets")
 
     h = H.index
@@ -508,9 +494,7 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[MappingProxyType, tuple[Frac
     # beta: the least p_r-order among the indices p_r divides
     orders = (next(e for e in range(alpha_r + 1) if n % p_r ** (e + 1)) for n in ns)
     beta = min(o for o in orders if o > 0)
-    epsilon = 1 - Fraction(1, p_r ** (alpha_r - beta + 1))
-    for p, a in pp[:-1]:
-        epsilon *= 1 - Fraction(1, p ** (a + 1))
+    epsilon = index_bound_factor(pp, p_r, alpha_r - beta + 1)
     counts = Counter(ns)
     top_mult = max(counts[n] for n in counts if n % p_r == 0)
     mert = euler_product(p for p, _ in pp)

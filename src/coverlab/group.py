@@ -8,12 +8,13 @@ by composing permutations.  Subgroups are immutable bitmasks over element
 ids.
 
 Every fact derived from a group -- closures with their generating sets
-(one fact), cores, quotients, normality, subnormality, normal Sylow
-subgroups, prime-quotient series, solvability, abelianness, pyramidality
-and the subgroup lattice -- lives in one memo on the group, keyed by
-(fact, mask) and read through FiniteGroup.memo.  A fact about the whole
-group is keyed by its full mask.  The quotient by the trivial subgroup
-is the group itself, so its lattice is never enumerated twice.
+(one fact), left-coset partitions, cores, quotients, normality,
+subnormality, normal Sylow subgroups, prime-quotient series,
+solvability, abelianness, pyramidality and the subgroup lattice --
+lives in one memo on the group, keyed by (fact, mask) and read through
+FiniteGroup.memo.  A fact about the whole group is keyed by its full
+mask.  The quotient by the trivial subgroup is the group itself, so its
+lattice is never enumerated twice.
 Pyramidal chains and prime-quotient series are one walk up the lattice
 through normal steps of prime index, and a subgroup's pyramidality is a
 fact at its mask.  Element labels are a fact at the full mask too:
@@ -29,7 +30,8 @@ Closures use Dimino's coset extension over a reduced generating set: each
 element of the mask that is not yet in the subgroup grows it by whole
 right cosets.  The lattice is built by cyclic extension: each join
 extends a known subgroup H by the generator g of a cyclic subgroup, once
-per double coset HgH.  A core intersects one conjugate per left coset.
+per double coset HgH.  A core intersects one conjugate per left coset,
+read from the same left-coset partition as the quotient.
 
 Every group has at most ORDER_CAP elements: a record is refused at its
 declared order, a closure as it outgrows the cap, a larger table before
@@ -49,6 +51,7 @@ table and costs O(n^2 log n).
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -364,6 +367,22 @@ def left_coset_mask(G: FiniteGroup, rep: int, H: Subgroup) -> int:
     return out
 
 
+def left_cosets(G: FiniteGroup, mask: int) -> tuple[int, ...]:
+    """The left cosets of the subgroup mask by least member, so the first
+    is the subgroup itself (a memo fact)."""
+    return G.memo("left_cosets", mask, _coset_walk, G, mask)
+
+
+def _coset_walk(G: FiniteGroup, mask: int) -> tuple[int, ...]:
+    sub = Subgroup(G, mask)
+    out = []
+    rest = G.full_mask()
+    while rest:
+        out.append(left_coset_mask(G, (rest & -rest).bit_length() - 1, sub))
+        rest &= ~out[-1]
+    return tuple(out)
+
+
 # ---------------------------------------------------------------- permutations
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -424,35 +443,23 @@ def cycles_str(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _check_perm(degree: int, perm: Sequence[int]) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if sorted(perm) != list(range(degree)):
-        raise InputError(f"not a permutation of 0..{degree - 1}: {perm}")
-    return perm
-
-
 def group_from_generators(
-    degree: int, generators: Sequence, name: Optional[str] = None
+    degree: int, generators: Sequence[str], name: Optional[str] = None
 ) -> FiniteGroup:
     """Close permutation generators into a group, numbering elements by BFS.
 
-    Generators may be cycle-notation strings (points 1..degree) or
-    0-based image tuples.  Element 0 is the identity; products explored
-    in generator order fix the rest of the numbering.  The closure stops
-    with BudgetError as soon as it outgrows ORDER_CAP; a degree above
-    DEGREE_CAP is refused before any permutation is built.
+    Generators are cycle-notation strings on points 1..degree.  Element 0
+    is the identity; products explored in generator order fix the rest of
+    the numbering.  The closure stops with BudgetError as soon as it
+    outgrows ORDER_CAP; a degree above DEGREE_CAP is refused before any
+    permutation is built.
     """
     if degree > DEGREE_CAP:
         raise BudgetError(
             f"group {name or 'from generators'}: degree {degree} is above "
             f"the degree cap {DEGREE_CAP}"
         )
-    gens = []
-    for g in generators:
-        if isinstance(g, str):
-            gens.append(parse_cycles(degree, g))
-        else:
-            gens.append(_check_perm(degree, g))
+    gens = [parse_cycles(degree, g) for g in generators]
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
@@ -593,15 +600,13 @@ def core_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def _core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Conjugates by one element of each left coset: (gh)H(gh)**-1 = gHg**-1."""
-    mask, seen = H.mask, H.mask
-    for g in range(G.order):
-        if seen >> g & 1:
-            continue
-        mask &= G.conj_mask(g, H.mask)
+    """Conjugates by one element of each left coset but H itself:
+    (gh)H(gh)**-1 = gHg**-1."""
+    mask = H.mask
+    for c in left_cosets(G, H.mask)[1:]:
+        mask &= G.conj_mask((c & -c).bit_length() - 1, H.mask)
         if mask == 1:
             break
-        seen |= left_coset_mask(G, g, H)
     return Subgroup(G, mask)
 
 
@@ -775,15 +780,12 @@ def _quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
         raise InputError("quotient by a non-normal subgroup")
     if N.mask == 1:
         return G
-    n = G.order
-    coset_of = [-1] * n
+    coset_of = [0] * G.order
     reps = []
-    for x in range(n):
-        if coset_of[x] == -1:
-            idx = len(reps)
-            reps.append(x)
-            for y in _bits(left_coset_mask(G, x, N)):
-                coset_of[y] = idx
+    for idx, c in enumerate(left_cosets(G, N.mask)):
+        reps.append((c & -c).bit_length() - 1)
+        for y in _bits(c):
+            coset_of[y] = idx
     table = [
         tuple(coset_of[G.table[a][b]] for b in reps) for a in reps
     ]
@@ -984,11 +986,9 @@ _catalog_cache: Optional[_Catalog] = None  # the bundled file, parsed on first r
 def _catalog() -> _Catalog:
     global _catalog_cache
     if _catalog_cache is None:
-        # imported here: from Python 3.12 on, importlib.resources imports inspect
-        from importlib import resources
-
-        text = resources.files("coverlab").joinpath("data/groups_le16.txt").read_text()
-        _catalog_cache = _Catalog(text)
+        path = os.path.join(os.path.dirname(__file__), "data", "groups_le16.txt")
+        with open(path, encoding="utf-8") as f:
+            _catalog_cache = _Catalog(f.read())
     return _catalog_cache
 
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import (
-    divisor_list, euler_phi, euler_product, factorize, is_prime, least_prime
+    divisor_list, euler_phi, euler_product, factorize, index_bound_factor, is_prime,
+    least_prime,
 )
 from .errors import InputError, PeriodBudgetError
 from .levels import profile
@@ -45,9 +46,6 @@ class ResidueClass:
 
     def __hash__(self):
         return hash((self.residue, self.modulus))
-
-    def contains(self, x: int) -> bool:
-        return x % self.modulus == self.residue
 
     def __str__(self):
         return f"{self.residue}/{self.modulus}"
@@ -325,10 +323,6 @@ def check_level_gaps(
             raise InputError(f"alpha must be a positive member of {lam}, got {alpha}")
     if classify(system, period_budget).uniform_m is None:
         raise InputError("system is not a uniform cover")
-    epsilon_others = Fraction(1)
-    for q, e in fact.pairs:
-        if q != p:
-            epsilon_others *= 1 - Fraction(1, q ** (e + 1))
     mult = Counter(moduli)
     mertens = euler_product(fact.primes())
     top_mult = max(mult[n] for n, o in zip(moduli, orders) if o == alpha_top)
@@ -337,7 +331,7 @@ def check_level_gaps(
     reports = []
     for alpha in levels:
         beta = max(v for v in set(lam) | {0} if v < alpha)
-        epsilon = epsilon_others * (1 - Fraction(1, p ** (alpha_top - alpha + 1)))
+        epsilon = index_bound_factor(fact.pairs, p, alpha_top - alpha + 1)
         p_alpha = p**alpha
         m_value = max(mult[n] for n in mult if n % p_alpha == 0)
         lhs = Fraction(p ** (alpha - beta))

@@ -15,7 +15,7 @@ from coverlab.arith import (
     euler_phi,
     euler_product,
     factorize,
-    gcd_lcm,
+    index_bound_factor,
     is_prime,
     least_prime,
     mertens_product,
@@ -160,37 +160,14 @@ def test_divisor_list_is_exactly_the_divisors(n):
     assert len(divs) == expected
 
 
-# ---------------------------------------------------------------- gcd_lcm
+# ---------------------------------------------------- index bound factor
 
 
-def test_gcd_lcm_examples():
-    assert gcd_lcm([6]) == (6, 6)
-    assert gcd_lcm([4, 6]) == (2, 12)
-    assert gcd_lcm([2, 4, 4]) == (2, 4)
-
-
-def test_gcd_lcm_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd_lcm([])
-    with pytest.raises(ValueError):
-        gcd_lcm([3, 0])
-
-
-@given(
-    st.integers(min_value=1, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-)
-def test_gcd_lcm_pair_product(a, b):
-    g, l = gcd_lcm([a, b])
-    assert g * l == a * b
-
-
-@given(st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=8))
-def test_gcd_divides_all_and_all_divide_lcm(values):
-    g, l = gcd_lcm(values)
-    for v in values:
-        assert v % g == 0
-        assert l % v == 0
+def test_index_bound_factor():
+    # (1 - 3**-1) * (1 - 2**-3): the designated prime takes its own exponent
+    assert index_bound_factor([(2, 2), (3, 1)], 3, 1) == Fraction(7, 12)
+    assert index_bound_factor([(2, 2), (3, 1)], 2, 2) == Fraction(3, 4) * Fraction(8, 9)
+    assert index_bound_factor([(5, 1)], 5, 1) == Fraction(4, 5)
 
 
 # ------------------------------------------------------- mertens, counting

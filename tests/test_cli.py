@@ -232,17 +232,9 @@ def test_exit_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_exit_budget(capsys, monkeypatch):
-    monkeypatch.setenv("COVERLAB_BUDGET", "100")
-    assert main(["verify-cover", "0/2 1/999983"]) == 2
+def test_exit_budget(capsys):
+    assert main(["verify-cover", "0/2 1/999983", "--budget", "100"]) == 2
     assert "budget exceeded" in capsys.readouterr().err
-
-
-def test_budget_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("COVERLAB_BUDGET", "100")
-    # the flag requests more than the env but stays under the cap
-    assert main(["density", "--budget", "5000000", "0/2 1/999983"]) == 0
-    capsys.readouterr()
 
 
 def test_budget_flag_never_raises_the_cap(capsys):
@@ -508,22 +500,18 @@ def test_density_check_takes_more_than_twenty_moduli(capsys):
     assert "* identity = true" in lines and lines[-1] == "status: pass"
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+# "flag" names the one source of a budget in the test ids
+@pytest.mark.parametrize("source", ["flag"])
 @pytest.mark.parametrize("value", ["-5", "0"])
 @pytest.mark.parametrize(
     "argv",
     [["verify-cover", "0/2 1/4 3/4"], ["enumerate-covers", "S3"], ["hs-search", "C6"]],
 )
-def test_non_positive_budget_is_a_usage_error(argv, value, source, capsys, monkeypatch):
-    if source == "flag":
-        argv, name = [*argv, "--budget", value], "--budget"
-    else:
-        monkeypatch.setenv("COVERLAB_BUDGET", value)
-        name = "COVERLAB_BUDGET"
-    assert main(argv) == 2
+def test_non_positive_budget_is_a_usage_error(argv, value, source, capsys):
+    assert main([*argv, "--budget", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {name} must be at least 1, got {value}\n"
+    assert captured.err == f"error: --budget must be at least 1, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -593,6 +581,19 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_catalog_read_leaves_importlib_resources_unloaded():
+    # the catalog file is opened by its path next to group.py; -S keeps
+    # site's own imports out of sys.modules
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from coverlab.group import catalog_group; "
+        "assert catalog_group('Q8').order == 8; "
+        "assert 'importlib.resources' not in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_uniform_m_above_k_allocates_nothing():
@@ -1071,8 +1072,24 @@ GOLDEN_REFUSALS = {
     "enumerate-covers-k": ["enumerate-covers", "S3", "--k", "9"],
     "enumerate-covers-m": ["enumerate-covers", "S3", "--m", "0"],
 }
-GOLDEN_ARGV = GOLDEN_REPORTS + list(GOLDEN_REFUSALS.values())
-GOLDEN_IDS = [f"{a[0]}-{a[-1]}" for a in GOLDEN_REPORTS] + list(GOLDEN_REFUSALS)
+# branches no other test reaches, in both formats: a search cut by its
+# budget (a truncated report, exit 2) and three reader refusals
+GOLDEN_BRANCHES = {
+    "hs-search-budget": ["hs-search", "S3", "--budget", "1"],
+    "verify-cover-modulus-zero": ["verify-cover", "0/0"],
+    "group-info-cover-lines": ["group-info", "S3\n0 : 1"],
+    "uniform-cover-empty": ["uniform-cover", "# nothing"],
+}
+GOLDEN_ARGV = (
+    GOLDEN_REPORTS
+    + list(GOLDEN_REFUSALS.values())
+    + [[*argv, "--format", fmt] for argv in GOLDEN_BRANCHES.values() for fmt in ("text", "structured")]
+)
+GOLDEN_IDS = (
+    [f"{a[0]}-{a[-1]}" for a in GOLDEN_REPORTS]
+    + list(GOLDEN_REFUSALS)
+    + [f"{name}-{fmt}" for name in GOLDEN_BRANCHES for fmt in ("text", "structured")]
+)
 
 
 def golden_record(argv):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from coverlab import gcover
+from coverlab import gcover, group
 from coverlab.arith import divisor_list, euler_product, factorize, least_prime
 from coverlab.errors import InputError, SearchBudgetError
 from coverlab.gcover import (
@@ -995,7 +995,9 @@ def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
 
         return wrapper
 
+    # a walk runs in gcover (a system's masks) or in group (a partition)
     monkeypatch.setattr(gcover, "left_coset_mask", counted("coset", left_coset_mask))
+    monkeypatch.setattr(group, "left_coset_mask", counted("coset", left_coset_mask))
     monkeypatch.setattr(gcover, "factorize", counted("factorize", factorize))
     gcover._index_arithmetic.cache_clear()
     # the coset partitions are group memo facts from the first enumeration

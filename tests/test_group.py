@@ -742,6 +742,11 @@ def test_hall_named_cases():
     assert is_normal(S3, sylow_subgroup(S3, 3))
 
 
+def test_hall_subgroup_can_be_missing():
+    # A5 is not solvable: it has no subgroup of order 20, the {2, 5}-part
+    assert hall_subgroup(inline_a5(), {2, 5}) is None
+
+
 # ------------------------------------------------------- chains and series
 
 
@@ -951,6 +956,14 @@ def test_check_named_instances():
     two = [H for H in all_subgroups(S3) if H.size == 2][0]
     assert core_excluded_primes(S3, two) == (2,)
     assert check_core_sylow_exclusion(S3, two)
+
+
+def test_core_sylow_exclusion_without_an_excluded_prime():
+    # the order-3 subgroup of S3 is normal, its own core: no prime excluded
+    S3 = catalog_group("S3")
+    three = [H for H in all_subgroups(S3) if H.size == 3][0]
+    assert core_excluded_primes(S3, three) == ()
+    assert check_core_sylow_exclusion(S3, three)
 
 
 # ------------------------------------------------------ non-solvable groups
