@@ -17,10 +17,12 @@ help and own arguments.  `main` builds the subparser of the one command
 it runs, and all of them for no command, -h, --version, an unknown
 command or a stray argument, so a usage message lists every command.
 `main` makes the report; the handler fills its inputs and adds its
-verdicts.  A bound the paper asserts only under a hypothesis goes
-through `Report.claim`: when the hypothesis fails, the bound is printed
-unmarked, with a warning where the report gives one, and does not affect
-the status.
+verdicts.  Only a command with a period or node budget declares
+`--budget`, which lowers that budget and never raises it; to any other
+command it is a usage error.  A bound the paper asserts only under a
+hypothesis goes through `Report.claim`: when the hypothesis fails, the
+bound is printed unmarked, with a warning where the report gives one,
+and does not affect the status.
 
 Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
@@ -252,7 +254,7 @@ def parse_group_cover_file(
 
 def _coset_system(path_or_text: str) -> CosetSystem:
     G, _, entries = parse_group_cover_file(path_or_text, takes_h=False)
-    return CosetSystem.from_pairs(G, entries)
+    return CosetSystem(G, entries)
 
 
 def serialize_group_cover(cover: CosetSystem, H: Optional[Subgroup] = None) -> str:
@@ -649,9 +651,8 @@ def _cmd_hs_search(args, rep: Report) -> None:
         groups = [parse_group_file(args.group)]
         scope = groups[0].name
     else:
-        cap = None if args.all else args.max_order
-        groups = [g for g in load_catalog() if cap is None or g.order <= cap]
-        scope = "catalog" if args.all else f"catalog order <= {cap}"
+        groups = [g for g in load_catalog() if g.order <= args.max_order]
+        scope = f"catalog order <= {args.max_order}"
     rep.inputs["scope"] = scope
     budget = _budget(args, DEFAULT_NODE_BUDGET)
     for G in groups:
@@ -692,9 +693,11 @@ def _cmd_enumerate_covers(args, rep: Report) -> None:
 
 _COMMON = {
     "--seed": dict(type=int, default=None, help="echoed in the report"),
+    "--format": dict(choices=("text", "structured"), default="text", help="output format"),
+}
+_BUDGET = {
     "--budget": dict(type=int, default=None,
                      help="lower the period/node budget (never raises the compiled cap)"),
-    "--format": dict(choices=("text", "structured"), default="text", help="output format"),
 }
 _COVER = {"cover": dict(help="cover file path or inline a/n text")}
 _GROUP = {"group": dict(help="group file path, catalog name, or record text")}
@@ -705,16 +708,18 @@ def _commands() -> dict:
     """Every command, declared once: name -> (handler, help, own arguments).
     Made per call, so a handler patched after import is the one run."""
     return {
-        "verify-cover": (_cmd_verify_cover, "classify a residue system", _COVER),
-        "density": (_cmd_density, "exact density of the union over one period", _COVER),
+        "verify-cover": (_cmd_verify_cover, "classify a residue system", _COVER | _BUDGET),
+        "density": (_cmd_density, "exact density of the union over one period", _COVER | _BUDGET),
         "mu": (_cmd_mu, "count the divisor closure of the moduli", _COVER),
-        "density-check": (_cmd_density_check, "scan density against inclusion-exclusion", _COVER),
-        "rogers": (_cmd_rogers, "shifted union covers at least the zeroed union", _COVER),
-        "level-gap": (_cmd_level_gap, "index bound for uniform covers at one prime level", _COVER | {
+        "density-check": (_cmd_density_check, "scan density against inclusion-exclusion",
+                          _COVER | _BUDGET),
+        "rogers": (_cmd_rogers, "shifted union covers at least the zeroed union", _COVER | _BUDGET),
+        "level-gap": (_cmd_level_gap, "index bound for uniform covers at one prime level",
+                      _COVER | _BUDGET | {
             "--prime": dict(type=int, default=None, help="designated prime (default largest)"),
             "--alpha": dict(type=int, default=None, help="level (default: every level)"),
         }),
-        "simpson": (_cmd_simpson, "largest period prime bound for exact covers", _COVER),
+        "simpson": (_cmd_simpson, "largest period prime bound for exact covers", _COVER | _BUDGET),
         "bounds": (_cmd_bounds, "threshold quantities at one multiplicity bound", {
             "--M": dict(type=int, required=True),
         }),
@@ -728,12 +733,12 @@ def _commands() -> dict:
         "aligned-union": (_cmd_aligned_union, "index-gcd bound for H-aligned unions", _GROUP_COVER),
         "uniform-cover": (_cmd_uniform_cover, "exact index bound for a uniform cover", _GROUP_COVER),
         "max-index": (_cmd_max_index, "multiplicity of the largest index", _GROUP_COVER),
-        "hs-search": (_cmd_hs_search, "hunt for a distinct-index partition", {
+        "hs-search": (_cmd_hs_search, "hunt for a distinct-index partition", _BUDGET | {
             "group": dict(nargs="?", default=None, help="single group (default: catalog sweep)"),
             "--max-order": dict(type=int, default=12, help="catalog sweep order cap"),
-            "--all": dict(action="store_true", help="sweep the whole catalog"),
         }),
-        "enumerate-covers": (_cmd_enumerate_covers, "enumerate nontrivial uniform covers", _GROUP | {
+        "enumerate-covers": (_cmd_enumerate_covers, "enumerate nontrivial uniform covers",
+                             _GROUP | _BUDGET | {
             "--m": dict(type=int, default=1, help="exact multiplicity of every element"),
             "--k": dict(type=int, default=4, help="maximum number of cosets"),
         }),

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from operator import and_, or_
 from types import MappingProxyType
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisor_list, euler_product, factorize, index_bound_factor
 from .errors import InputError, SearchBudgetError
@@ -56,8 +56,6 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # kernel union-property sweeps stop considering entries past this count
 KERNEL_SUBSET_CAP = 12
 
-EntryLike = tuple[int, Union[Subgroup, int]]
-
 
 # ------------------------------------------------------------------ systems
 
@@ -74,8 +72,9 @@ class CosetSystem:
 
     __slots__ = ("parent", "entries", "masks")
 
-    def __init__(self, parent: FiniteGroup, entries: tuple[tuple[int, Subgroup], ...],
+    def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]],
                  masks: tuple[int, ...] = ()):
+        entries = tuple(entries)
         if not entries:
             raise InputError("coset system needs at least one entry")
         for rep, sub in entries:
@@ -96,15 +95,6 @@ class CosetSystem:
 
     def __hash__(self):
         return hash((self.parent, self.entries))
-
-    @staticmethod
-    def from_pairs(G: FiniteGroup, pairs: Sequence[EntryLike]) -> "CosetSystem":
-        entries = []
-        for rep, sub in pairs:
-            if isinstance(sub, int):
-                sub = Subgroup(G, sub)
-            entries.append((rep, sub))
-        return CosetSystem(G, tuple(entries))
 
     def __len__(self):
         return len(self.entries)
@@ -279,7 +269,7 @@ class UnionBoundReport(NamedTuple):
 
 
 def check_union_lower_bound(
-    G: FiniteGroup, H: Subgroup, entries: Sequence[EntryLike]
+    G: FiniteGroup, H: Subgroup, entries: Sequence[tuple[int, Subgroup]]
 ) -> UnionBoundReport:
     """Count left H-cosets meeting the union of the a_i G_i and compare
     with |{0 <= n < [G:H] : some n_i divides n}|.
@@ -290,7 +280,7 @@ def check_union_lower_bound(
     G has prime-order quotients all the way; "none" means the numbers
     are still reported but nothing is guaranteed.
     """
-    system = CosetSystem.from_pairs(G, entries)
+    system = CosetSystem(G, entries)
     for _, sub in system.entries:
         if sub.mask & H.mask != H.mask:
             raise InputError("every entry subgroup must contain H")
@@ -332,9 +322,9 @@ class AlignedUnionReport(NamedTuple):
 
 
 def check_aligned_union_bound(
-    G: FiniteGroup, H: Subgroup, entries: Sequence[EntryLike]
+    G: FiniteGroup, H: Subgroup, entries: Sequence[tuple[int, Subgroup]]
 ) -> AlignedUnionReport:
-    system = CosetSystem.from_pairs(G, entries)
+    system = CosetSystem(G, entries)
     pairs = system.entries
     union = reduce(or_, system.masks)
     if not _is_union_of(union, left_cosets(G, H.mask)):

@@ -17,9 +17,7 @@ mask.  The quotient by the trivial subgroup is the group itself, so its
 lattice is never enumerated twice.
 Pyramidal chains and prime-quotient series are one walk up the lattice
 through normal steps of prime index, and a subgroup's pyramidality is a
-fact at its mask.  Element labels are a fact at the full mask too:
-explicit labels are stored there at construction, and a permutation
-group's cycle strings are made from its perms on first read.
+fact at its mask.
 
 A lookup by catalog name realizes and checks only the named records:
 declared order, generators, degree, closure order and table.  The full
@@ -158,7 +156,7 @@ class FiniteGroup:
 
     __slots__ = ("order", "table", "inv", "name", "perms", "_memo")
 
-    def __init__(self, table, name=None, labels=None, perms=None):
+    def __init__(self, table, name=None, perms=None):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
@@ -184,8 +182,6 @@ class FiniteGroup:
         self.name = name or f"group{n}"
         self.perms = tuple(perms) if perms else None
         self._memo = {}
-        if labels:
-            self.memo("labels", self.full_mask(), tuple, labels)
 
     def memo(self, fact: str, mask: int, compute: Callable, *args):
         """The value of fact at the subgroup mask, computed once as
@@ -215,19 +211,6 @@ class FiniteGroup:
             x = self.table[x][a]
             k += 1
         return k
-
-    @property
-    def labels(self) -> Optional[tuple[str, ...]]:
-        """Element labels: the explicit ones given at construction, else
-        the cycle strings of perms, made on first read; None if neither."""
-        return self.memo("labels", self.full_mask(), self._perm_labels)
-
-    def _perm_labels(self) -> Optional[tuple[str, ...]]:
-        return tuple(cycles_str(p) for p in self.perms) if self.perms else None
-
-    def label(self, a: int) -> str:
-        labels = self.labels
-        return labels[a] if labels else str(a)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -338,8 +321,7 @@ class Subgroup:
         return self.size == self.parent.order
 
     def __repr__(self):
-        names = ",".join(self.parent.label(x) for x in self.members())
-        return f"Subgroup<{names}>"
+        return f"Subgroup<{','.join(map(str, self.members()))}>"
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -502,7 +484,7 @@ def cyclic_group(n: int, name: Optional[str] = None) -> FiniteGroup:
         raise InputError(f"need n >= 1, got {n}")
     _check_order_cap(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=name or f"Z{n}", labels=[str(i) for i in range(n)])
+    return FiniteGroup(table, name=name or f"Z{n}")
 
 
 # ------------------------------------------------------------ lattice and core
@@ -789,8 +771,7 @@ def _quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
     table = [
         tuple(coset_of[G.table[a][b]] for b in reps) for a in reps
     ]
-    labels = [G.label(r) + "*" for r in reps]
-    return FiniteGroup(table, name=f"{G.name}/N{N.size}", labels=labels)
+    return FiniteGroup(table, name=f"{G.name}/N{N.size}")
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
@@ -799,8 +780,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     members = list(H.members())
     pos = {x: i for i, x in enumerate(members)}
     table = [tuple(pos[G.table[a][b]] for b in members) for a in members]
-    labels = [G.label(x) for x in members]
-    return FiniteGroup(table, name=f"{G.name}|sub{H.size}", labels=labels)
+    return FiniteGroup(table, name=f"{G.name}|sub{H.size}")
 
 
 # ------------------------------------------------------------------- catalog
@@ -831,8 +811,9 @@ def clean_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_group_records(text: str) -> list[GroupRecord]:
-    """Parse concatenated group records.
+def read_group_records(lines: Sequence[tuple[int, str]]) -> list[GroupRecord]:
+    """The concatenated group records in clean (line number, text) pairs,
+    as clean_lines gives them; errors name the line numbers the pairs carry.
 
     Record syntax, one block per group::
 
@@ -842,12 +823,6 @@ def parse_group_records(text: str) -> list[GroupRecord]:
         order <expected>
         end
     """
-    return read_group_records(clean_lines(text))
-
-
-def read_group_records(lines: Sequence[tuple[int, str]]) -> list[GroupRecord]:
-    """The records in clean (line number, text) pairs, as clean_lines
-    gives them; errors name the line numbers the pairs carry."""
     records = []
     name = degree = order = start = None  # start: the record's group line
     gens: list[str] = []
@@ -945,7 +920,7 @@ class _Catalog:
 
     def __init__(self, text: str):
         self.records: dict[str, GroupRecord] = {}
-        for rec in parse_group_records(text):
+        for rec in read_group_records(clean_lines(text)):
             if self.records.setdefault(rec.name, rec) is not rec:
                 raise ValueError(f"catalog names {rec.name!r} twice")
         self.groups: dict[str, FiniteGroup] = {}

@@ -32,14 +32,17 @@ from coverlab.cli import (
 from coverlab.errors import InputError
 from coverlab.gcover import CosetSystem, enumerate_uniform_covers
 from coverlab.group import (
+    Subgroup,
     all_subgroups,
     catalog_group,
+    center_mask,
     cyclic_group,
     cycles_str,
     group_from_generators,
     left_coset_mask,
     load_catalog,
     parse_cycles,
+    quotient_group,
     subgroup_closure,
     trivial_subgroup,
 )
@@ -112,6 +115,10 @@ def test_group_round_trip_tables():
         H = parse_group_file(serialize_group(G))
         assert H.order == G.order
         assert H.table == G.table
+    # a quotient is a table with no permutations to write
+    D4 = catalog_group("D4")
+    with pytest.raises(InputError, match="^group has no permutation realization$"):
+        serialize_group(quotient_group(D4, Subgroup(D4, center_mask(D4))))
 
 
 def test_group_parse_errors():
@@ -189,7 +196,7 @@ def test_group_cover_inline_record():
 def test_group_cover_round_trip():
     G = catalog_group("S3")
     three = [S for S in all_subgroups(G) if S.size == 3][0]
-    cover = CosetSystem.from_pairs(G, [(0, three), (1, three)])
+    cover = CosetSystem(G, [(0, three), (1, three)])
     text = serialize_group_cover(cover, trivial_subgroup(G))
     G2, H2, entries = parse_group_cover_file(text)
     assert G2.table == G.table
@@ -505,13 +512,41 @@ def test_density_check_takes_more_than_twenty_moduli(capsys):
 @pytest.mark.parametrize("value", ["-5", "0"])
 @pytest.mark.parametrize(
     "argv",
-    [["verify-cover", "0/2 1/4 3/4"], ["enumerate-covers", "S3"], ["hs-search", "C6"]],
+    [["verify-cover", "0/2 1/4 3/4"], ["enumerate-covers", "S3"], ["hs-search", "C6"]]
+    # the other commands that have a budget
+    + [["density", "0/2"], ["density-check", "0/2"], ["rogers", "0/2"],
+       ["level-gap", "0/2 1/4 3/4"], ["simpson", "0/2 1/4 3/4"]],
 )
 def test_non_positive_budget_is_a_usage_error(argv, value, source, capsys):
     assert main([*argv, "--budget", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --budget must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu", "0/2 1/4 3/4"],
+        ["bounds", "--M", "2"],
+        ["qbound", "--q", "8", "--M", "2"],
+        ["group-info", "S3"],
+        ["group-suite", "S3"],
+        ["union-bound", "group C12\n0 : 2\n1 : 3\n"],
+        ["aligned-union", "group C12\nH : 6\n0 : 3\n1 : 3\n5 : 3\n"],
+        ["uniform-cover", "group C4\n0 : 2\n1 : \n3 : \n"],
+        ["max-index", "group C4\n0 : 2\n1 : \n3 : \n"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_is_refused_where_no_budget_exists(argv, capsys):
+    # a command with no scan or search budget does not take --budget
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--budget", "3"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 3" in captured.err
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -839,9 +874,9 @@ def test_a_catalog_sweep_realizes_and_checks_every_record(capsys, monkeypatch):
 
 
 def test_a_duplicate_catalog_name_is_a_fault(capsys, monkeypatch):
-    parse = group_module.parse_group_records
+    read = group_module.read_group_records
     monkeypatch.setattr(group_module, "_catalog_cache", None)
-    monkeypatch.setattr(group_module, "parse_group_records", lambda text: parse(text) + parse(text))
+    monkeypatch.setattr(group_module, "read_group_records", lambda lines: read(lines) + read(lines))
     assert main(["group-info", "Q8"]) == 3
     assert capsys.readouterr().err.endswith("\ninternal error: catalog names 'C1' twice\n")
 
@@ -1073,12 +1108,13 @@ GOLDEN_REFUSALS = {
     "enumerate-covers-m": ["enumerate-covers", "S3", "--m", "0"],
 }
 # branches no other test reaches, in both formats: a search cut by its
-# budget (a truncated report, exit 2) and three reader refusals
+# budget (a truncated report, exit 2) and four reader refusals
 GOLDEN_BRANCHES = {
     "hs-search-budget": ["hs-search", "S3", "--budget", "1"],
     "verify-cover-modulus-zero": ["verify-cover", "0/0"],
     "group-info-cover-lines": ["group-info", "S3\n0 : 1"],
     "uniform-cover-empty": ["uniform-cover", "# nothing"],
+    "group-info-nameless-record": ["group-info", "group\ndegree 2\ngen (1 2)\norder 2\nend"],
 }
 GOLDEN_ARGV = (
     GOLDEN_REPORTS

@@ -77,7 +77,7 @@ def a5_two_cover():
     G = group_from_generators(5, ["(1 2 3 4 5)", "(1 2 3)"], name="A5")
     h5 = sub_of_size(G, 12)
     h6 = sub_of_size(G, 10)
-    return CosetSystem.from_pairs(G, left_cosets(G, h5) + left_cosets(G, h6))
+    return CosetSystem(G, left_cosets(G, h5) + left_cosets(G, h6))
 
 
 def c4_cover():
@@ -85,7 +85,7 @@ def c4_cover():
     G = catalog_group("C4")
     two = sub_of_size(G, 2)
     triv = trivial_subgroup(G)
-    return CosetSystem.from_pairs(G, [(0, two), (1, triv), (3, triv)])
+    return CosetSystem(G, [(0, two), (1, triv), (3, triv)])
 
 
 # ------------------------------------------------------------- validation
@@ -96,7 +96,7 @@ def test_system_validation():
     with pytest.raises(ValueError, match="at least one"):
         CosetSystem(G, ())
     with pytest.raises(ValueError, match="out of range"):
-        CosetSystem.from_pairs(G, [(4, trivial_subgroup(G))])
+        CosetSystem(G, [(4, trivial_subgroup(G))])
     with pytest.raises(ValueError, match="different group"):
         CosetSystem(G, ((0, trivial_subgroup(catalog_group("S3"))),))
     H = trivial_subgroup(G)
@@ -134,7 +134,7 @@ def test_systems_compare_by_parent_and_entries_not_masks():
 def test_canonical_form():
     cov = c4_cover()
     G = cov.parent
-    shuffled = CosetSystem.from_pairs(
+    shuffled = CosetSystem(
         G, [(3, trivial_subgroup(G)), (2, sub_of_size(G, 2)), (1, trivial_subgroup(G))]
     )
     # rep 2 names the same coset of <2> as rep 0
@@ -167,7 +167,7 @@ def test_profile_mass_identity():
         subs = all_subgroups(G)
         for _ in range(20):
             k = rng.randint(1, 4)
-            cov = CosetSystem.from_pairs(
+            cov = CosetSystem(
                 G,
                 [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)],
             )
@@ -179,7 +179,7 @@ def test_profile_mass_identity():
 
 def test_profile_trivial_cover():
     G = catalog_group("S3")
-    w = weight_profile(CosetSystem.from_pairs(G, [(0, full_subgroup(G))]))
+    w = weight_profile(CosetSystem(G, [(0, full_subgroup(G))]))
     assert w.is_trivial and w.uniform_m == 1
 
 
@@ -197,8 +197,8 @@ def test_profile_matches_the_residue_layer(seed):
         system = ResidueSystem.from_pairs(pairs)
         L = system.period()
         G = cyclic_group(L)
-        cover = CosetSystem.from_pairs(
-            G, [(a, sum(1 << x for x in range(0, L, n))) for a, n in pairs]
+        cover = CosetSystem(
+            G, [(a, Subgroup(G, sum(1 << x for x in range(0, L, n)))) for a, n in pairs]
         )
         w = weight_profile(cover)
         z = multiplicity_profile(system)
@@ -233,7 +233,7 @@ def test_constant_weight_kernel_matches_the_translation_test():
     # is kept by exactly the right translations in H, a proper subgroup
     G = catalog_group("S3")
     H = sub_of_size(G, 2)
-    cover = CosetSystem.from_pairs(G, [(0, H)])
+    cover = CosetSystem(G, [(0, H)])
     assert weight_profile(cover).uniform_m is None
     r = kernel_of(cover)
     assert r.kernel == H and r == oracle_kernel_of(cover)
@@ -257,7 +257,7 @@ def test_kernel_union_property_random():
         G = rng.choice(groups)
         subs = all_subgroups(G)
         k = rng.randint(1, 4)
-        cov = CosetSystem.from_pairs(
+        cov = CosetSystem(
             G, [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
         )
         r = kernel_of(cov)
@@ -409,7 +409,7 @@ def test_uniform_c4_partition():
 def test_uniform_s3_halves():
     G = catalog_group("S3")
     three = sub_of_size(G, 3)
-    r = check_uniform_cover(CosetSystem.from_pairs(G, [(0, three), (1, three)]))
+    r = check_uniform_cover(CosetSystem(G, [(0, three), (1, three)]))
     assert r.indices == (2, 2) and r.m == 1
     assert (r.prime, r.alpha, r.beta) == (2, 1, 1)
     assert r.epsilon == Fraction(1, 2)
@@ -433,9 +433,9 @@ def test_uniform_requires_uniform():
     G = catalog_group("C4")
     two = sub_of_size(G, 2)
     with pytest.raises(ValueError):
-        check_uniform_cover(CosetSystem.from_pairs(G, [(0, two), (1, two), (3, two)]))
+        check_uniform_cover(CosetSystem(G, [(0, two), (1, two), (3, two)]))
     with pytest.raises(ValueError):
-        check_uniform_cover(CosetSystem.from_pairs(G, [(0, full_subgroup(G))]))
+        check_uniform_cover(CosetSystem(G, [(0, full_subgroup(G))]))
 
 
 def test_max_index_probe():
@@ -949,7 +949,7 @@ def test_checks_match_oracles_on_random_systems():
         G = rng.choice(groups)
         subs = all_subgroups(G)
         k = KERNEL_SUBSET_CAP + 1 if trial % 50 == 0 else rng.randint(1, 5)
-        cover = CosetSystem.from_pairs(
+        cover = CosetSystem(
             G, [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
         )
         uncovered += weight_profile(cover).covered < G.order
@@ -1044,7 +1044,7 @@ def s5_two_cover():
     G = group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], name="S5")
     a5 = Subgroup(G, perm_mask(G, is_even))
     s4 = Subgroup(G, perm_mask(G, lambda p: p[4] == 4))
-    return CosetSystem.from_pairs(G, left_cosets(G, a5) + left_cosets(G, s4))
+    return CosetSystem(G, left_cosets(G, a5) + left_cosets(G, s4))
 
 
 def psl27_two_cover():
@@ -1052,7 +1052,7 @@ def psl27_two_cover():
     7-normalizer (index 8) in PSL(2,7), 15 entries: past the subset cap."""
     G = group_from_generators(7, ["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], name="PSL(2,7)")
     stab = Subgroup(G, perm_mask(G, lambda p: p[0] == 0))
-    return CosetSystem.from_pairs(G, left_cosets(G, stab) + left_cosets(G, sub_of_size(G, 21)))
+    return CosetSystem(G, left_cosets(G, stab) + left_cosets(G, sub_of_size(G, 21)))
 
 
 def test_uniform_non_solvable_s5():
@@ -1089,7 +1089,7 @@ def test_uniform_non_solvable_a5_matches_oracles():
     # one subgroup's cosets: every index is divisible by 5 and nothing is
     # subnormal or solvable over its core, so cond_a holds only vacuously
     G = a5_two_cover().parent
-    r = assert_matches_oracles(CosetSystem.from_pairs(G, left_cosets(G, sub_of_size(G, 12))))
+    r = assert_matches_oracles(CosetSystem(G, left_cosets(G, sub_of_size(G, 12))))
     assert r.cond_a and r.cond_a_vacuous and r.indices == (5,) * 5
 
 

@@ -30,6 +30,7 @@ from coverlab.group import (
     check_index_intersection,
     check_pyramidal_sylow,
     check_solvable_tower,
+    clean_lines,
     core_excluded_primes,
     core_of,
     cycles_str,
@@ -46,10 +47,10 @@ from coverlab.group import (
     left_coset_mask,
     load_catalog,
     parse_cycles,
-    parse_group_records,
     prime_quotient_series,
     pyramidal_chain,
     quotient_group,
+    read_group_records,
     realize_record,
     structural_suite,
     subgroup_as_group,
@@ -338,6 +339,15 @@ def test_catalog_check_refuses_an_injected_isomorphic_pair(monkeypatch):
     assert sorted(lattices) == ["C2xC2", "V4"]
 
 
+def test_catalog_check_refuses_a_missing_order():
+    c7 = "group C7\ndegree 7\ngen (1 2 3 4 5 6 7)\norder 7\nend\n"
+    text = _shipped_catalog_text()
+    assert c7 in text
+    message = "^catalog has 0 groups of order 7, classification says 1$"
+    with pytest.raises(ValueError, match=message):
+        group_module._Catalog(text.replace(c7, "")).whole
+
+
 def test_catalog_check_passes_the_shipped_cheap_tie():
     # C4:C4 and Q8xC2 agree on every fingerprint part but the subgroup
     # count (15 against 19), so the shipped catalog loads only through it
@@ -363,12 +373,12 @@ def test_fresh_catalog_load_builds_two_lattices_and_no_labels(monkeypatch):
     with_lattice = {g.name for g in groups if ("lattice", g.full_mask()) in g._memo}
     assert with_lattice == {"C4:C4", "Q8xC2"}
     assert calls == []
+    # nor does building a group, a quotient or a subgroup's repr
     G = group_from_generators(5, ["(1 2 3 4 5)", "(2 5)(3 4)"], name="D10")
+    five = [H for H in all_subgroups(G) if H.size == 5][0]
+    assert quotient_group(G, five).order == 2
+    assert repr(five) == "Subgroup<0,1,3,6,9>"
     assert calls == []
-    assert G.label(1) == cycles_str(G.perms[1])
-    assert len(calls) == G.order == 10
-    assert G.labels == tuple(cycles_str(p) for p in G.perms)
-    assert len(calls) == 10
 
 
 def test_catalog_file_matches_its_generator():
@@ -473,7 +483,6 @@ def test_generator_graph_table_matches_composition():
             tuple(index[tuple(a[b[i]] for i in degree)] for b in perms) for a in perms
         )
         assert G.table == composed, G.name
-        assert G.labels == tuple(cycles_str(p) for p in perms), G.name
 
 
 def test_generators_closure_cap():
@@ -516,14 +525,14 @@ def test_record_over_cap_refused_before_closure(monkeypatch):
 
     monkeypatch.setattr(group_module, "group_from_generators", no_closure)
     text = "group C2000\ndegree 2000\ngen (1 2)\norder 2000\nend\n"
-    (rec,) = parse_group_records(text)
+    (rec,) = read_group_records(clean_lines(text))
     message = "group C2000: record says order 2000, above the order cap 200"
     with pytest.raises(BudgetError, match=f"^{message}$"):
         realize_record(rec)
 
 
 def test_record_order_mismatch():
-    recs = parse_group_records("group bad\ndegree 3\ngen (1 2 3)\norder 5\nend\n")
+    recs = read_group_records(clean_lines("group bad\ndegree 3\ngen (1 2 3)\norder 5\nend\n"))
     with pytest.raises(ValueError, match="order"):
         realize_record(recs[0])
 
@@ -938,6 +947,8 @@ def test_check_preconditions():
     sub2 = [H for H in all_subgroups(D4) if H.size == 2][0]
     with pytest.raises(ValueError, match="Hall"):
         check_hall_normality(D4, sub2)
+    with pytest.raises(InputError, match="^requires a subnormal subgroup$"):
+        check_hall_normality(S3, two)
     with pytest.raises(ValueError, match="prime"):
         check_solvable_tower(S3, 4)
 
