@@ -175,8 +175,11 @@ def _alpha_escalate(c: int) -> int:
         iv.prec = 256
         z2c = iv.pi**2 / 6 * c
         v = iv.log(z2c) / iv.log(2)
-        lo = int(math.floor(mpf(v.a)))
-        hi = int(math.floor(mpf(v.b)))
+        # floored at full width: through 53 bits an endpoint can round up
+        # onto the next integer
+        with mp.workprec(256):
+            lo = int(mp.floor(mpf(v.a)))
+            hi = int(mp.floor(mpf(v.b)))
         if lo != hi:
             raise ArithmeticError(
                 f"floor(log2(zeta(2)*{c})) unresolved at 256-bit precision"

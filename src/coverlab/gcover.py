@@ -6,14 +6,16 @@ make each bound a theorem instance, and two desk-scale exhaustive
 searches (uniform-cover enumeration and the distinct-index partition
 hunt), both by one exact-cover backtracker, which branches on the least
 coset, then on the least element still short of its multiplicity; a
-node is one coset tried at a branch.  Covers come out in lexicographic
-order of their canonical coset positions.  Cosets are bitmasks, computed
-once per system (the enumerator hands over the masks it already holds);
-a weight profile sums them into binary bit planes (`levels.profile`,
-shared with the residue layer), a subgroup's left-coset partition is a
-group memo fact, and the arithmetic of an index multiset is computed
-once per multiset.  Every inequality is evaluated in exact rational
-arithmetic.
+node is one coset tried at a branch, counted one at a time, and a
+branch the cut rules out is refused before it is entered.  Covers come
+out in lexicographic order of their canonical coset positions.  Cosets
+are bitmasks, computed once per system (the enumerator hands over the
+masks it already holds); the weight profile sums them into binary bit
+planes (`levels.profile`, shared with the residue layer) once per
+system, a subgroup's left-coset partition is a group memo fact, the
+arithmetic of an index multiset is computed once per multiset, and the
+hypothesis flags of a uniform cover once per set of subgroups.  Every
+inequality is evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import groupby
+from itertools import groupby, product
 from operator import and_, or_
-from types import MappingProxyType
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisor_list, euler_product, factorize, index_bound_factor
@@ -67,10 +68,10 @@ class CosetSystem:
     masks holds the coset of each entry as a bitmask: computed here
     unless a caller that already holds them hands them over.  Two
     systems are equal when their parents and entries are; masks do not
-    take part.
+    take part, nor does the weight profile, computed on first use.
     """
 
-    __slots__ = ("parent", "entries", "masks")
+    __slots__ = ("parent", "entries", "masks", "_profile")
 
     def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]],
                  masks: tuple[int, ...] = ()):
@@ -87,6 +88,7 @@ class CosetSystem:
         elif len(masks) != len(entries):
             raise ValueError("one coset mask per entry needed")
         self.parent, self.entries, self.masks = parent, entries, masks
+        self._profile = None
 
     def __eq__(self, other):
         if not isinstance(other, CosetSystem):
@@ -135,11 +137,14 @@ class WeightProfile(NamedTuple):
 
 
 def weight_profile(cover: CosetSystem) -> WeightProfile:
-    """Per-element covering counts with the usual classification flags.
+    """Per-element covering counts with the usual classification flags,
+    summed from the masks once per system.
 
     uniform_m is set iff the count is constant; is_partition means
     constant one; is_trivial means every subgroup is the whole group.
     """
+    if cover._profile is not None:
+        return cover._profile
     G = cover.parent
     full = G.full_mask()
     lo, hi, covered, planes = profile(full, cover.masks)
@@ -150,16 +155,11 @@ def weight_profile(cover: CosetSystem) -> WeightProfile:
             sum((plane >> x & 1) << j for j, plane in enumerate(planes))
             for x in range(G.order)
         )
-    return WeightProfile(
-        counts=counts,
-        min_w=lo,
-        max_w=hi,
-        covered=covered,
-        uniform_m=lo if lo == hi else None,
-        is_cover=lo >= 1,
-        is_partition=lo == hi == 1,
-        is_trivial=all(mask == full for mask in cover.masks),
+    cover._profile = WeightProfile(
+        counts, lo, hi, covered, lo if lo == hi else None, lo >= 1, lo == hi == 1,
+        cover.masks.count(full) == len(cover.masks),
     )
+    return cover._profile
 
 
 def _require_nontrivial_uniform(cover: CosetSystem) -> WeightProfile:
@@ -474,10 +474,10 @@ def _facts(G: FiniteGroup, mask: int) -> _SubgroupFacts:
 
 
 @lru_cache(maxsize=4096)
-def _index_arithmetic(ns: tuple[int, ...]) -> tuple[MappingProxyType, tuple[Fraction, Fraction]]:
+def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBound]:
     """The report fields of check_uniform_cover that depend on the sorted
-    indices ns alone (read-only, since every caller shares them), and the
-    two squarefree-order bounds."""
+    indices ns alone, in field order: those before the flags, those after
+    them, and the squarefree-order bound."""
     N = math.lcm(*ns)
     pp = factorize(N).pairs
     p_r, alpha_r = pp[-1]
@@ -488,90 +488,87 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[MappingProxyType, tuple[Frac
     counts = Counter(ns)
     top_mult = max(counts[n] for n in counts if n % p_r == 0)
     mert = euler_product(p for p, _ in pp)
-    fields = MappingProxyType(dict(
-        k=len(ns),
-        indices=ns,
-        lcm_indices=N,
-        prime_powers=tuple(pp),
-        prime=p_r,
-        alpha=alpha_r,
-        beta=beta,
-        epsilon=epsilon,
-        top_multiplicity=top_mult,
-        lhs=Fraction(p_r**beta),
-        rhs=epsilon * top_mult * mert,
-        max_multiplicity=max(counts.values()),
-        min_prime=pp[0][0],
-        multiplicity_floor=1 + math.floor(p_r / mert),
-    ))
-    product_bound = Fraction(math.prod(p for p, _ in pp), math.prod(p + 1 for p, _ in pp[:-1]))
-    weak_bound = max(Fraction(pp[0][0]), Fraction(2 * p_r, len(pp) + 1))
-    return fields, (product_bound, weak_bound)
+    head = (len(ns), ns, N, tuple(pp), p_r, alpha_r, beta, epsilon, top_mult,
+            Fraction(p_r**beta), epsilon * top_mult * mert)
+    tail = (max(counts.values()), pp[0][0], 1 + math.floor(p_r / mert))
+    squarefree = SquarefreeBound(
+        Fraction(math.prod(p for p, _ in pp), math.prod(p + 1 for p, _ in pp[:-1])),
+        max(Fraction(pp[0][0]), Fraction(2 * p_r, len(pp) + 1)),
+        top_mult,
+    )
+    return head, tail, squarefree
 
 
-def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
-    """Evaluate the index bound and its hypothesis flags for a
-    nontrivial uniform cover, with the squarefree-order bound and the
-    equal-index-pair consequence attached when their hypotheses apply."""
-    prof = _require_nontrivial_uniform(cover)
-    G = cover.parent
-    ns = cover.indices()
-    fields, squarefree_bounds = _index_arithmetic(tuple(sorted(ns)))
-    p_r = fields["prime"]
-    r = len(fields["prime_powers"])
-    top_mult = fields["top_multiplicity"]
+# each combination of the eight flags, once: every memo fact is one of these
+_FLAG_ROWS = {row: row for row in product((False, True), repeat=8)}
 
-    distinct = [_facts(G, mask) for mask in {sub.mask for _, sub in cover.entries}]
+
+def _set_flags(G: FiniteGroup, masks: tuple[int, ...], p_r: int, r: int) -> tuple[bool, ...]:
+    """The hypothesis flags of check_uniform_cover, as the shared row of
+    _FLAG_ROWS: cond_a, cond_a_vacuous, cond_b, cond_c, big_subnormal,
+    via_subnormal, via_sylow, and p_r dividing the order of G over the
+    intersected cores.  They read only the distinct subgroup masks, since
+    p_r, the largest prime of the index lcm, and r, its prime count, do
+    too."""
+    distinct = [_facts(G, mask) for mask in masks]
     top = [f for f in distinct if f.index % p_r == 0]
     rest = [f for f in distinct if f.index % p_r]
     # cond_a: the top subgroups subnormal, else G over the cores of the top
     # or of the rest solvable, vacuously so when the rest is empty
     top_ok = all(f.subnormal for f in top) or all(is_solvable(f.quotient) for f in top)
     cond_a = top_ok or all(is_solvable(f.quotient) for f in rest)
-    cond_a_vacuous = cond_a and not top_ok and not rest
     cond_b = all(
         f.subnormal or f.index <= p_r or has_normal_sylow(f.quotient, p_r)
         for f in rest
     )
-
     icore = reduce(and_, (f.core.mask for f in distinct))
     Q = _facts(G, icore).quotient  # icore is normal: this is G over icore
-    squarefree = None
-    if G.memo("squarefree", G.full_mask(), lambda: factorize(G.order).is_squarefree()):
-        squarefree = SquarefreeBound(*squarefree_bounds, multiplicity=top_mult)
     q_solvable = is_solvable(Q)
-    cond_c = q_solvable and has_normal_sylow(Q, max(_prime_support(Q.order)))
-
     big_subn = all(f.subnormal for f in distinct if f.index >= p_r)
-    via_subnormal = p_r > r and big_subn
-    via_sylow = p_r > r and q_solvable and has_normal_sylow(Q, p_r)
+    flags = (
+        cond_a,
+        cond_a and not top_ok and not rest,
+        cond_b,
+        q_solvable and has_normal_sylow(Q, max(_prime_support(Q.order))),
+        big_subn,
+        p_r > r and big_subn,
+        p_r > r and q_solvable and has_normal_sylow(Q, p_r),
+        Q.order % p_r == 0,
+    )
+    return _FLAG_ROWS[tuple(map(bool, flags))]
+
+
+def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
+    """Evaluate the index bound and its hypothesis flags for a
+    nontrivial uniform cover, with the squarefree-order bound and the
+    equal-index-pair consequence attached when their hypotheses apply.
+    The flags are one group memo fact per set of subgroup masks."""
+    prof = _require_nontrivial_uniform(cover)
+    G = cover.parent
+    ns = cover.indices()
+    head, tail, squarefree = _index_arithmetic(tuple(sorted(ns)))
+    pp, p_r, top_mult = head[3], head[4], head[8]  # prime_powers, prime, top_multiplicity
+    masks = tuple(sorted({sub.mask for _, sub in cover.entries}))
+    flags = G.memo("cover_flags", masks, _set_flags, G, masks, p_r, len(pp))
+    cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div = flags
+    if not G.memo("squarefree", G.full_mask(), _squarefree_order, G):
+        squarefree = None
     pair = None
     if top_mult >= 2:
         witness = next(n for n in ns if n % p_r == 0 and ns.count(n) == top_mult)
-        pair = tuple(i for i, n in enumerate(ns) if n == witness)[:2]
+        first = ns.index(witness)
+        pair = (first, ns.index(witness, first + 1))
     equal_pair = EqualPairReport(
-        prime=p_r,
-        applicable=(via_subnormal or via_sylow) and Q.order % p_r == 0,
-        via_subnormal=via_subnormal,
-        via_sylow=via_sylow,
-        pair=pair,
+        p_r, (via_subn or via_sylow) and q_div, via_subn, via_sylow, pair
     )
     return UniformCoverReport(
-        m=prof.uniform_m,
-        cond_a=cond_a,
-        cond_a_vacuous=cond_a_vacuous,
-        cond_b=cond_b,
-        cond_c=cond_c,
-        big_subnormal=big_subn,
-        squarefree=squarefree,
-        equal_pair=equal_pair,
-        **fields,
+        prof.uniform_m, *head, cond_a, vacuous, cond_b, cond_c, big_subn, *tail,
+        squarefree, equal_pair,
     )
 
 
-def reciprocal_index_sum(cover: CosetSystem) -> Fraction:
-    """Sum of 1/n_i; equals m exactly for every uniform m-cover."""
-    return sum((Fraction(1, n) for n in cover.indices()), Fraction(0))
+def _squarefree_order(G: FiniteGroup) -> bool:
+    return factorize(G.order).is_squarefree()
 
 
 class MaxIndexReport(NamedTuple):
@@ -636,26 +633,22 @@ def _exact_covers(
         return
     sizes = [mask.bit_count() for mask in masks]
     holders = [[i for i, mk in enumerate(masks) if mk >> x & 1] for x in range(n_items)]
+    n_opts, steps = len(masks), range(1, m + 1)
     picked: list[int] = []
 
     def rec(level, mass, live, last_item, last_pick):
         # level[j]: the items covered at least j times (level[0] = -1, all);
         # an option meeting level[m] is blocked, masks[live] is the first
-        # option neither blocked nor before picked[0]
-        if mass == 0:
-            yield tuple(sorted(picked))
-            return
+        # option neither blocked nor before picked[0].  The caller has made
+        # the cut: mass > 0 and mass fits the free slots
         top = level[m]
-        while live < len(masks) and masks[live] & top:
-            live += 1
-        if live == len(masks) or mass > (k_max - len(picked)) * sizes[live]:
-            return
         if picked:
             x = (~top & (top + 1)).bit_length() - 1  # the least item short of m
             row = holders[x]
             row = row[bisect_left(row, last_pick if x == last_item else picked[0]) :]
         else:
-            x, row = -1, [i for i in range(len(masks)) if mass <= k_max * sizes[i]]
+            x, row = -1, [i for i in range(n_opts) if mass <= k_max * sizes[i]]
+        slots = k_max - len(picked) - 1  # free after this pick
         for i in row:
             nodes.spent += 1
             if nodes.spent > nodes.budget:
@@ -663,12 +656,22 @@ def _exact_covers(
             mask = masks[i]
             if mask & top:
                 continue
-            picked.append(i)
-            new = [-1] + [level[j] | level[j - 1] & mask for j in range(1, m + 1)]
-            yield from rec(new, mass - sizes[i], max(live, picked[0]), x, i)
-            picked.pop()
+            rest = mass - sizes[i]
+            if not rest:
+                yield tuple(sorted(picked + [i]))
+                continue
+            # the child's first live option, from i on at the root
+            blocked, nxt = top | level[m - 1] & mask, live if picked else i
+            while nxt < n_opts and masks[nxt] & blocked:
+                nxt += 1
+            if nxt < n_opts and rest <= slots * sizes[nxt]:
+                picked.append(i)
+                new = [-1] + [level[j] | level[j - 1] & mask for j in steps]
+                yield from rec(new, rest, nxt, x, i)
+                picked.pop()
 
-    yield from rec([-1] + [0] * m, m * n_items, 0, -1, 0)
+    if masks and m * n_items <= k_max * sizes[0]:  # the root's cut
+        yield from rec([-1] + [0] * m, m * n_items, 0, -1, 0)
 
 
 # ------------------------------------------------------------ enumeration

@@ -183,13 +183,14 @@ class FiniteGroup:
         self.perms = tuple(perms) if perms else None
         self._memo = {}
 
-    def memo(self, fact: str, mask: int, compute: Callable, *args):
+    def memo(self, fact: str, mask: int | tuple[int, ...], compute: Callable, *args):
         """The value of fact at the subgroup mask, computed once as
         compute(*args).
 
         The one cache of derived facts: keys are (fact, mask), facts about
-        the whole group use the full mask, and a fact that takes a further
-        parameter, such as a prime, carries it in its name.
+        the whole group use the full mask, a fact about a set of subgroups
+        is keyed by the sorted tuple of their masks, and a fact that takes
+        a further parameter, such as a prime, carries it in its name.
         """
         key = (fact, mask)
         try:

@@ -206,6 +206,19 @@ def test_alpha_guard_escalates_near_integer():
     assert value == oracle
 
 
+def test_alpha_floor_matches_a_wide_oracle_next_to_powers_of_two():
+    # c next to 2^e / zeta(2) puts log2(zeta(2) c) just below or above e;
+    # from e = 49 on, a 256-bit endpoint rounded to 53 bits lands on e
+    # itself when the true value lies below it
+    with mpmath.workprec(2000):
+        zeta2 = mpmath.zeta(2)
+        cs = [int(mpmath.nint(2**e / zeta2)) + d for e in range(10, 60) for d in (-1, 0, 1)]
+        want = [int(mpmath.floor(mpmath.log(zeta2 * c, 2))) for c in cs]
+    got = [alpha_floor(c) for c in cs]
+    assert [value for value, _ in got] == want
+    assert sum(escalated for _, escalated in got) > 50
+
+
 def test_alpha_no_escalation_for_plain_values():
     for c in (9, 16, 100, 1234):
         value, escalated = alpha_floor(c)

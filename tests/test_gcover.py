@@ -1,5 +1,6 @@
 """Tests for coset systems over finite groups and the cover machinery."""
 
+import hashlib
 import math
 import random
 import re
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from coverlab import gcover, group
+from coverlab import gcover, group, levels
 from coverlab.arith import divisor_list, euler_product, factorize, least_prime
 from coverlab.errors import InputError, SearchBudgetError
 from coverlab.gcover import (
@@ -30,7 +31,6 @@ from coverlab.gcover import (
     feasible_distinct_index_sets,
     kernel_of,
     probe_max_index_multiplicity,
-    reciprocal_index_sum,
     search_distinct_index_partition,
     weight_profile,
 )
@@ -206,8 +206,15 @@ def test_profile_matches_the_residue_layer(seed):
         assert w.counts == tuple(sum(x % n == a for a, n in pairs) for x in range(L))
 
 
+def reciprocal_index_sum(cover):
+    """Sum of 1/n_i; equals m exactly for every uniform m-cover."""
+    return sum((Fraction(1, n) for n in cover.indices()), Fraction(0))
+
+
 def test_reciprocal_sum():
     assert reciprocal_index_sum(c4_cover()) == Fraction(1)
+    for cover in enumerate_uniform_covers(catalog_group("D4"), 6, 2):
+        assert reciprocal_index_sum(cover) == 2
 
 
 # ----------------------------------------------------------------- kernel
@@ -569,6 +576,49 @@ def test_enumerate_budget_truncation():
         # the covers found before the stop, in the full run's order
         assert covs == [c for c in full if c in covs]
     assert len(covs) > 0
+
+
+# (enumeration nodes, partition search nodes) of every catalog group at the
+# sweep's sizes: k = 5 up to order 12, k = 4 above, SD16 at k = 8, m = 2
+CATALOG_NODES = {
+    "C1": (1, 0), "C2": (4, 0), "C3": (6, 0), "C2xC2": (44, 0), "C4": (16, 0),
+    "C5": (10, 0), "C6": (46, 5), "S3": (193, 11), "C7": (1, 0),
+    "C2xC2xC2": (6961, 0), "C4xC2": (640, 0), "C8": (74, 0), "D4": (2149, 0),
+    "Q8": (184, 0), "C3xC3": (155, 0), "C9": (23, 0), "C10": (22, 0),
+    "D5": (1345, 0), "C11": (1, 0), "A4": (2307, 0), "C12": (296, 25),
+    "C6xC2": (1368, 97), "D6": (11023, 151), "Dic3": (864, 31), "C13": (1, 0),
+    "C14": (6, 0), "D7": (12, 0), "C15": (18, 0), "(C2xC2):C4": (7527, 0),
+    "C16": (62, 0), "C2xC2xC2xC2": (202096, 0), "C4:C4": (2276, 0),
+    "C4oD4": (7762, 0), "C4xC2xC2": (12434, 0), "C4xC4": (2090, 0),
+    "C8xC2": (719, 0), "D4xC2": (24806, 0), "D8": (2948, 0), "M16": (720, 0),
+    "Q16": (1007, 0), "Q8xC2": (4775, 0), "SD16": (999857, 0),
+}  # fmt: skip
+
+
+def test_node_counts_are_pinned_on_the_catalog():
+    for G in load_catalog():
+        k, m = (8, 2) if G.name == "SD16" else ((5, 1) if G.order <= 12 else (4, 1))
+        stream = enumerate_uniform_covers(G, k, m)
+        for _ in stream:
+            pass
+        got = stream.nodes, search_distinct_index_partition(G).nodes_explored
+        assert got == CATALOG_NODES[G.name], G.name
+
+
+def test_budget_cuts_keep_the_covers_found_before_them():
+    # SD16 (8, 2) cut at three budgets: the covers and their order, pinned
+    # as a digest of their (representative, subgroup mask) entries
+    G = catalog_group("SD16")
+    for budget, count, digest in (
+        (50, 4, "0bc7679007a75113"),
+        (777, 42, "3866c8621e814823"),
+        (5000, 236, "3e36742f72b784bc"),
+    ):
+        stream = enumerate_uniform_covers(G, 8, 2, node_budget=budget)
+        covers = [[(rep, sub.mask) for rep, sub in c.entries] for c in stream]
+        assert stream.truncated and stream.nodes == budget + 1
+        assert len(covers) == count
+        assert hashlib.sha256(repr(covers).encode()).hexdigest()[:16] == digest
 
 
 def test_enumerate_yields_before_the_search_ends():
@@ -1018,6 +1068,41 @@ def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
         quotient_orders.add(G.order // icore.bit_count())
     assert 0 < calls["factorize"] <= len(tuples) + len(quotient_orders)
     assert len(covers) > 10 * (len(tuples) + len(quotient_orders))
+
+
+def test_three_checks_of_one_cover_sum_one_profile(monkeypatch):
+    calls = []
+
+    def counted(full, masks):
+        calls.append(len(masks))
+        return levels.profile(full, masks)
+
+    monkeypatch.setattr(gcover, "profile", counted)
+    for cover in enumerate_uniform_covers(catalog_group("D4"), 5, 1):
+        calls.clear()
+        check_uniform_cover(cover)
+        probe_max_index_multiplicity(cover)
+        kernel_of(cover)
+        assert calls == [len(cover)]
+
+
+def test_flags_are_computed_once_per_subgroup_set(monkeypatch):
+    # a D4 2-cover with three subgroups whose equal pair opens it, and the
+    # same entries read backwards
+    G = catalog_group("D4")
+    cover = next(
+        c for c in enumerate_uniform_covers(G, 6, 2)
+        if len({sub.mask for _, sub in c.entries}) == 3
+        and check_uniform_cover(c).equal_pair.pair == (0, 1)
+    )
+    moved = CosetSystem(G, cover.entries[::-1])
+    calls = []
+    monkeypatch.setattr(gcover, "is_solvable", lambda Q: calls.append(Q) or is_solvable(Q))
+    report = check_uniform_cover(moved)
+    assert calls == []
+    # the flags are shared, the equal pair names positions in moved
+    assert report == oracle_check_uniform_cover(moved)
+    assert report.equal_pair.pair != (0, 1)
 
 
 # ------------------------------------------- non-solvable uniform covers
