@@ -15,10 +15,8 @@ below it.  A candidate that fails either check is moved by an exact step
 walk until both hold.  No fraction, division or gcd enters the scan, so
 its cost grows about linearly with the size of the product.
 
-alpha(M) = 2 + floor(log2(zeta(2) c(M))) is floored in binary64; when the
-value sits within 1e-9 of an integer the floor is re-derived in 256-bit
-interval arithmetic before being trusted.  zeta(2) is always pi**2/6 at
-working precision, never a truncated series.
+alpha(M) = 2 + floor(log2(zeta(2) c(M))) is decided by integer comparison
+with a fixed-point bracket of pi, widened until both of its ends agree.
 """
 
 from __future__ import annotations
@@ -166,35 +164,36 @@ def mertens_holds_at(x: int, M: int) -> bool:
     return M * num <= x * den
 
 
-def _alpha_escalate(c: int) -> int:
-    # 256-bit interval re-derivation of floor(log2(zeta(2) * c))
-    from mpmath import iv, mp, mpf
+def _pi_bracket(n: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= pi * 2**n <= hi, from Machin's formula.
 
-    old = iv.prec
-    try:
-        iv.prec = 256
-        z2c = iv.pi**2 / 6 * c
-        v = iv.log(z2c) / iv.log(2)
-        # floored at full width: through 53 bits an endpoint can round up
-        # onto the next integer
-        with mp.workprec(256):
-            lo = int(mp.floor(mpf(v.a)))
-            hi = int(mp.floor(mpf(v.b)))
-        if lo != hi:
-            raise ArithmeticError(
-                f"floor(log2(zeta(2)*{c})) unresolved at 256-bit precision"
-            )
-        return lo
-    finally:
-        iv.prec = old
+    Each floored term of 16 atan(1/5) - 4 atan(1/239) in n-bit fixed point
+    is off by less than 1, and so is the tail past the last nonzero term.
+    """
+    total = err = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k, s = (1 << n) // x, 1, 0
+        while power:
+            s += power // k if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+        total += weight * s
+        err += abs(weight) * (k // 2 + 1)
+    return total - err, total + err
 
 
 def alpha_floor(c: int) -> tuple[int, bool]:
-    """(floor(log2(zeta(2) c)), escalated?) with the near-integer guard."""
+    """(floor(log2(zeta(2) c)), binary64 value within _ALPHA_GUARD of an integer?)"""
+    if c < 1:
+        raise InputError(f"need c >= 1, got {c}")
     v = math.log2(ZETA2 * c)
-    if abs(v - round(v)) < _ALPHA_GUARD:
-        return _alpha_escalate(c), True
-    return math.floor(v), False
+    n = 96
+    while True:  # pi**2 c / 6 is irrational: some width resolves the floor
+        lo, hi = _pi_bracket(n)
+        k = (lo * lo * c // (6 << 2 * n)).bit_length() - 1
+        if k == (hi * hi * c // (6 << 2 * n)).bit_length() - 1:
+            return k, abs(v - round(v)) < _ALPHA_GUARD
+        n *= 2
 
 
 class BoundReport(NamedTuple):
@@ -223,7 +222,7 @@ def bound_report(M: int) -> BoundReport:
     floor_part, escalated = alpha_floor(c)
     alpha = 2 + floor_part
     l_value = (2 + math.log2(ZETA2 * c)) * pi_c * math.log(c)
-    egamma_scale = math.exp(EULER_GAMMA) * M * math.log(M) if M > 1 else 0.0
+    egamma_scale = math.exp(EULER_GAMMA) * M * math.log(M)
     return BoundReport(
         m=M,
         c=c,

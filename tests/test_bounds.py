@@ -15,6 +15,7 @@ from coverlab.bounds import (
     BoundReport,
     QBoundReport,
     _certify,
+    _pi_bracket,
     _scan_bound,
     alpha_floor,
     bound_report,
@@ -23,7 +24,7 @@ from coverlab.bounds import (
     check_q_bound,
     mertens_holds_at,
 )
-from coverlab.errors import SieveCapacityError
+from coverlab.errors import InputError, SieveCapacityError
 
 
 def scan_c(M: int) -> int:
@@ -194,8 +195,8 @@ def test_theta_reported():
 
 def test_alpha_guard_escalates_near_integer():
     # synthetic c placed so log2(zeta(2) c) sits ~1e-12 from an integer;
-    # the binary64 guard must hand off, and the escalated floor must
-    # match a 120-digit evaluation
+    # the binary64 guard must report it, and the floor must match a
+    # 120-digit evaluation
     c = round(2**40 / ZETA2)
     assert abs(math.log2(ZETA2 * c) - round(math.log2(ZETA2 * c))) < 1e-9
     value, escalated = alpha_floor(c)
@@ -206,17 +207,40 @@ def test_alpha_guard_escalates_near_integer():
     assert value == oracle
 
 
-def test_alpha_floor_matches_a_wide_oracle_next_to_powers_of_two():
-    # c next to 2^e / zeta(2) puts log2(zeta(2) c) just below or above e;
-    # from e = 49 on, a 256-bit endpoint rounded to 53 bits lands on e
-    # itself when the true value lies below it
+def test_alpha_floor_matches_a_wide_oracle_next_to_powers_of_two(monkeypatch):
+    # c next to 2^e / zeta(2) puts log2(zeta(2) c) about 2^-e below or
+    # above e, where a 53-bit value rounds onto e itself; from e = 87 on
+    # the first 96-bit bracket of pi can straddle e, and its width doubles
+    widths = []
+
+    def spy(n):
+        widths.append(n)
+        return _pi_bracket(n)
+
+    monkeypatch.setattr(bounds_module, "_pi_bracket", spy)
     with mpmath.workprec(2000):
         zeta2 = mpmath.zeta(2)
-        cs = [int(mpmath.nint(2**e / zeta2)) + d for e in range(10, 60) for d in (-1, 0, 1)]
+        cs = [int(mpmath.nint(2**e / zeta2)) + d for e in range(10, 128) for d in (-1, 0, 1)]
         want = [int(mpmath.floor(mpmath.log(zeta2 * c, 2))) for c in cs]
     got = [alpha_floor(c) for c in cs]
     assert [value for value, _ in got] == want
     assert sum(escalated for _, escalated in got) > 50
+    assert max(widths) > 96
+
+
+def test_pi_bracket_holds_pi():
+    with mpmath.workprec(4000):
+        for n in (1, 2, 10, 53, 96, 192, 384, 768, 1536):
+            lo, hi = _pi_bracket(n)
+            assert lo <= mpmath.pi * 2**n <= hi, n
+            assert hi - lo < 8 * n + 64, n  # the error grows only with the term count
+
+
+def test_alpha_floor_refuses_c_below_one():
+    for c in (0, -3):
+        with pytest.raises(InputError, match="c >= 1"):
+            alpha_floor(c)
+    assert alpha_floor(1) == (0, False)  # log2(1.64..)
 
 
 def test_alpha_no_escalation_for_plain_values():

@@ -667,6 +667,21 @@ def test_a_layer_loads_only_what_it_imports():
     )
 
 
+def test_bounds_loads_no_mpmath():
+    # alpha is floored in integers, near an integer of log2 too
+    proc = _run_cli(
+        "import sys; from coverlab.bounds import alpha_floor; "
+        "from coverlab.cli import main; "
+        "assert alpha_floor(342232533672277) == (48, True); "
+        "assert main(['bounds', '--M', '100']) == 0; "
+        "assert 'mpmath' not in sys.modules",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "alpha-escalated" in proc.stdout
+
+
 def test_internal_fault_exits_3(capsys, monkeypatch):
     def fault(args, rep):
         raise RuntimeError("chain walk logic error")
