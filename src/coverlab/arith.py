@@ -93,12 +93,6 @@ class Factorization(NamedTuple):
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.pairs)
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
 
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division over sieve primes."""

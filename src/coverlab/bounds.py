@@ -156,14 +156,6 @@ def c_of(M: int) -> int:
     return c_range(M, M)[M]
 
 
-def mertens_holds_at(x: int, M: int) -> bool:
-    """Exact check of the defining inequality prod_{p <= x} p/(p-1) <= x/M."""
-    if x < 1:
-        raise InputError(f"need x >= 1, got {x}")
-    num, den = euler_factors(primes_upto(x))
-    return M * num <= x * den
-
-
 def _pi_bracket(n: int) -> tuple[int, int]:
     """(lo, hi) with lo <= pi * 2**n <= hi, from Machin's formula.
 
@@ -186,7 +178,7 @@ def alpha_floor(c: int) -> tuple[int, bool]:
     """(floor(log2(zeta(2) c)), binary64 value within _ALPHA_GUARD of an integer?)"""
     if c < 1:
         raise InputError(f"need c >= 1, got {c}")
-    v = math.log2(ZETA2 * c)
+    v = math.log2(c) + math.log2(ZETA2)  # ZETA2 * c overflows a float past 1e308
     n = 96
     while True:  # pi**2 c / 6 is irrational: some width resolves the floor
         lo, hi = _pi_bracket(n)

@@ -70,7 +70,6 @@ from .group import (
     catalog_group,
     center_mask,
     clean_lines,
-    cycles_str,
     is_pyramidal,
     is_solvable,
     is_subnormal,
@@ -132,10 +131,6 @@ def parse_cover_file(path_or_text: str) -> ResidueSystem:
     return ResidueSystem.from_pairs(pairs)
 
 
-def serialize_cover(system: ResidueSystem) -> str:
-    return "\n".join(str(c) for c in system.classes) + "\n"
-
-
 def _parse_group_header(lines: list[tuple[int, str]]) -> tuple[FiniteGroup, int]:
     """(group, clean lines used) for the top of a group or coset-cover file:
     every clean line before the first later one holding a ':' (a cover
@@ -167,23 +162,6 @@ def parse_group_file(path_or_text: str) -> FiniteGroup:
     if span < len(lines):
         raise InputError(f"line {lines[span][0]}: a group file holds one group only")
     return G
-
-
-def serialize_group(G: FiniteGroup) -> str:
-    """A record that reconstructs G with the same element numbering.
-
-    Every non-identity element is listed as a generator; breadth-first
-    numbering from the identity then reproduces ids in listed order.
-    """
-    if G.perms is None:
-        raise InputError("group has no permutation realization")
-    degree = len(G.perms[0])
-    lines = [f"group {G.name}", f"degree {degree}"]
-    for x in range(1, G.order):
-        lines.append(f"gen {cycles_str(G.perms[x])}")
-    lines.append(f"order {G.order}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
 
 
 # cycle texts contain spaces; a token is a run of parenthesized cycles
@@ -255,15 +233,6 @@ def parse_group_cover_file(
 def _coset_system(path_or_text: str) -> CosetSystem:
     G, _, entries = parse_group_cover_file(path_or_text, takes_h=False)
     return CosetSystem(G, entries)
-
-
-def serialize_group_cover(cover: CosetSystem, H: Optional[Subgroup] = None) -> str:
-    out = [serialize_group(cover.parent).rstrip("\n")]
-    if H is not None:
-        out.append("H : " + " ".join(str(x) for x in H.members()))
-    for rep, sub in cover.entries:
-        out.append(f"{rep} : " + " ".join(str(x) for x in sub.members()))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------- reporting

@@ -12,10 +12,12 @@ out in lexicographic order of their canonical coset positions.  Cosets
 are bitmasks, computed once per system (the enumerator hands over the
 masks it already holds); the weight profile sums them into binary bit
 planes (`levels.profile`, shared with the residue layer) once per
-system, a subgroup's left-coset partition is a group memo fact, the
-arithmetic of an index multiset is computed once per multiset, and the
-hypothesis flags of a uniform cover once per set of subgroups.  Every
-inequality is evaluated in exact rational arithmetic.
+system.  A subgroup's left-coset partition, core, subnormality and
+quotient by its core are read from the group memo, which keeps them
+once per group; the arithmetic of an index multiset is computed once
+per multiset, and the hypothesis flags of a uniform cover once per set
+of subgroups.  Every inequality is evaluated in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import groupby, product
 from operator import and_, or_
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisor_list, euler_product, factorize, index_bound_factor
 from .errors import InputError, SearchBudgetError
@@ -454,25 +456,6 @@ class UniformCoverReport(NamedTuple):
         return self.max_multiplicity >= self.min_prime
 
 
-class _SubgroupFacts:
-    """What the uniform-cover checks read about one subgroup mask, one
-    instance per mask in the group memo; G over the core is built on
-    first use."""
-
-    def __init__(self, G: FiniteGroup, mask: int):
-        sub = Subgroup(G, mask)
-        self.G, self.index, self.core = G, sub.index, core_of(G, sub)
-        self.subnormal = is_subnormal(G, sub).is_subnormal
-
-    @cached_property
-    def quotient(self) -> FiniteGroup:
-        return quotient_group(self.G, self.core)
-
-
-def _facts(G: FiniteGroup, mask: int) -> _SubgroupFacts:
-    return G.memo("cover_facts", mask, _SubgroupFacts, G, mask)
-
-
 @lru_cache(maxsize=4096)
 def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBound]:
     """The report fields of check_uniform_cover that depend on the sorted
@@ -503,28 +486,34 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBoun
 _FLAG_ROWS = {row: row for row in product((False, True), repeat=8)}
 
 
-def _set_flags(G: FiniteGroup, masks: tuple[int, ...], p_r: int, r: int) -> tuple[bool, ...]:
+def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int, r: int) -> tuple[bool, ...]:
     """The hypothesis flags of check_uniform_cover, as the shared row of
     _FLAG_ROWS: cond_a, cond_a_vacuous, cond_b, cond_c, big_subnormal,
     via_subnormal, via_sylow, and p_r dividing the order of G over the
-    intersected cores.  They read only the distinct subgroup masks, since
+    intersected cores.  They read only the distinct subgroups subs, since
     p_r, the largest prime of the index lcm, and r, its prime count, do
-    too."""
-    distinct = [_facts(G, mask) for mask in masks]
-    top = [f for f in distinct if f.index % p_r == 0]
-    rest = [f for f in distinct if f.index % p_r]
+    too; each subgroup's core, subnormality and G over its core are read
+    from the group memo."""
+
+    def subnormal(sub: Subgroup) -> bool:
+        return is_subnormal(G, sub).is_subnormal
+
+    def over_core(sub: Subgroup) -> FiniteGroup:
+        return quotient_group(G, core_of(G, sub))
+
+    top = [s for s in subs if s.index % p_r == 0]
+    rest = [s for s in subs if s.index % p_r]
     # cond_a: the top subgroups subnormal, else G over the cores of the top
     # or of the rest solvable, vacuously so when the rest is empty
-    top_ok = all(f.subnormal for f in top) or all(is_solvable(f.quotient) for f in top)
-    cond_a = top_ok or all(is_solvable(f.quotient) for f in rest)
+    top_ok = all(subnormal(s) for s in top) or all(is_solvable(over_core(s)) for s in top)
+    cond_a = top_ok or all(is_solvable(over_core(s)) for s in rest)
     cond_b = all(
-        f.subnormal or f.index <= p_r or has_normal_sylow(f.quotient, p_r)
-        for f in rest
+        subnormal(s) or s.index <= p_r or has_normal_sylow(over_core(s), p_r) for s in rest
     )
-    icore = reduce(and_, (f.core.mask for f in distinct))
-    Q = _facts(G, icore).quotient  # icore is normal: this is G over icore
+    icore = reduce(and_, (core_of(G, s).mask for s in subs))
+    Q = quotient_group(G, Subgroup(G, icore))  # icore is normal
     q_solvable = is_solvable(Q)
-    big_subn = all(f.subnormal for f in distinct if f.index >= p_r)
+    big_subn = all(subnormal(s) for s in subs if s.index >= p_r)
     flags = (
         cond_a,
         cond_a and not top_ok and not rest,
@@ -548,8 +537,9 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     ns = cover.indices()
     head, tail, squarefree = _index_arithmetic(tuple(sorted(ns)))
     pp, p_r, top_mult = head[3], head[4], head[8]  # prime_powers, prime, top_multiplicity
-    masks = tuple(sorted({sub.mask for _, sub in cover.entries}))
-    flags = G.memo("cover_flags", masks, _set_flags, G, masks, p_r, len(pp))
+    subs = {sub.mask: sub for _, sub in cover.entries}
+    masks = tuple(sorted(subs))
+    flags = G.memo("cover_flags", masks, _set_flags, G, subs.values(), p_r, len(pp))
     cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div = flags
     if not G.memo("squarefree", G.full_mask(), _squarefree_order, G):
         squarefree = None
@@ -591,12 +581,11 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     G = cover.parent
     ns = cover.indices()
     n_max = max(ns)
-    masks = {sub.mask for _, sub in cover.entries}
     return MaxIndexReport(
         n_max=n_max,
         multiplicity=ns.count(n_max),
         least_prime=min(_prime_support(n_max)),
-        all_subnormal=all(_facts(G, mask).subnormal for mask in masks),
+        all_subnormal=all(is_subnormal(G, sub).is_subnormal for _, sub in cover.entries),
     )
 
 

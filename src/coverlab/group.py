@@ -199,9 +199,6 @@ class FiniteGroup:
             value = self._memo[key] = compute(*args)
             return value
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conj(self, g: int, h: int) -> int:
         """g h g**-1."""
         return self.table[self.table[g][h]][self.inv[g]]
@@ -315,22 +312,12 @@ class Subgroup:
     def members(self) -> tuple[int, ...]:
         return tuple(_bits(self.mask))
 
-    def contains(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-    def is_full(self) -> bool:
-        return self.size == self.parent.order
-
     def __repr__(self):
         return f"Subgroup<{','.join(map(str, self.members()))}>"
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, 1)
-
-
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, G.full_mask())
 
 
 def subgroup_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
@@ -775,15 +762,6 @@ def _quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
     return FiniteGroup(table, name=f"{G.name}/N{N.size}")
 
 
-def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    """H with elements renumbered 0..|H|-1 in ascending id order."""
-    _require_same_parent(G, H)
-    members = list(H.members())
-    pos = {x: i for i, x in enumerate(members)}
-    table = [tuple(pos[G.table[a][b]] for b in members) for a in members]
-    return FiniteGroup(table, name=f"{G.name}|sub{H.size}")
-
-
 # ------------------------------------------------------------------- catalog
 
 class GroupRecord(NamedTuple):
@@ -977,10 +955,6 @@ def load_catalog(*names: str) -> tuple[FiniteGroup, ...]:
 
 def catalog_group(name: str) -> FiniteGroup:
     return load_catalog(name)[0]
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_catalog().records)
 
 
 # ---------------------------------------------------------------------------

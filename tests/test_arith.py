@@ -90,7 +90,7 @@ def test_factorize_rejects_zero():
 def test_factorize_matches_brute_force(n):
     f = factorize(n)
     assert list(f.pairs) == brute_factor(n)
-    assert f.value() == n
+    assert math.prod(p**e for p, e in f.pairs) == n
     assert list(f.primes()) == sorted(f.primes())
 
 

@@ -22,9 +22,14 @@ from coverlab.bounds import (
     c_of,
     c_range,
     check_q_bound,
-    mertens_holds_at,
 )
 from coverlab.errors import InputError, SieveCapacityError
+
+
+def mertens_holds_at(x: int, M: int) -> bool:
+    """Exact check of the defining inequality prod_{p <= x} p/(p-1) <= x/M."""
+    num, den = euler_factors(primes_upto(x))
+    return M * num <= x * den
 
 
 def scan_c(M: int) -> int:
@@ -224,8 +229,20 @@ def test_alpha_floor_matches_a_wide_oracle_next_to_powers_of_two(monkeypatch):
         want = [int(mpmath.floor(mpmath.log(zeta2 * c, 2))) for c in cs]
     got = [alpha_floor(c) for c in cs]
     assert [value for value, _ in got] == want
+    # the flag, read from log2(c) + log2(zeta(2)), is the one the binary64
+    # log of the product gives wherever that product is a finite float
+    logs = [math.log2(ZETA2 * c) for c in cs]
+    flags = [abs(v - round(v)) < bounds_module._ALPHA_GUARD for v in logs]
+    assert [escalated for _, escalated in got] == flags
     assert sum(escalated for _, escalated in got) > 50
     assert max(widths) > 96
+
+
+def test_alpha_floor_takes_c_past_the_float_range():
+    # zeta(2) * 10**400 overflows a float; the floor is exact integers
+    with mpmath.workprec(4000):
+        want = int(mpmath.floor(mpmath.log(mpmath.zeta(2) * 10**400, 2)))
+    assert alpha_floor(10**400) == (want, False) and want == 1329
 
 
 def test_pi_bracket_holds_pi():

@@ -25,13 +25,11 @@ from coverlab.cli import (
     parse_cover_file,
     parse_group_cover_file,
     parse_group_file,
-    serialize_cover,
-    serialize_group,
-    serialize_group_cover,
 )
 from coverlab.errors import InputError
-from coverlab.gcover import CosetSystem, enumerate_uniform_covers
+from coverlab.gcover import CosetSystem, enumerate_uniform_covers, weight_profile
 from coverlab.group import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     catalog_group,
@@ -49,6 +47,36 @@ from coverlab.group import (
 from coverlab.zcover import ResidueSystem, check_simpson
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+# ------------------------------------------------------------ serializers
+# the inverses of the file readers, used only to write test inputs
+
+
+def serialize_cover(system: ResidueSystem) -> str:
+    return "\n".join(str(c) for c in system.classes) + "\n"
+
+
+def serialize_group(G: FiniteGroup) -> str:
+    """A record that reconstructs G with the same element numbering.
+
+    Every non-identity element is listed as a generator; breadth-first
+    numbering from the identity then reproduces ids in listed order.
+    """
+    if G.perms is None:
+        raise InputError("group has no permutation realization")
+    lines = [f"group {G.name}", f"degree {len(G.perms[0])}"]
+    lines += [f"gen {cycles_str(G.perms[x])}" for x in range(1, G.order)]
+    return "\n".join(lines + [f"order {G.order}", "end"]) + "\n"
+
+
+def serialize_group_cover(cover: CosetSystem, H: Subgroup | None = None) -> str:
+    out = [serialize_group(cover.parent).rstrip("\n")]
+    if H is not None:
+        out.append("H : " + " ".join(str(x) for x in H.members()))
+    for rep, sub in cover.entries:
+        out.append(f"{rep} : " + " ".join(str(x) for x in sub.members()))
+    return "\n".join(out) + "\n"
 
 
 # ------------------------------------------------------------ cover files
@@ -110,11 +138,8 @@ def test_group_parse_inline_record():
 
 
 def test_group_round_trip_tables():
-    for name in ("S3", "D4", "C12", "Q8", "SD16"):
-        G = catalog_group(name)
-        H = parse_group_file(serialize_group(G))
-        assert H.order == G.order
-        assert H.table == G.table
+    for G in load_catalog():
+        assert parse_group_file(serialize_group(G)).table == G.table, G.name
     # a quotient is a table with no permutations to write
     D4 = catalog_group("D4")
     with pytest.raises(InputError, match="^group has no permutation realization$"):
@@ -194,16 +219,25 @@ def test_group_cover_inline_record():
 
 
 def test_group_cover_round_trip():
-    G = catalog_group("S3")
-    three = [S for S in all_subgroups(G) if S.size == 3][0]
-    cover = CosetSystem(G, [(0, three), (1, three)])
-    text = serialize_group_cover(cover, trivial_subgroup(G))
-    G2, H2, entries = parse_group_cover_file(text)
-    assert G2.table == G.table
-    assert H2.size == 1
-    assert [(rep, sub.members()) for rep, sub in entries] == [
-        (rep, sub.members()) for rep, sub in cover.entries
-    ]
+    # random covers of six groups, each with and without an H line
+    rng = random.Random(23)
+    for name in ("S3", "D4", "Q8", "A4", "D6", "SD16"):
+        G = catalog_group(name)
+        subs = all_subgroups(G)
+        covers = list(enumerate_uniform_covers(G, 4, 1))
+        for cover in rng.sample(covers, 4):
+            # any member of a coset stands for it
+            entries = [
+                (rng.choice([x for x in range(G.order) if mask >> x & 1]), sub)
+                for (_, sub), mask in zip(cover.entries, cover.masks)
+            ]
+            for H in (None, rng.choice(subs)):
+                text = serialize_group_cover(CosetSystem(G, entries), H)
+                G2, H2, got = parse_group_cover_file(text)
+                assert G2.table == G.table
+                assert H2.mask == (1 if H is None else H.mask)
+                assert [(r, sub.mask) for r, sub in got] == [(r, sub.mask) for r, sub in entries]
+                assert weight_profile(CosetSystem(G2, got)).uniform_m == 1
 
 
 def test_group_cover_parse_errors():
@@ -899,9 +933,9 @@ def test_a_duplicate_catalog_name_is_a_fault(capsys, monkeypatch):
 def test_catalog_lookups_share_one_object_per_name():
     # a named lookup before the full load and one after it, fresh process
     proc = _run_cli(
-        "from coverlab.group import _catalog_cache, catalog_group, catalog_names, load_catalog; "
+        "from coverlab.group import _catalog_cache, catalog_group, load_catalog; "
         "assert _catalog_cache is None; q8 = catalog_group('Q8'); "
-        "full = dict(zip(catalog_names(), load_catalog())); "
+        "full = {g.name: g for g in load_catalog()}; "
         "assert full['Q8'] is q8 and catalog_group('S3') is full['S3']; "
         "d4, again = load_catalog('D4', 'Q8'); assert d4 is full['D4'] and again is q8; "
         "assert load_catalog() is load_catalog()",

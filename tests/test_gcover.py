@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -43,7 +44,6 @@ from coverlab.group import (
     core_of,
     cycles_str,
     cyclic_group,
-    full_subgroup,
     group_from_generators,
     has_normal_sylow,
     is_normal,
@@ -179,7 +179,7 @@ def test_profile_mass_identity():
 
 def test_profile_trivial_cover():
     G = catalog_group("S3")
-    w = weight_profile(CosetSystem(G, [(0, full_subgroup(G))]))
+    w = weight_profile(CosetSystem(G, [(0, Subgroup(G, G.full_mask()))]))
     assert w.is_trivial and w.uniform_m == 1
 
 
@@ -222,7 +222,7 @@ def test_reciprocal_sum():
 
 def test_kernel_on_named_partition():
     r = kernel_of(c4_cover())
-    assert r.kernel.is_full()  # constant weight, every translation fixes it
+    assert r.kernel.index == 1  # constant weight, every translation fixes it
     assert r.contains_intersection and r.union_property_verified
     assert r.subsets_checked == 7 and not r.capped
 
@@ -235,7 +235,7 @@ def test_constant_weight_kernel_matches_the_translation_test():
         assert covers
         for cover in covers:
             r = kernel_of(cover)
-            assert r.kernel.is_full() and r == oracle_kernel_of(cover), cover
+            assert r.kernel.index == 1 and r == oracle_kernel_of(cover), cover
     # a weight that is not constant is still tested: the one coset H of S3
     # is kept by exactly the right translations in H, a proper subgroup
     G = catalog_group("S3")
@@ -327,7 +327,7 @@ def test_union_bound_exhaustive_c12():
 def test_aligned_full_h():
     G = catalog_group("C12")
     s6 = sub_of_size(G, 6)
-    r = check_aligned_union_bound(G, full_subgroup(G), [(0, s6), (1, s6)])
+    r = check_aligned_union_bound(G, Subgroup(G, G.full_mask()), [(0, s6), (1, s6)])
     assert r.case == "a"
     assert r.lhs == 2 and r.rhs == 2 and r.holds
 
@@ -352,7 +352,7 @@ def test_aligned_cases_b_c_none():
     S3 = catalog_group("S3")
     two = sub_of_size(S3, 2)
     r = check_aligned_union_bound(
-        S3, two, [(0, trivial_subgroup(S3)), (0, full_subgroup(S3))]
+        S3, two, [(0, trivial_subgroup(S3)), (0, Subgroup(S3, S3.full_mask()))]
     )
     assert r.case == "c" and r.holds
     # a non-normal entry and a non-normal H: no case applies
@@ -365,7 +365,7 @@ def test_aligned_rejects_misaligned_union():
     G = catalog_group("C12")
     with pytest.raises(ValueError, match="union of left H-cosets"):
         check_aligned_union_bound(
-            G, full_subgroup(G), [(0, sub_of_size(G, 6)), (0, sub_of_size(G, 4))]
+            G, Subgroup(G, G.full_mask()), [(0, sub_of_size(G, 6)), (0, sub_of_size(G, 4))]
         )
 
 
@@ -442,7 +442,7 @@ def test_uniform_requires_uniform():
     with pytest.raises(ValueError):
         check_uniform_cover(CosetSystem(G, [(0, two), (1, two), (3, two)]))
     with pytest.raises(ValueError):
-        check_uniform_cover(CosetSystem(G, [(0, full_subgroup(G))]))
+        check_uniform_cover(CosetSystem(G, [(0, Subgroup(G, G.full_mask()))]))
 
 
 def test_max_index_probe():
@@ -479,7 +479,7 @@ def oracle_covers(G, k_max, m):
     def rec(pos, mass):
         nonlocal nodes
         if mass == 0:
-            if any(not sub.is_full() for _, sub in picked):
+            if any(sub.index > 1 for _, sub in picked):
                 covers.append(CosetSystem(G, tuple(picked)))
             return
         if len(picked) == k_max:
@@ -766,7 +766,7 @@ def oracle_weight_profile(cover):
         uniform_m=lo if lo == hi else None,
         is_cover=lo >= 1,
         is_partition=lo == hi == 1,
-        is_trivial=all(sub.is_full() for _, sub in cover.entries),
+        is_trivial=all(sub.index == 1 for _, sub in cover.entries),
     )
 
 
@@ -1030,7 +1030,7 @@ def test_masks_handed_over_match_the_cosets():
         assert cover.masks == oracle_masks(cover)
         assert cover.canonical().masks == oracle_masks(cover.canonical())
     with pytest.raises(ValueError, match="one coset mask per entry"):
-        CosetSystem(G, ((0, full_subgroup(G)),), (G.full_mask(), 1))
+        CosetSystem(G, ((0, Subgroup(G, G.full_mask())),), (G.full_mask(), 1))
 
 
 def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
@@ -1105,6 +1105,27 @@ def test_flags_are_computed_once_per_subgroup_set(monkeypatch):
     assert report.equal_pair.pair != (0, 1)
 
 
+def test_subgroup_facts_of_a_cover_check_are_the_group_memos(monkeypatch):
+    # gcover keeps only its per-set facts in a group's memo; a subgroup's
+    # core, subnormality and quotient are memoized by group alone
+    plain = group.FiniteGroup.memo
+    keepers = set()
+
+    def memo(G, fact, *rest):
+        keepers.add((sys._getframe(1).f_globals["__name__"], fact))
+        return plain(G, fact, *rest)
+
+    monkeypatch.setattr(group.FiniteGroup, "memo", memo)
+    G = group_from_generators(4, ["(1 2 3 4)", "(1 3)"], name="D4")
+    for cover in enumerate_uniform_covers(G, 5, 2):
+        check_uniform_cover(cover)
+        probe_max_index_multiplicity(cover)
+    assert {fact for keeper, fact in keepers if keeper == "coverlab.gcover"} == {
+        "cover_flags", "squarefree"
+    }
+    assert {"core", "subnormal", "quotient"} <= {fact for _, fact in keepers}
+
+
 # ------------------------------------------- non-solvable uniform covers
 
 
@@ -1155,7 +1176,7 @@ def test_uniform_non_solvable_s5():
     assert (probe.n_max, probe.multiplicity, probe.least_prime) == (5, 5, 5)
     assert not probe.all_subnormal
     k = kernel_of(cover)
-    assert k.kernel.is_full() and k.union_property_verified and not k.capped
+    assert k.kernel.index == 1 and k.union_property_verified and not k.capped
 
 
 def test_uniform_non_solvable_psl27():
