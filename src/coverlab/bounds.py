@@ -44,6 +44,9 @@ _ALPHA_GUARD = 1e-9
 
 
 def _scan_bound(m_hi: int) -> int:
+    """A sieve length past c(m_hi): c(M) is about e**gamma M ln M, and
+    every M whose bound lies inside the sieve capacity has c(M) below 0.9
+    of it."""
     return 64 + int(3.0 * m_hi * max(1.0, math.log(m_hi + 2)))
 
 
@@ -53,14 +56,10 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
         raise InputError(f"c(M) is defined here for M >= 2, got {m_lo}")
     if m_hi < m_lo:
         raise InputError("empty range")
-    bound = min(_scan_bound(m_hi), SIEVE_CAPACITY)
-    while True:
-        out = _try_c_range(m_lo, m_hi, bound)
-        if out is not None:
-            return out
-        if bound == SIEVE_CAPACITY:
-            raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
-        bound = min(2 * bound, SIEVE_CAPACITY)
+    out = _try_c_range(m_lo, m_hi, min(_scan_bound(m_hi), SIEVE_CAPACITY))
+    if out is None:
+        raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
+    return out
 
 
 class _Prefix(NamedTuple):

@@ -494,10 +494,7 @@ def _cmd_group_info(args, rep: Report) -> None:
     rep.info("solvable", is_solvable(G))
     rep.info("pyramidal", is_pyramidal(G))
     rep.info("subgroups", len(subs))
-    rep.info(
-        "subnormal-subgroups",
-        sum(1 for H in subs if is_subnormal(G, H).is_subnormal),
-    )
+    rep.info("subnormal-subgroups", sum(1 for H in subs if is_subnormal(H)))
     rep.info("center-order", center_mask(G).bit_count())
     rep.info("element-orders", [f"{o}^{profile[o]}" for o in sorted(profile)])
 
@@ -514,7 +511,7 @@ def _cmd_group_suite(args, rep: Report) -> None:
 
 def _cmd_union_bound(args, rep: Report) -> None:
     G, H, entries = parse_group_cover_file(args.cover)
-    ub = check_union_lower_bound(G, H, entries)
+    ub = check_union_lower_bound(H, entries)
     rep.inputs.update({"group": G.name, "H-order": H.size, "entries": len(entries)})
     rep.info("index-h", ub.index_h)
     rep.info("indices", ub.indices)
@@ -530,7 +527,7 @@ def _cmd_union_bound(args, rep: Report) -> None:
 
 def _cmd_aligned_union(args, rep: Report) -> None:
     G, H, entries = parse_group_cover_file(args.cover)
-    ar = check_aligned_union_bound(G, H, entries)
+    ar = check_aligned_union_bound(H, entries)
     rep.inputs.update({"group": G.name, "H-order": H.size, "entries": len(entries)})
     rep.info("case", ar.case)
     if ar.d_both_branches:

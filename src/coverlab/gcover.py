@@ -86,7 +86,7 @@ class CosetSystem:
             if not 0 <= rep < parent.order:
                 raise InputError(f"representative {rep} out of range")
         if not masks:
-            masks = tuple(left_coset_mask(parent, rep, sub) for rep, sub in entries)
+            masks = tuple(left_coset_mask(rep, sub) for rep, sub in entries)
         elif len(masks) != len(entries):
             raise ValueError("one coset mask per entry needed")
         self.parent, self.entries, self.masks = parent, entries, masks
@@ -271,7 +271,7 @@ class UnionBoundReport(NamedTuple):
 
 
 def check_union_lower_bound(
-    G: FiniteGroup, H: Subgroup, entries: Sequence[tuple[int, Subgroup]]
+    H: Subgroup, entries: Sequence[tuple[int, Subgroup]]
 ) -> UnionBoundReport:
     """Count left H-cosets meeting the union of the a_i G_i and compare
     with |{0 <= n < [G:H] : some n_i divides n}|.
@@ -282,6 +282,7 @@ def check_union_lower_bound(
     G has prime-order quotients all the way; "none" means the numbers
     are still reported but nothing is guaranteed.
     """
+    G = H.parent
     system = CosetSystem(G, entries)
     for _, sub in system.entries:
         if sub.mask & H.mask != H.mask:
@@ -291,9 +292,9 @@ def check_union_lower_bound(
     met = sum(1 for c in left_cosets(G, H.mask) if c & union)
     ns = system.indices()
     rhs = sum(1 for n in range(h) if any(n % d == 0 for d in ns))
-    if all(is_subnormal(G, sub).is_subnormal for _, sub in system.entries):
+    if all(is_subnormal(sub) for _, sub in system.entries):
         hyp = "subnormal"
-    elif prime_quotient_series(G, H) is not None:
+    elif prime_quotient_series(H) is not None:
         hyp = "series"
     else:
         hyp = "none"
@@ -324,8 +325,9 @@ class AlignedUnionReport(NamedTuple):
 
 
 def check_aligned_union_bound(
-    G: FiniteGroup, H: Subgroup, entries: Sequence[tuple[int, Subgroup]]
+    H: Subgroup, entries: Sequence[tuple[int, Subgroup]]
 ) -> AlignedUnionReport:
+    G = H.parent
     system = CosetSystem(G, entries)
     pairs = system.entries
     union = reduce(or_, system.masks)
@@ -340,24 +342,22 @@ def check_aligned_union_bound(
     ratio = math.lcm(*ns) // g_all
     rhs = mult * sum(Fraction(1, d) for d in divisor_list(ratio))
 
-    all_normal = all(is_normal(G, sub) for _, sub in pairs)
-    all_subn = all_normal or all(is_subnormal(G, sub).is_subnormal for _, sub in pairs)
-    h_normal = is_normal(G, H)
+    all_normal = all(is_normal(sub) for _, sub in pairs)
+    all_subn = all_normal or all(is_subnormal(sub) for _, sub in pairs)
+    h_normal = is_normal(H)
     case = "none"
     d_both = False
     if all_subn and h_normal:
         case = "a"
-    elif all_normal and is_subnormal(G, H).is_subnormal:
+    elif all_normal and is_subnormal(H):
         case = "b"
     elif all_normal:
         inter = reduce(and_, (sub.mask for _, sub in pairs))
-        if is_solvable(quotient_group(G, Subgroup(G, inter))):
+        if is_solvable(quotient_group(Subgroup(G, inter))):
             case = "c"
     if case == "none" and h_normal:
-        gh_solvable = is_solvable(quotient_group(G, H))
-        cores_solvable = all(
-            is_solvable(quotient_group(G, core_of(G, sub))) for _, sub in pairs
-        )
+        gh_solvable = is_solvable(quotient_group(H))
+        cores_solvable = all(is_solvable(quotient_group(core_of(sub))) for _, sub in pairs)
         if gh_solvable or cores_solvable:
             case = "d"
             d_both = gh_solvable and cores_solvable
@@ -495,25 +495,22 @@ def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int, r: int) -> tu
     too; each subgroup's core, subnormality and G over its core are read
     from the group memo."""
 
-    def subnormal(sub: Subgroup) -> bool:
-        return is_subnormal(G, sub).is_subnormal
-
     def over_core(sub: Subgroup) -> FiniteGroup:
-        return quotient_group(G, core_of(G, sub))
+        return quotient_group(core_of(sub))
 
     top = [s for s in subs if s.index % p_r == 0]
     rest = [s for s in subs if s.index % p_r]
     # cond_a: the top subgroups subnormal, else G over the cores of the top
     # or of the rest solvable, vacuously so when the rest is empty
-    top_ok = all(subnormal(s) for s in top) or all(is_solvable(over_core(s)) for s in top)
+    top_ok = all(is_subnormal(s) for s in top) or all(is_solvable(over_core(s)) for s in top)
     cond_a = top_ok or all(is_solvable(over_core(s)) for s in rest)
     cond_b = all(
-        subnormal(s) or s.index <= p_r or has_normal_sylow(over_core(s), p_r) for s in rest
+        is_subnormal(s) or s.index <= p_r or has_normal_sylow(over_core(s), p_r) for s in rest
     )
-    icore = reduce(and_, (core_of(G, s).mask for s in subs))
-    Q = quotient_group(G, Subgroup(G, icore))  # icore is normal
+    icore = reduce(and_, (core_of(s).mask for s in subs))
+    Q = quotient_group(Subgroup(G, icore))  # icore is normal
     q_solvable = is_solvable(Q)
-    big_subn = all(subnormal(s) for s in subs if s.index >= p_r)
+    big_subn = all(is_subnormal(s) for s in subs if s.index >= p_r)
     flags = (
         cond_a,
         cond_a and not top_ok and not rest,
@@ -578,14 +575,13 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     """Check that the largest index occurs at least as often as its least
     prime factor.  Informational unless every subgroup is subnormal."""
     _require_nontrivial_uniform(cover)
-    G = cover.parent
     ns = cover.indices()
     n_max = max(ns)
     return MaxIndexReport(
         n_max=n_max,
         multiplicity=ns.count(n_max),
         least_prime=min(_prime_support(n_max)),
-        all_subnormal=all(is_subnormal(G, sub).is_subnormal for _, sub in cover.entries),
+        all_subnormal=all(is_subnormal(sub) for _, sub in cover.entries),
     )
 
 

@@ -14,7 +14,9 @@ solvability, abelianness, pyramidality and the subgroup lattice --
 lives in one memo on the group, keyed by (fact, mask) and read through
 FiniteGroup.memo.  A fact about the whole group is keyed by its full
 mask.  The quotient by the trivial subgroup is the group itself, so its
-lattice is never enumerated twice.
+lattice is never enumerated twice.  A fact of one subgroup takes only the
+subgroup and reads its group as H.parent; subnormality is a bool, found
+by descending through normal closures from the group.
 Pyramidal chains and prime-quotient series are one walk up the lattice
 through normal steps of prime index, and a subgroup's pyramidality is a
 fact at its mask.
@@ -329,8 +331,8 @@ def subgroup_closure(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     return Subgroup(G, G.closure_mask(mask))
 
 
-def left_coset_mask(G: FiniteGroup, rep: int, H: Subgroup) -> int:
-    row = G.table[rep]
+def left_coset_mask(rep: int, H: Subgroup) -> int:
+    row = H.parent.table[rep]
     out = 0
     for h in _bits(H.mask):
         out |= 1 << row[h]
@@ -348,7 +350,7 @@ def _coset_walk(G: FiniteGroup, mask: int) -> tuple[int, ...]:
     out = []
     rest = G.full_mask()
     while rest:
-        out.append(left_coset_mask(G, (rest & -rest).bit_length() - 1, sub))
+        out.append(left_coset_mask((rest & -rest).bit_length() - 1, sub))
         rest &= ~out[-1]
     return tuple(out)
 
@@ -553,26 +555,21 @@ def _join(table, facts: dict, elems: list[int], h: int, g: int) -> tuple:
     return facts[j] if j in facts else (facts[h][0] + (g,), j)
 
 
-def _require_same_parent(G: FiniteGroup, H: Subgroup) -> None:
-    if H.parent is not G:
-        raise ValueError("subgroup belongs to a different group object")
-
-
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    _require_same_parent(G, H)
+def is_normal(H: Subgroup) -> bool:
+    G = H.parent
     return G.memo("normal", H.mask, G.normal_in, H.mask, G.full_mask())
 
 
-def core_of(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G inside H: intersection of conjugates."""
-    _require_same_parent(G, H)
-    return G.memo("core", H.mask, _core, G, H)
+def core_of(H: Subgroup) -> Subgroup:
+    """Largest normal subgroup of G = H.parent inside H: intersection of
+    conjugates."""
+    return H.parent.memo("core", H.mask, _core, H)
 
 
-def _core(G: FiniteGroup, H: Subgroup) -> Subgroup:
+def _core(H: Subgroup) -> Subgroup:
     """Conjugates by one element of each left coset but H itself:
     (gh)H(gh)**-1 = gHg**-1."""
-    mask = H.mask
+    G, mask = H.parent, H.mask
     for c in left_cosets(G, H.mask)[1:]:
         mask &= G.conj_mask((c & -c).bit_length() - 1, H.mask)
         if mask == 1:
@@ -580,40 +577,22 @@ def _core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, mask)
 
 
-class SubnormalityReport(NamedTuple):
-    """Descending normal-closure chain from G down toward H.
-
-    chain[0] is G; each later entry is the normal closure of H in the
-    previous one; subnormal iff the chain bottoms out at H, and then
-    defect is the number of steps.
-    """
-
-    is_subnormal: bool
-    chain: tuple[Subgroup, ...]
-    defect: Optional[int]
+def is_subnormal(H: Subgroup) -> bool:
+    """Is H subnormal in G = H.parent: does the descending chain from G,
+    each step the normal closure of H in the one before, end at H."""
+    return H.parent.memo("subnormal", H.mask, _subnormality, H)
 
 
-def is_subnormal(G: FiniteGroup, H: Subgroup) -> SubnormalityReport:
-    _require_same_parent(G, H)
-    return G.memo("subnormal", H.mask, _subnormality, G, H)
-
-
-def _subnormality(G: FiniteGroup, H: Subgroup) -> SubnormalityReport:
-    masks = [G.full_mask()]
+def _subnormality(H: Subgroup) -> bool:
+    G = H.parent
+    over = G.full_mask()
     while True:
-        nxt = G.normal_closure_in(masks[-1], H.mask)
-        if nxt == masks[-1]:
-            break
-        masks.append(nxt)
-    for over, sub in zip(masks, masks[1:]):
-        if not G.normal_in(sub, over):
+        nxt = G.normal_closure_in(over, H.mask)
+        if nxt == over:
+            return over == H.mask
+        if not G.normal_in(nxt, over):
             raise RuntimeError("normal-closure chain failed its own recheck")
-    found = masks[-1] == H.mask
-    return SubnormalityReport(
-        is_subnormal=found,
-        chain=tuple(Subgroup(G, m) for m in masks),
-        defect=len(masks) - 1 if found else None,
-    )
+        over = nxt
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -626,7 +605,7 @@ def has_normal_sylow(G: FiniteGroup, p: int) -> bool:
     """Is a Sylow p-subgroup of G normal.  A normal one is the only one,
     so testing the first in lattice order settles it."""
     return G.memo(
-        f"normal-sylow-{p}", G.full_mask(), lambda: is_normal(G, sylow_subgroup(G, p))
+        f"normal-sylow-{p}", G.full_mask(), lambda: is_normal(sylow_subgroup(G, p))
     )
 
 
@@ -718,13 +697,13 @@ def is_pyramidal(G: FiniteGroup) -> bool:
 
 
 def prime_quotient_series(
-    G: FiniteGroup, H: Subgroup, p_first: Optional[int] = None
+    H: Subgroup, p_first: Optional[int] = None
 ) -> Optional[tuple[Subgroup, ...]]:
-    """A chain H = F_0 < F_1 < ... < F_m = G, each F_j normal in F_{j+1}
-    with prime index, or None.  With p_first set, every step of index
-    p_first must come before every step of any other index (reading the
-    chain upward from H).  H = G gives the one-node chain."""
-    _require_same_parent(G, H)
+    """A chain H = F_0 < F_1 < ... < F_m = G = H.parent, each F_j normal
+    in F_{j+1} with prime index, or None.  With p_first set, every step
+    of index p_first must come before every step of any other index
+    (reading the chain upward from H).  H = G gives the one-node chain."""
+    G = H.parent
 
     def step(non_p_seen: bool, q: int) -> Optional[bool]:
         # the state: a step of index other than p_first has been taken
@@ -737,16 +716,16 @@ def prime_quotient_series(
     )
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
-    """G/N as a coset table, memoized on G.  Cosets are numbered by their
-    least element, ascending, so the identity coset is element 0.  The
-    quotient by the trivial subgroup is G itself."""
-    _require_same_parent(G, N)
-    return G.memo("quotient", N.mask, _quotient, G, N)
+def quotient_group(N: Subgroup) -> FiniteGroup:
+    """G/N for G = N.parent as a coset table, memoized on G.  Cosets are
+    numbered by their least element, ascending, so the identity coset is
+    element 0.  The quotient by the trivial subgroup is G itself."""
+    return N.parent.memo("quotient", N.mask, _quotient, N)
 
 
-def _quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
-    if not is_normal(G, N):
+def _quotient(N: Subgroup) -> FiniteGroup:
+    G = N.parent
+    if not is_normal(N):
         raise InputError("quotient by a non-normal subgroup")
     if N.mask == 1:
         return G
@@ -973,15 +952,17 @@ def _prime_support(n: int) -> frozenset:
     return frozenset(p for p, _ in factorize(n).pairs)
 
 
-def check_index_intersection(G: FiniteGroup, subs: Sequence[Subgroup]) -> bool:
-    """Subnormal subgroups: the index of their intersection divides the
-    product of their indices, and both have the same prime divisors."""
+def check_index_intersection(subs: Sequence[Subgroup]) -> bool:
+    """Subnormal subgroups of one group: the index of their intersection
+    divides the product of their indices, and both have the same prime
+    divisors."""
     if not subs:
         raise InputError("need at least one subgroup")
-    for H in subs:
-        _require_same_parent(G, H)
-        if not is_subnormal(G, H).is_subnormal:
-            raise InputError("requires subnormal subgroups")
+    G = subs[0].parent
+    if any(H.parent is not G for H in subs):
+        raise ValueError("subgroups belong to different group objects")
+    if not all(is_subnormal(H) for H in subs):
+        raise InputError("requires subnormal subgroups")
     mask = G.full_mask()
     prod = 1
     for H in subs:
@@ -991,40 +972,37 @@ def check_index_intersection(G: FiniteGroup, subs: Sequence[Subgroup]) -> bool:
     return prod % joint == 0 and _prime_support(joint) == _prime_support(prod)
 
 
-def check_core_primes(G: FiniteGroup, H: Subgroup) -> bool:
+def check_core_primes(H: Subgroup) -> bool:
     """Subnormal H: the order of G modulo the core of H has the same
     prime divisors as the index of H."""
-    _require_same_parent(G, H)
-    if not is_subnormal(G, H).is_subnormal:
+    if not is_subnormal(H):
         raise InputError("requires a subnormal subgroup")
-    return _prime_support(core_of(G, H).index) == _prime_support(H.index)
+    return _prime_support(core_of(H).index) == _prime_support(H.index)
 
 
-def check_hall_normality(G: FiniteGroup, H: Subgroup) -> bool:
+def check_hall_normality(H: Subgroup) -> bool:
     """A subnormal subgroup whose order and index are coprime is normal."""
-    _require_same_parent(G, H)
     if math.gcd(H.size, H.index) != 1:
         raise InputError("requires a Hall subgroup")
-    if not is_subnormal(G, H).is_subnormal:
+    if not is_subnormal(H):
         raise InputError("requires a subnormal subgroup")
-    return is_normal(G, H)
+    return is_normal(H)
 
 
-def core_excluded_primes(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
+def core_excluded_primes(H: Subgroup) -> tuple[int, ...]:
     """Primes dividing |G / core(H)| but not the index of H."""
-    _require_same_parent(G, H)
-    joint = _prime_support(core_of(G, H).index) - _prime_support(H.index)
+    joint = _prime_support(core_of(H).index) - _prime_support(H.index)
     return tuple(sorted(joint))
 
 
-def check_core_sylow_exclusion(G: FiniteGroup, H: Subgroup) -> bool:
+def check_core_sylow_exclusion(H: Subgroup) -> bool:
     """For each prime dividing |G / core(H)| but not [G:H], the quotient
     by the core has no normal Sylow subgroup at that prime.  Vacuously
     true when no such prime exists (always, when H is subnormal)."""
-    primes = core_excluded_primes(G, H)
+    primes = core_excluded_primes(H)
     if not primes:
         return True
-    Q = quotient_group(G, core_of(G, H))
+    Q = quotient_group(core_of(H))
     return not any(has_normal_sylow(Q, p) for p in primes)
 
 
@@ -1034,7 +1012,7 @@ def check_pyramidal_sylow(G: FiniteGroup) -> bool:
     for groups with no pyramidal chain."""
     if G.order == 1 or not is_pyramidal(G):
         return True
-    return is_normal(G, sylow_subgroup(G, max(_prime_support(G.order))))
+    return has_normal_sylow(G, max(_prime_support(G.order)))
 
 
 def check_solvable_tower(G: FiniteGroup, p: int) -> bool:
@@ -1043,8 +1021,8 @@ def check_solvable_tower(G: FiniteGroup, p: int) -> bool:
     index-p step before any other step."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    direct = is_solvable(G) and is_normal(G, sylow_subgroup(G, p))
-    series = prime_quotient_series(G, trivial_subgroup(G), p_first=p)
+    direct = is_solvable(G) and has_normal_sylow(G, p)
+    series = prime_quotient_series(trivial_subgroup(G), p_first=p)
     return direct == (series is not None)
 
 
@@ -1060,7 +1038,7 @@ def structural_suite(G: FiniteGroup) -> tuple[SuiteLine, ...]:
     each.  `checked` counts non-vacuous instances; a line with checked 0
     holds by default and says why in its note."""
     subs = all_subgroups(G)
-    subnormal = [H for H in subs if is_subnormal(G, H).is_subnormal]
+    subnormal = [H for H in subs if is_subnormal(H)]
     lines = []
 
     n = sum(math.comb(len(subnormal) + r - 1, r) for r in (1, 2, 3))
@@ -1070,23 +1048,23 @@ def structural_suite(G: FiniteGroup) -> tuple[SuiteLine, ...]:
             f"above the cap {INDEX_INTERSECTION_CAP}"
         )
     ok = all(
-        check_index_intersection(G, combo)
+        check_index_intersection(combo)
         for r in (1, 2, 3)
         for combo in combinations_with_replacement(subnormal, r)
     )
     lines.append(SuiteLine("index-intersection", ok, n))
 
-    ok = all(check_core_primes(G, H) for H in subnormal)
+    ok = all(check_core_primes(H) for H in subnormal)
     lines.append(SuiteLine("core-primes", ok, len(subnormal)))
 
     halls = [H for H in subnormal if math.gcd(H.size, H.index) == 1]
-    ok = all(check_hall_normality(G, H) for H in halls)
+    ok = all(check_hall_normality(H) for H in halls)
     lines.append(SuiteLine("hall-normality", ok, len(halls)))
 
     ok, n = True, 0
     for H in subs:
-        if core_excluded_primes(G, H):
-            ok = check_core_sylow_exclusion(G, H) and ok
+        if core_excluded_primes(H):
+            ok = check_core_sylow_exclusion(H) and ok
             n += 1
     note = "" if n else "no subgroup excludes a prime"
     lines.append(SuiteLine("core-sylow-exclusion", ok, n, note))

@@ -79,14 +79,6 @@ class ResidueSystem:
     def period(self) -> int:
         return math.lcm(*self.moduli())
 
-    def canonical(self) -> tuple[ResidueClass, ...]:
-        """Classes sorted by (modulus, residue); reporting order, not storage order."""
-        return tuple(sorted(self.classes, key=lambda c: (c.modulus, c.residue)))
-
-    def zeroed(self) -> "ResidueSystem":
-        """Same moduli, all residues replaced by 0."""
-        return ResidueSystem(tuple(ResidueClass(0, c.modulus) for c in self.classes))
-
     def __len__(self):
         return len(self.classes)
 

@@ -249,7 +249,7 @@ def test_criterion_09_union_lower_bound():
         subs = all_subgroups(G)
         k = rng.randint(1, 3)
         entries = [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
-        r = check_union_lower_bound(G, [s for s in subs if s.size == 1][0], entries)
+        r = check_union_lower_bound([s for s in subs if s.size == 1][0], entries)
         assert r.hypothesis == "subnormal"
         assert r.lhs >= r.rhs
 
@@ -265,7 +265,7 @@ def test_criterion_09_union_lower_bound():
                 for s2 in above:
                     for a in range(0, G.order, 3):
                         for b in range(1, G.order, 4):
-                            r = check_union_lower_bound(G, H, [(a, s1), (b, s2)])
+                            r = check_union_lower_bound(H, [(a, s1), (b, s2)])
                             if r.hypothesis != "none":
                                 group_instances += 1
                                 assert r.lhs >= r.rhs, (G.name, H, s1, s2, a, b)

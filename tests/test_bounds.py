@@ -96,6 +96,12 @@ def exact_segment_scan(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | Non
     return None
 
 
+def test_c_lies_below_its_scan_bound():
+    # c_range scans once, to the bound of its largest M
+    for M, c in c_range(2, 3000).items():
+        assert c < _scan_bound(M), M
+
+
 def test_c_range_matches_exact_segment_scan():
     assert c_range(2, 3000) == exact_segment_scan(2, 3000, _scan_bound(3000))
 

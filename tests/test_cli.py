@@ -143,7 +143,7 @@ def test_group_round_trip_tables():
     # a quotient is a table with no permutations to write
     D4 = catalog_group("D4")
     with pytest.raises(InputError, match="^group has no permutation realization$"):
-        serialize_group(quotient_group(D4, Subgroup(D4, center_mask(D4))))
+        serialize_group(quotient_group(Subgroup(D4, center_mask(D4))))
 
 
 def test_group_parse_errors():
@@ -391,7 +391,7 @@ def a5_cosets_text(*subgroups):
         seen = 0
         for x in range(G.order):
             if not seen >> x & 1:
-                seen |= left_coset_mask(G, x, H)
+                seen |= left_coset_mask(x, H)
                 lines.append(f"{cycles_str(G.perms[x]) if x else 'e'} : {' '.join(sub)}")
     return "\n".join(lines) + "\n"
 

@@ -68,7 +68,7 @@ def left_cosets(G, H):
     for x in range(G.order):
         if not seen >> x & 1:
             out.append((x, H))
-            seen |= left_coset_mask(G, x, H)
+            seen |= left_coset_mask(x, H)
     return out
 
 
@@ -102,11 +102,12 @@ def test_system_validation():
     H = trivial_subgroup(G)
     for check in (check_union_lower_bound, check_aligned_union_bound):
         with pytest.raises(ValueError, match="at least one"):
-            check(G, H, [])
+            check(H, [])
         with pytest.raises(ValueError, match="out of range"):
-            check(G, H, [(4, sub_of_size(G, 2))])
+            check(H, [(4, sub_of_size(G, 2))])
+        # the system is built over H's group, which refuses another group's entry
         with pytest.raises(ValueError, match="different group"):
-            check(G, H, [(0, trivial_subgroup(catalog_group("S3")))])
+            check(H, [(0, trivial_subgroup(catalog_group("S3")))])
 
 
 def test_systems_compare_by_parent_and_entries_not_masks():
@@ -278,7 +279,7 @@ def test_kernel_union_property_random():
 def test_union_bound_c12_instance():
     G = catalog_group("C12")
     r = check_union_lower_bound(
-        G, trivial_subgroup(G), [(0, sub_of_size(G, 6)), (1, sub_of_size(G, 4))]
+        trivial_subgroup(G), [(0, sub_of_size(G, 6)), (1, sub_of_size(G, 4))]
     )
     assert (r.index_h, r.indices) == (12, (2, 3))
     assert r.lhs == 8 and r.rhs == 8
@@ -288,18 +289,18 @@ def test_union_bound_c12_instance():
 def test_union_bound_requires_containment():
     G = catalog_group("C12")
     with pytest.raises(ValueError, match="contain H"):
-        check_union_lower_bound(G, sub_of_size(G, 4), [(0, sub_of_size(G, 6))])
+        check_union_lower_bound(sub_of_size(G, 4), [(0, sub_of_size(G, 6))])
 
 
 def test_union_bound_hypothesis_field():
     S3 = catalog_group("S3")
     two = sub_of_size(S3, 2)
-    r = check_union_lower_bound(S3, trivial_subgroup(S3), [(0, two)])
+    r = check_union_lower_bound(trivial_subgroup(S3), [(0, two)])
     # a non-subnormal entry, but S3 has a full prime-quotient series
     assert r.hypothesis == "series"
     assert r.holds
     # H of order 2 is not normal in S3, so no series starts at it
-    r = check_union_lower_bound(S3, two, [(0, two)])
+    r = check_union_lower_bound(two, [(0, two)])
     assert r.hypothesis == "none"
     assert (r.index_h, r.indices, r.lhs, r.rhs) == (3, (3,), 1, 1)
 
@@ -310,14 +311,14 @@ def test_union_bound_exhaustive_c12():
     G = catalog_group("C12")
     for H in all_subgroups(G):
         above = [S for S in all_subgroups(G) if S.mask & H.mask == H.mask]
-        h_cosets = [left_coset_mask(G, x, H) for x, _ in left_cosets(G, H)]
+        h_cosets = [left_coset_mask(x, H) for x, _ in left_cosets(G, H)]
         for s1 in above:
             for s2 in above:
                 for a in range(0, G.order, 5):
                     for b in range(0, G.order, 7):
-                        r = check_union_lower_bound(G, H, [(a, s1), (b, s2)])
+                        r = check_union_lower_bound(H, [(a, s1), (b, s2)])
                         assert r.holds, (H, s1, s2, a, b)
-                        union = left_coset_mask(G, a, s1) | left_coset_mask(G, b, s2)
+                        union = left_coset_mask(a, s1) | left_coset_mask(b, s2)
                         assert r.lhs == sum(1 for c in h_cosets if c & union)
 
 
@@ -327,7 +328,7 @@ def test_union_bound_exhaustive_c12():
 def test_aligned_full_h():
     G = catalog_group("C12")
     s6 = sub_of_size(G, 6)
-    r = check_aligned_union_bound(G, Subgroup(G, G.full_mask()), [(0, s6), (1, s6)])
+    r = check_aligned_union_bound(Subgroup(G, G.full_mask()), [(0, s6), (1, s6)])
     assert r.case == "a"
     assert r.lhs == 2 and r.rhs == 2 and r.holds
 
@@ -335,7 +336,7 @@ def test_aligned_full_h():
 def test_aligned_proper_h():
     G = catalog_group("C12")
     s2, s4 = sub_of_size(G, 2), sub_of_size(G, 4)
-    r = check_aligned_union_bound(G, s2, [(0, s4), (1, s4), (2, s4)])
+    r = check_aligned_union_bound(s2, [(0, s4), (1, s4), (2, s4)])
     assert r.case == "a"
     assert r.index_h == 6 and r.indices == (3, 3, 3)
     assert r.lhs == 1 and r.rhs == 3 and r.holds
@@ -346,17 +347,17 @@ def test_aligned_cases_b_c_none():
     D4 = catalog_group("D4")
     H = sub_of_size(D4, 2)
     K = next(K for K in all_subgroups(D4) if K.size == 4 and K.mask & H.mask == H.mask)
-    r = check_aligned_union_bound(D4, H, [(0, trivial_subgroup(D4)), (0, K)])
+    r = check_aligned_union_bound(H, [(0, trivial_subgroup(D4)), (0, K)])
     assert r.case == "b" and r.holds
     # every entry normal, H not subnormal, S3 over the intersection solvable
     S3 = catalog_group("S3")
     two = sub_of_size(S3, 2)
     r = check_aligned_union_bound(
-        S3, two, [(0, trivial_subgroup(S3)), (0, Subgroup(S3, S3.full_mask()))]
+        two, [(0, trivial_subgroup(S3)), (0, Subgroup(S3, S3.full_mask()))]
     )
     assert r.case == "c" and r.holds
     # a non-normal entry and a non-normal H: no case applies
-    r = check_aligned_union_bound(S3, two, [(0, trivial_subgroup(S3)), (0, two)])
+    r = check_aligned_union_bound(two, [(0, trivial_subgroup(S3)), (0, two)])
     assert r.case == "none" and not r.d_both_branches
     assert (r.lhs, r.rhs) == (1, Fraction(3, 2))
 
@@ -365,7 +366,7 @@ def test_aligned_rejects_misaligned_union():
     G = catalog_group("C12")
     with pytest.raises(ValueError, match="union of left H-cosets"):
         check_aligned_union_bound(
-            G, Subgroup(G, G.full_mask()), [(0, sub_of_size(G, 6)), (0, sub_of_size(G, 4))]
+            Subgroup(G, G.full_mask()), [(0, sub_of_size(G, 6)), (0, sub_of_size(G, 4))]
         )
 
 
@@ -383,12 +384,12 @@ def test_aligned_random_sweep():
             entries = [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
             union = 0
             for rep, sub in entries:
-                union |= left_coset_mask(G, rep, sub)
+                union |= left_coset_mask(rep, sub)
             if not oracle_is_union_of_left_cosets(G, union, H.mask):
                 with pytest.raises(ValueError, match="not a union of left H-cosets"):
-                    check_aligned_union_bound(G, H, entries)
+                    check_aligned_union_bound(H, entries)
                 continue
-            r = check_aligned_union_bound(G, H, entries)
+            r = check_aligned_union_bound(H, entries)
             seen_cases.add(r.case)
             if r.case != "none":
                 assert r.holds, (name, H, entries)
@@ -464,7 +465,7 @@ def oracle_covers(G, k_max, m):
         for x in range(G.order):
             if seen >> x & 1:
                 continue
-            mask = left_coset_mask(G, x, sub)
+            mask = left_coset_mask(x, sub)
             seen |= mask
             choices.append((sub.index, sub.mask, x, mask, sub))
     choices.sort(key=lambda t: t[:3])
@@ -685,7 +686,7 @@ def oracle_search(G):
         for pos, d in enumerate(remaining):
             for sub in by_index.get(d, ()):
                 nodes += 1
-                cmask = left_coset_mask(G, x, sub)
+                cmask = left_coset_mask(x, sub)
                 if cmask & covered:
                     continue
                 got = place(
@@ -747,7 +748,7 @@ def test_search_budget():
 
 def oracle_masks(cover):
     G = cover.parent
-    return tuple(left_coset_mask(G, rep, sub) for rep, sub in cover.entries)
+    return tuple(left_coset_mask(rep, sub) for rep, sub in cover.entries)
 
 
 def oracle_weight_profile(cover):
@@ -855,28 +856,28 @@ def oracle_check_uniform_cover(cover):
     top = [sub for (_, sub), o in zip(cover.entries, orders) if o > 0]
     rest = [sub for (_, sub), o in zip(cover.entries, orders) if o == 0]
     distinct = {sub.mask: sub for _, sub in cover.entries}
-    subnormal = {m: is_subnormal(G, sub).is_subnormal for m, sub in distinct.items()}
+    subnormal = {m: is_subnormal(sub) for m, sub in distinct.items()}
     subn_top = all(subnormal[s.mask] for s in top)
     cond_a_vacuous = False
     if subn_top:
         cond_a = True
     else:
-        solv_top = all(is_solvable(quotient_group(G, core_of(G, s))) for s in top)
-        solv_rest = all(is_solvable(quotient_group(G, core_of(G, s))) for s in rest)
+        solv_top = all(is_solvable(quotient_group(core_of(s))) for s in top)
+        solv_rest = all(is_solvable(quotient_group(core_of(s))) for s in rest)
         cond_a = solv_top or solv_rest
         cond_a_vacuous = cond_a and not solv_top and not rest
 
     cond_b = True
     for sub in rest:
         if sub.index > p_r and not subnormal[sub.mask]:
-            if not has_normal_sylow(quotient_group(G, core_of(G, sub)), p_r):
+            if not has_normal_sylow(quotient_group(core_of(sub)), p_r):
                 cond_b = False
                 break
 
     icore = G.full_mask()
     for sub in distinct.values():
-        icore &= core_of(G, sub).mask
-    Q = quotient_group(G, Subgroup(G, icore))
+        icore &= core_of(sub).mask
+    Q = quotient_group(Subgroup(G, icore))
     p_bar = factorize(Q.order).pairs[-1][0]
     q_solvable = is_solvable(Q)
     cond_c = q_solvable and has_normal_sylow(Q, p_bar)
@@ -948,7 +949,7 @@ def oracle_probe_max_index_multiplicity(cover):
         multiplicity=sum(1 for n in ns if n == n_max),
         least_prime=least_prime(n_max),
         all_subnormal=all(
-            is_subnormal(G, sub).is_subnormal for _, sub in cover.entries
+            is_subnormal(sub) for _, sub in cover.entries
         ),
     )
 
@@ -1064,7 +1065,7 @@ def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
     for cover in covers:
         icore = G.full_mask()
         for _, sub in cover.entries:
-            icore &= core_of(G, sub).mask
+            icore &= core_of(sub).mask
         quotient_orders.add(G.order // icore.bit_count())
     assert 0 < calls["factorize"] <= len(tuples) + len(quotient_orders)
     assert len(covers) > 10 * (len(tuples) + len(quotient_orders))

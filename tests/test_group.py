@@ -380,7 +380,7 @@ def test_fresh_catalog_load_builds_two_lattices_and_no_labels(monkeypatch):
     # nor does building a group, a quotient or a subgroup's repr
     G = group_from_generators(5, ["(1 2 3 4 5)", "(2 5)(3 4)"], name="D10")
     five = [H for H in all_subgroups(G) if H.size == 5][0]
-    assert quotient_group(G, five).order == 2
+    assert quotient_group(five).order == 2
     assert repr(five) == "Subgroup<0,1,3,6,9>"
     assert calls == []
 
@@ -632,9 +632,13 @@ def test_subgroup_closure_generates():
 
 
 def test_cross_parent_rejected():
+    # a fact of one subgroup reads its group from the subgroup; the one
+    # fact of several refuses subgroups of two groups as a fault, not as
+    # bad input
     G, K = catalog_group("S3"), catalog_group("C6")
-    with pytest.raises(ValueError, match="different group"):
-        is_normal(G, trivial_subgroup(K))
+    with pytest.raises(ValueError, match="different group") as e:
+        check_index_intersection((trivial_subgroup(G), trivial_subgroup(K)))
+    assert e.type is ValueError
 
 
 # ------------------------------------------------------- cosets and cores
@@ -645,7 +649,7 @@ def test_cosets_partition():
         G = catalog_group(name)
         for H in all_subgroups(G):
             seen = 0
-            masks = {left_coset_mask(G, g, H) for g in range(G.order)}
+            masks = {left_coset_mask(g, H) for g in range(G.order)}
             assert len(masks) == H.index
             for m in masks:
                 assert m.bit_count() == H.size
@@ -658,40 +662,32 @@ def test_normality_against_brute():
     for name in ("S3", "D4", "A4", "D6"):
         G = catalog_group(name)
         for H in all_subgroups(G):
-            assert is_normal(G, H) == brute_is_normal(G, H), (name, H)
+            assert is_normal(H) == brute_is_normal(G, H), (name, H)
 
 
 def test_core_against_brute():
     for G in (*load_catalog(), inline_a5()):
         for H in all_subgroups(G):
-            assert core_of(G, H).mask == brute_core_mask(G, H), (G.name, H)
+            assert core_of(H).mask == brute_core_mask(G, H), (G.name, H)
 
 
 def test_subnormality_against_brute():
-    for name in ("S3", "D4", "A4", "D6", "Q8"):
-        G = catalog_group(name)
-        for H in all_subgroups(G):
-            r = is_subnormal(G, H)
-            assert r.is_subnormal == brute_is_subnormal(G, H), (name, H)
-            # the descending closure chain must check out step by step
-            assert r.chain[0].mask == G.full_mask()
-            if r.is_subnormal:
-                assert r.chain[-1] == H
-                assert r.defect == len(r.chain) - 1
-            else:
-                assert r.defect is None
+    subs = [(G, H) for G in load_catalog() for H in all_subgroups(G)]
+    assert len(subs) == 460
+    for G, H in subs:
+        assert is_subnormal(H) is brute_is_subnormal(G, H), (G.name, H)
 
 
 def test_subnormal_defects():
     S3 = catalog_group("S3")
-    assert is_subnormal(S3, Subgroup(S3, S3.full_mask())).defect == 0
-    assert is_subnormal(S3, trivial_subgroup(S3)).defect == 1
+    assert is_subnormal(Subgroup(S3, S3.full_mask()))
+    assert is_subnormal(trivial_subgroup(S3))
     two = [H for H in all_subgroups(S3) if H.size == 2][0]
-    assert not is_subnormal(S3, two).is_subnormal
+    assert not is_subnormal(two)
     A4 = catalog_group("A4")
     two = [H for H in all_subgroups(A4) if H.size == 2][0]
-    # C2 < V4 < A4 needs both steps
-    assert is_subnormal(A4, two).defect == 2
+    # C2 < V4 < A4: subnormal with defect 2, though not normal
+    assert is_subnormal(two) and not is_normal(two)
 
 
 # --------------------------------------------------------- sylow and hall
@@ -743,9 +739,9 @@ def test_hall_named_cases():
     assert hall_subgroup(C12, {2, 3}).mask == C12.full_mask()
     A4 = catalog_group("A4")
     H = hall_subgroup(A4, {2})
-    assert H.size == 4 and is_normal(A4, H)
+    assert H.size == 4 and is_normal(H)
     S3 = catalog_group("S3")
-    assert is_normal(S3, sylow_subgroup(S3, 3))
+    assert is_normal(sylow_subgroup(S3, 3))
 
 
 def test_hall_subgroup_can_be_missing():
@@ -784,23 +780,23 @@ def test_pyramidal_named_cases():
 
 def test_prime_series_c12():
     G = catalog_group("C12")
-    ser = prime_quotient_series(G, trivial_subgroup(G))
+    ser = prime_quotient_series(trivial_subgroup(G))
     steps = sorted(b.size // a.size for a, b in zip(ser, ser[1:]))
     assert steps == [2, 2, 3]
-    ser3 = prime_quotient_series(G, trivial_subgroup(G), p_first=3)
+    ser3 = prime_quotient_series(trivial_subgroup(G), p_first=3)
     assert [h.size for h in ser3] == [1, 3, 6, 12]
 
 
 def test_prime_series_one_node():
     G = catalog_group("S3")
     full = Subgroup(G, G.full_mask())
-    assert prime_quotient_series(G, full) == (full,)
+    assert prime_quotient_series(full) == (full,)
 
 
 def test_prime_series_steps_are_normal():
     for name in ("D4", "A4", "D6", "SD16"):
         G = catalog_group(name)
-        ser = prime_quotient_series(G, trivial_subgroup(G))
+        ser = prime_quotient_series(trivial_subgroup(G))
         assert ser is not None
         for a, b in zip(ser, ser[1:]):
             q = b.size // a.size
@@ -812,7 +808,7 @@ def test_prime_series_p_first_ordering():
     for name in ("C12", "D6", "C6xC2", "Dic3"):
         G = catalog_group(name)
         for p in (2, 3):
-            ser = prime_quotient_series(G, trivial_subgroup(G), p_first=p)
+            ser = prime_quotient_series(trivial_subgroup(G), p_first=p)
             if ser is None:
                 continue
             steps = [b.size // a.size for a, b in zip(ser, ser[1:])]
@@ -840,7 +836,7 @@ def test_prime_chains_match_the_dfs_oracles(name):
         assert _masks(chain) == expected, H
         assert group_module._is_pyramidal_at(G, H.mask) == (oracle is not None), H
         for p in [None, *factorize(G.order).primes()]:
-            assert _masks(prime_quotient_series(G, H, p)) == (
+            assert _masks(prime_quotient_series(H, p)) == (
                 oracle_prime_quotient_series(G, H, p)
             ), (H, p)
 
@@ -856,7 +852,7 @@ def test_solvable_catalog():
 def test_quotient_c12_by_c3():
     G = catalog_group("C12")
     N = [H for H in all_subgroups(G) if H.size == 3][0]
-    Q = quotient_group(G, N)
+    Q = quotient_group(N)
     assert Q.order == 4
     assert max(Q.element_order(x) for x in range(4)) == 4
 
@@ -864,12 +860,12 @@ def test_quotient_c12_by_c3():
 def test_quotient_a4_by_v4():
     G = catalog_group("A4")
     N = [H for H in all_subgroups(G) if H.size == 4][0]
-    assert quotient_group(G, N).order == 3
+    assert quotient_group(N).order == 3
 
 
 def test_quotient_d4_by_center():
     G = catalog_group("D4")
-    Q = quotient_group(G, Subgroup(G, center_mask(G)))
+    Q = quotient_group(Subgroup(G, center_mask(G)))
     assert Q.order == 4
     assert all(Q.element_order(x) <= 2 for x in range(4))
 
@@ -878,7 +874,7 @@ def test_quotient_requires_normal():
     G = catalog_group("S3")
     H = [s for s in all_subgroups(G) if s.size == 2][0]
     with pytest.raises(ValueError):
-        quotient_group(G, H)
+        quotient_group(H)
 
 
 def test_subgroup_as_group_preserves_orders():
@@ -926,27 +922,27 @@ def test_suite_line_names_and_vacuous_notes():
 
 def test_index_intersection_instances():
     G = catalog_group("D6")
-    subnormal = [H for H in all_subgroups(G) if is_subnormal(G, H).is_subnormal]
+    subnormal = [H for H in all_subgroups(G) if is_subnormal(H)]
     for a in subnormal:
         for b in subnormal:
-            assert check_index_intersection(G, (a, b))
+            assert check_index_intersection((a, b))
 
 
 def test_check_preconditions():
     S3 = catalog_group("S3")
     two = [H for H in all_subgroups(S3) if H.size == 2][0]
     with pytest.raises(ValueError, match="subnormal"):
-        check_core_primes(S3, two)
+        check_core_primes(two)
     with pytest.raises(ValueError, match="subnormal"):
-        check_index_intersection(S3, (two,))
+        check_index_intersection((two,))
     with pytest.raises(ValueError, match="at least one"):
-        check_index_intersection(S3, ())
+        check_index_intersection(())
     D4 = catalog_group("D4")
     sub2 = [H for H in all_subgroups(D4) if H.size == 2][0]
     with pytest.raises(ValueError, match="Hall"):
-        check_hall_normality(D4, sub2)
+        check_hall_normality(sub2)
     with pytest.raises(InputError, match="^requires a subnormal subgroup$"):
-        check_hall_normality(S3, two)
+        check_hall_normality(two)
     with pytest.raises(ValueError, match="prime"):
         check_solvable_tower(S3, 4)
 
@@ -954,8 +950,8 @@ def test_check_preconditions():
 def test_check_named_instances():
     S3 = catalog_group("S3")
     three = [H for H in all_subgroups(S3) if H.size == 3][0]
-    assert check_core_primes(S3, three)
-    assert check_hall_normality(S3, three)
+    assert check_core_primes(three)
+    assert check_hall_normality(three)
     assert check_solvable_tower(S3, 3) and check_solvable_tower(S3, 2)
     assert check_pyramidal_sylow(S3)
     A4 = catalog_group("A4")
@@ -963,16 +959,16 @@ def test_check_named_instances():
     # no subgroup of a subnormal-only sweep excludes a prime; exercise the
     # excluded-prime path on a non-normal subgroup with trivial core
     two = [H for H in all_subgroups(S3) if H.size == 2][0]
-    assert core_excluded_primes(S3, two) == (2,)
-    assert check_core_sylow_exclusion(S3, two)
+    assert core_excluded_primes(two) == (2,)
+    assert check_core_sylow_exclusion(two)
 
 
 def test_core_sylow_exclusion_without_an_excluded_prime():
     # the order-3 subgroup of S3 is normal, its own core: no prime excluded
     S3 = catalog_group("S3")
     three = [H for H in all_subgroups(S3) if H.size == 3][0]
-    assert core_excluded_primes(S3, three) == ()
-    assert check_core_sylow_exclusion(S3, three)
+    assert core_excluded_primes(three) == ()
+    assert check_core_sylow_exclusion(three)
 
 
 # ------------------------------------------------------ non-solvable groups
@@ -999,7 +995,7 @@ def test_nonsolvable_suite(build, subgroups, budget_s):
     assert lines["core-sylow-exclusion"].checked > 0
     assert lines["solvable-tower"].checked == 3
     for p in (2, 3, 5):
-        assert prime_quotient_series(G, trivial_subgroup(G), p_first=p) is None
+        assert prime_quotient_series(trivial_subgroup(G), p_first=p) is None
 
 
 def test_a5_suite_counts():
@@ -1029,9 +1025,9 @@ def test_a5_suite_reads_quotient_and_lattice_from_memo(monkeypatch):
     structural_suite(G)
     assert built == [G]
     H = next(H for H in all_subgroups(G) if H.size == 5)
-    assert core_of(G, H).size == 1
-    assert quotient_group(G, core_of(G, H)) is G
-    assert all_subgroups(G) is all_subgroups(quotient_group(G, trivial_subgroup(G)))
+    assert core_of(H).size == 1
+    assert quotient_group(core_of(H)) is G
+    assert all_subgroups(G) is all_subgroups(quotient_group(trivial_subgroup(G)))
     assert built == [G]
 
 
@@ -1081,4 +1077,4 @@ def test_suite_refuses_index_intersection_sweep_over_its_cap(monkeypatch):
 def test_quotient_is_memoized():
     G = catalog_group("A4")
     V = [H for H in all_subgroups(G) if H.size == 4][0]
-    assert quotient_group(G, V) is quotient_group(G, Subgroup(G, V.mask))
+    assert quotient_group(V) is quotient_group(Subgroup(G, V.mask))
