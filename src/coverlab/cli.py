@@ -488,7 +488,7 @@ def _cmd_group_info(args, rep: Report) -> None:
     G = parse_group_file(args.group)
     rep.inputs["group"] = G.name
     subs = all_subgroups(G)
-    profile = Counter(G.element_order(x) for x in range(G.order))
+    profile = Counter(G.element_orders())
     rep.info("order", G.order)
     rep.info("abelian", G.is_abelian())
     rep.info("solvable", is_solvable(G))

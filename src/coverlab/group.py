@@ -8,18 +8,20 @@ by composing permutations.  Subgroups are immutable bitmasks over element
 ids.
 
 Every fact derived from a group -- closures with their generating sets
-(one fact), left-coset partitions, cores, quotients, normality,
-subnormality, normal Sylow subgroups, prime-quotient series,
-solvability, abelianness, pyramidality and the subgroup lattice --
-lives in one memo on the group, keyed by (fact, mask) and read through
-FiniteGroup.memo.  A fact about the whole group is keyed by its full
-mask.  The quotient by the trivial subgroup is the group itself, so its
+(one fact), element orders, the center, left-coset partitions, cores,
+quotients, normality, subnormality, normal Sylow subgroups,
+prime-quotient series, solvability, pyramidality and the subgroup
+lattice -- lives in one memo on the group, keyed by (fact, mask) and
+read through FiniteGroup.memo.  A fact about the whole group is keyed by
+its full mask.  The quotient by the trivial subgroup is the group itself, so its
 lattice is never enumerated twice.  A fact of one subgroup takes only the
 subgroup and reads its group as H.parent; subnormality is a bool, found
 by descending through normal closures from the group.
 Pyramidal chains and prime-quotient series are one walk up the lattice
 through normal steps of prime index, and a subgroup's pyramidality is a
-fact at its mask.
+fact at its mask.  Only facts that read a subgroup list enumerate the
+lattice: a normal Sylow subgroup is found by counting element orders,
+and solvability by the derived series.
 
 A lookup by catalog name realizes and checks only the named records:
 declared order, generators, degree, closure order and table.  The full
@@ -212,14 +214,16 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        rng = range(self.order)
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of each element, by id (a memo fact)."""
         return self.memo(
-            "abelian",
+            "element_orders",
             self.full_mask(),
-            lambda: all(t[a][b] == t[b][a] for a in rng for b in range(a)),
+            lambda: tuple(map(self.element_order, range(self.order))),
         )
+
+    def is_abelian(self) -> bool:
+        return center_mask(self) == self.full_mask()
 
     def full_mask(self) -> int:
         return (1 << self.order) - 1
@@ -595,48 +599,33 @@ def _subnormality(H: Subgroup) -> bool:
         over = nxt
 
 
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A subgroup of order p**ord_p(|G|); first in canonical lattice order.
-    Sylow's theorem guarantees one, so the Hall search never returns None."""
-    return hall_subgroup(G, (p,))
-
-
 def has_normal_sylow(G: FiniteGroup, p: int) -> bool:
-    """Is a Sylow p-subgroup of G normal.  A normal one is the only one,
-    so testing the first in lattice order settles it."""
-    return G.memo(
-        f"normal-sylow-{p}", G.full_mask(), lambda: is_normal(sylow_subgroup(G, p))
-    )
+    """Is a Sylow p-subgroup of G normal.  A normal one is the only one, so
+    it holds every element of p-power order; and if the elements of p-power
+    order number |G|_p, one Sylow subgroup holds them all and is the only
+    one.  So counting them settles it."""
+    return G.memo(f"normal-sylow-{p}", G.full_mask(), _normal_sylow, G, p)
 
 
-def hall_subgroup(G: FiniteGroup, omega: Iterable[int]) -> Optional[Subgroup]:
-    """A subgroup whose order is the omega-part of |G|, or None."""
-    omega = set(omega)
-    for p in omega:
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
-    target = 1
-    for p, e in factorize(G.order).pairs:
-        if p in omega:
-            target *= p**e
-    for H in all_subgroups(G):
-        if H.size == target:
-            return H
-    return None
-
-
-def derived_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    masks = [G.full_mask()]
-    while True:
-        nxt = G.derived_mask(masks[-1])
-        if nxt == masks[-1]:
-            break
-        masks.append(nxt)
-    return tuple(Subgroup(G, m) for m in masks)
+def _normal_sylow(G: FiniteGroup, p: int) -> bool:
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    # |G|_p: p**bit_length exceeds |G|, so its gcd with |G| is the p-part;
+    # an element order divides |G|, and it is a power of p iff it divides |G|_p
+    part = math.gcd(G.order, p ** G.order.bit_length())
+    return sum(1 for o in G.element_orders() if part % o == 0) == part
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    return G.memo("solvable", G.full_mask(), lambda: derived_series(G)[-1].mask == 1)
+    """Does the derived series of G end at the trivial subgroup."""
+    return G.memo("solvable", G.full_mask(), _solvability, G)
+
+
+def _solvability(G: FiniteGroup) -> bool:
+    mask, nxt = 0, G.full_mask()
+    while nxt != mask:
+        mask, nxt = nxt, G.derived_mask(nxt)
+    return mask == 1
 
 
 def _prime_chain(G: FiniteGroup, bottom: int, top: int, step: Callable, state):
@@ -832,6 +821,11 @@ def realize_record(rec: GroupRecord) -> FiniteGroup:
 
 
 def center_mask(G: FiniteGroup) -> int:
+    """The center of G (a memo fact)."""
+    return G.memo("center", G.full_mask(), _center, G)
+
+
+def _center(G: FiniteGroup) -> int:
     t = G.table
     out = 0
     for x in range(G.order):
@@ -843,8 +837,9 @@ def center_mask(G: FiniteGroup) -> int:
 def _cheap_fingerprint(G: FiniteGroup) -> tuple:
     """fingerprint(G) without its subgroup count: every part that needs
     no lattice."""
-    profile = Counter(G.element_order(x) for x in range(G.order))
-    centre = Counter(G.element_order(x) for x in _bits(center_mask(G)))
+    orders = G.element_orders()
+    profile = Counter(orders)
+    centre = Counter(orders[x] for x in _bits(center_mask(G)))
     return (
         G.order,
         tuple(sorted(profile.items())),

@@ -117,7 +117,7 @@ class MultiplicityProfile(NamedTuple):
 
 
 def multiplicity_profile(
-    system: ResidueSystem, period_budget: Optional[int] = None
+    system: ResidueSystem, period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> MultiplicityProfile:
     """Scan one full period of the covering function, one mask per batch.
 
@@ -125,10 +125,9 @@ def multiplicity_profile(
     j-th copy of a class joining the j-th batch; they are disjoint, so
     their residue pattern of width n doubles out to one mask of the period.
     """
-    budget = DEFAULT_PERIOD_BUDGET if period_budget is None else period_budget
     period = system.period()
-    if period > budget:
-        raise PeriodBudgetError(f"period {period} exceeds budget {budget}")
+    if period > period_budget:
+        raise PeriodBudgetError(f"period {period} exceeds budget {period_budget}")
     full = (1 << period) - 1
     min_w, max_w, covered, _ = profile(full, _batch_masks(system, full))
     moduli = system.moduli()
@@ -159,14 +158,14 @@ def _batch_masks(system: ResidueSystem, full: int) -> Iterator[int]:
 
 
 def classify(
-    system: ResidueSystem, period_budget: Optional[int] = None
+    system: ResidueSystem, period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> MultiplicityProfile:
     """Cover / exact cover / uniform m-cover flags from one period scan."""
     return multiplicity_profile(system, period_budget)
 
 
 def density_union(
-    system: ResidueSystem, period_budget: Optional[int] = None
+    system: ResidueSystem, period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> Fraction:
     """Natural density of the union of the classes, exact."""
     prof = multiplicity_profile(system, period_budget)
@@ -216,7 +215,7 @@ def _inclusion_exclusion_covered(moduli: Sequence[int]) -> int:
 
 
 def check_density_identity(
-    moduli: Sequence[int], period_budget: Optional[int] = None
+    moduli: Sequence[int], period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> DualCheck:
     """Density of union of n_i Z, scanned vs inclusion-exclusion.
 
@@ -245,7 +244,7 @@ class RogersReport(NamedTuple):
 
 
 def check_rogers(
-    system: ResidueSystem, period_budget: Optional[int] = None
+    system: ResidueSystem, period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> RogersReport:
     """Covered count of the system vs the same moduli with residues zeroed.
 
@@ -288,7 +287,7 @@ def check_level_gaps(
     system: ResidueSystem,
     prime: Optional[int] = None,
     alphas: Optional[Sequence[int]] = None,
-    period_budget: Optional[int] = None,
+    period_budget: int = DEFAULT_PERIOD_BUDGET,
 ) -> tuple[LevelGapReport, ...]:
     """Evaluate the index bound for uniform covers of Z at one prime.
 
@@ -354,7 +353,7 @@ def check_level_gap(
     system: ResidueSystem,
     alpha: int,
     prime: Optional[int] = None,
-    period_budget: Optional[int] = None,
+    period_budget: int = DEFAULT_PERIOD_BUDGET,
 ) -> LevelGapReport:
     """The index bound at one (prime, alpha); see check_level_gaps."""
     return check_level_gaps(system, prime, (alpha,), period_budget)[0]
@@ -372,7 +371,7 @@ class SimpsonReport(NamedTuple):
 
 
 def check_simpson(
-    system: ResidueSystem, period_budget: Optional[int] = None
+    system: ResidueSystem, period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> SimpsonReport:
     """Largest prime of the period vs M * prod p/(p-1) for exact covers, k > 1."""
     cls = classify(system, period_budget)

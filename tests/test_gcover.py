@@ -12,6 +12,7 @@ import pytest
 
 from coverlab import gcover, group, levels
 from coverlab.arith import divisor_list, euler_product, factorize, least_prime
+from coverlab.cli import main
 from coverlab.errors import InputError, SearchBudgetError
 from coverlab.gcover import (
     DEFAULT_NODE_BUDGET,
@@ -1125,6 +1126,26 @@ def test_subgroup_facts_of_a_cover_check_are_the_group_memos(monkeypatch):
         "cover_flags", "squarefree"
     }
     assert {"core", "subnormal", "quotient"} <= {fact for _, fact in keepers}
+
+
+def test_cover_checks_enumerate_no_quotients_lattice(monkeypatch):
+    # solvability and normal Sylow subgroups of G over a core are read
+    # from element orders and commutators: only G's own lattice is built
+    lattices = []
+    lattice = group._lattice
+    monkeypatch.setattr(group, "_lattice", lambda K: lattices.append(K) or lattice(K))
+    # a fresh catalog: C4 below has no quotient memoized by an earlier test
+    monkeypatch.setattr(group, "_catalog_cache", None)
+    G = group_from_generators(4, ["(1 2 3 4)", "(1 3)"], name="D4")
+    covers = list(enumerate_uniform_covers(G, 6, 1))
+    assert len(covers) == 358
+    for cover in covers:
+        check_uniform_cover(cover)
+        probe_max_index_multiplicity(cover)
+    assert lattices == [G]
+    lattices.clear()
+    assert main(["uniform-cover", "group C4\n0 : 2\n1 : 2\n"]) == 0
+    assert lattices == []
 
 
 # ------------------------------------------- non-solvable uniform covers

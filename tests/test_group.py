@@ -34,10 +34,9 @@ from coverlab.group import (
     core_of,
     cycles_str,
     cyclic_group,
-    derived_series,
     fingerprint,
     group_from_generators,
-    hall_subgroup,
+    has_normal_sylow,
     is_normal,
     is_pyramidal,
     is_solvable,
@@ -52,7 +51,6 @@ from coverlab.group import (
     realize_record,
     structural_suite,
     subgroup_closure,
-    sylow_subgroup,
     trivial_subgroup,
 )
 
@@ -66,6 +64,34 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     pos = {x: i for i, x in enumerate(members)}
     table = [tuple(pos[G.table[a][b]] for b in members) for a in members]
     return FiniteGroup(table, name=f"{G.name}|sub{H.size}")
+
+
+def hall_subgroup(G: FiniteGroup, omega) -> Subgroup | None:
+    """A subgroup whose order is the omega-part of |G|, the first in
+    lattice order, or None: the lattice search has_normal_sylow's element
+    count replaced."""
+    omega = set(omega)
+    for p in omega:
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+    target = 1
+    for p, e in factorize(G.order).pairs:
+        if p in omega:
+            target *= p**e
+    return next((H for H in all_subgroups(G) if H.size == target), None)
+
+
+def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup, which Sylow's theorem guarantees."""
+    return hall_subgroup(G, (p,))
+
+
+def derived_series_masks(G: FiniteGroup) -> list[int]:
+    """The derived series of G from G down to its fixed point, as masks."""
+    masks = [G.full_mask()]
+    while (nxt := G.derived_mask(masks[-1])) != masks[-1]:
+        masks.append(nxt)
+    return masks
 
 
 def brute_subgroup_masks(G: FiniteGroup) -> set[int]:
@@ -749,6 +775,32 @@ def test_hall_subgroup_can_be_missing():
     assert hall_subgroup(inline_a5(), {2, 5}) is None
 
 
+def test_normal_sylow_count_matches_the_lattice_oracle():
+    # every catalog group, the bench's inline records but A4xC2, S5,
+    # PSL(2,7), F20 and C7:C3, and their quotients by nontrivial normal
+    # subgroups, at every prime to 13
+    records = {
+        name: INLINE_RECORDS[name] for name in ("S4xC2", "C3xS4", "A5", "D20")
+    } | {
+        "S5": (5, ["(1 2 3 4 5)", "(1 2)"]),
+        "PSL(2,7)": (7, ["(1 2 3 4 5 6 7)", "(1 2)(3 6)"]),
+        "F20": (5, ["(1 2 3 4 5)", "(2 3 5 4)"]),
+        "C7:C3": (7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]),
+    }
+    groups = [*load_catalog()]
+    groups += [group_from_generators(d, gens, name=n) for n, (d, gens) in records.items()]
+    for G in groups[:]:
+        groups += [quotient_group(N) for N in all_subgroups(G) if N.size > 1 and is_normal(N)]
+    pairs = 0
+    for G in groups:
+        for p in (2, 3, 5, 7, 11, 13):
+            assert has_normal_sylow(G, p) == is_normal(sylow_subgroup(G, p)), (G.name, p)
+            pairs += 1
+    assert pairs == 2376
+    with pytest.raises(InputError, match="^4 is not prime$"):
+        has_normal_sylow(catalog_group("S3"), 4)
+
+
 # ------------------------------------------------------- chains and series
 
 
@@ -843,7 +895,7 @@ def test_prime_chains_match_the_dfs_oracles(name):
 
 def test_solvable_catalog():
     assert all(is_solvable(G) for G in load_catalog())
-    assert derived_series(catalog_group("A4"))[-1].size == 1
+    assert derived_series_masks(catalog_group("A4"))[-1] == 1
 
 
 # --------------------------------------------------------------- quotients
@@ -1012,7 +1064,7 @@ def test_a5_suite_counts():
 
 
 def test_s5_derived_series_stops_at_a5():
-    assert [H.size for H in derived_series(inline_s5())] == [120, 60]
+    assert [m.bit_count() for m in derived_series_masks(inline_s5())] == [120, 60]
 
 
 def test_a5_suite_reads_quotient_and_lattice_from_memo(monkeypatch):
