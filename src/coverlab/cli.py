@@ -13,16 +13,20 @@ and version give byte-identical output; rationals are printed exactly,
 as num/den in text and as string pairs in JSON.
 
 A command is declared once, in the `_commands` table: name, handler,
-help and own arguments.  `main` builds the subparser of the one command
-it runs, and all of them for no command, -h, --version, an unknown
-command or a stray argument, so a usage message lists every command.
-`main` makes the report; the handler fills its inputs and adds its
-verdicts.  Only a command with a period or node budget declares
-`--budget`, which lowers that budget and never raises it; to any other
-command it is a usage error.  A bound the paper asserts only under a
-hypothesis goes through `Report.claim`: when the hypothesis fails, the
-bound is printed unmarked, with a warning where the report gives one,
-and does not affect the status.
+help and own arguments.  `main` reads a well-formed command line (a
+command, its positionals and `--flag value` pairs, each flag once, no
+value starting with '-') from that table and builds no parser.  Anything
+else goes to argparse: help pages, --version, usage errors, `--flag=value`,
+abbreviated or repeated flags and '-'-leading values.  There `main` builds
+the subparser of the one command argv names, and all of them for no
+command, -h, --version, an unknown command or a stray argument, so a
+usage message lists every command.  `main` makes the report; the
+handler fills its inputs and adds its verdicts.  Only a command with a
+period or node budget declares `--budget`, which lowers that budget and
+never raises it; to any other command it is a usage error.  A bound the
+paper asserts only under a hypothesis goes through `Report.claim`: when
+the hypothesis fails, the bound is printed unmarked, with a warning
+where the report gives one, and does not affect the status.
 
 Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
@@ -37,16 +41,15 @@ Every positional file argument also accepts the content itself inline.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-import traceback
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 # unused here; perfbench/test_perfbench.py warms the sieve through cli.factorize
@@ -94,6 +97,9 @@ from .zcover import (
     multiplicity_profile,
     mu_of_divisor_closure,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # ------------------------------------------------------------------ parsing
@@ -711,8 +717,57 @@ def _commands() -> dict:
     }
 
 
+def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed command line, read from
+    `_commands` without building a parser; None for any other argv.
+
+    Well formed: a command name, then its positionals and `--flag value`
+    pairs, each flag declared and given once, no value starting with '-',
+    every type, choice, required flag and positional satisfied.  So help,
+    --version, every usage error, --flag=value, an abbreviated or repeated
+    flag and a '-'-leading value read None, and go to argparse."""
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    handler, _, arguments = commands[argv[0]]
+    declared = _COMMON | arguments
+    flags: dict[str, str] = {}
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            positionals.append(tok)
+            continue
+        value = next(tokens, None)
+        if tok not in declared or tok in flags or value is None or value.startswith("-"):
+            return None
+        flags[tok] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for name, kwargs in declared.items():
+        is_flag = name.startswith("-")
+        if is_flag:
+            text = flags.get(name)
+        else:
+            text = positionals.pop(0) if positionals else None
+        if text is None:
+            if kwargs.get("required") if is_flag else kwargs.get("nargs") != "?":
+                return None
+            value = kwargs.get("default")
+        else:
+            try:
+                value = kwargs.get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return None if positionals else args
+
+
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The top parser, with only the subparser argv[0] names, if any, else all."""
+    import argparse
+
     commands = _commands()
     parser = argparse.ArgumentParser(
         prog="coverlab",
@@ -731,14 +786,16 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        # refused by the full parser, whose usage lists every command
-        args = _build_parser().parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
+    args = _read_args(argv)
+    if args is None:
+        parser = _build_parser(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # refused by the full parser, whose usage lists every command
+            args = _build_parser().parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
     report = Report(args.command, args.seed)
     try:
         args.handler(args, report)
@@ -749,6 +806,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
     except Exception as e:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {e}", file=sys.stderr)
         return 3

@@ -386,7 +386,7 @@ def parse_cycles(degree: int, text: str) -> tuple[int, ...]:
     if consumed:
         raise InputError(f"unparsed cycle text {text!r}")
     for body in _CYCLE_RE.findall(text):
-        pts = [parse_int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
+        pts = [parse_int(t) for t in body.replace(",", " ").split()]
         if not pts:
             continue
         if len(set(pts)) != len(pts):

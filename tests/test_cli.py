@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import coverlab.group as group_module
@@ -361,7 +361,10 @@ def _count_parsers(monkeypatch) -> list:
 def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
     assert main(["mu", "0/2 1/4 3/4"]) == 0
-    assert len(built) == 2  # the top parser and mu's
+    assert built == []  # a well-formed command line is read from _commands
+    # an abbreviated flag goes to argparse: the top parser and mu's
+    assert main(["mu", "--form", "structured", "0/2 1/4 3/4"]) == 0
+    assert len(built) == 2
 
 
 def test_help_builds_every_command_parser(capsys, monkeypatch):
@@ -374,6 +377,79 @@ def test_help_builds_every_command_parser(capsys, monkeypatch):
     ]
     out = capsys.readouterr().out
     assert all(name in out for name in COMMANDS)
+
+
+# every declared flag, and values that argparse reads in ways a plain
+# reader could get wrong: int() strips spaces and reads any Unicode digit,
+# and a '-'-leading value is an option or a negative number by its shape
+_FLAGS = sorted({f for _, _, arguments in cli._commands().values()
+                 for f in cli._COMMON | arguments if f.startswith("-")})
+_VALUES = [
+    "0/2 1/4 3/4", "S3", "C6", "x", "3", "12", " 7", "\u0665", "1_0", "+2", "", "text",
+    "structured", "xml", "-1/2 0/2", "-5", "-1_0", "-", "--", "--seed=3", "--form", "-h",
+    "--help", "--version", "mu", "hs-search",
+]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command name, then some of its own flags with values (one of them
+    repeated at times) and most often as many positionals as it declares,
+    in any order, with one other token at times."""
+    name = draw(st.sampled_from(COMMANDS))
+    declared = cli._COMMON | cli._commands()[name][2]
+    flags = draw(st.lists(st.sampled_from([f for f in declared if f[0] == "-"]), unique=True))
+    if flags and draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(flags)))
+    chunks = []
+    for flag in flags:
+        usual = list(declared[flag].get("choices", ["3", "12", " 7", "\u0665"]))
+        chunks.append([flag, draw(st.sampled_from(usual) | st.sampled_from(usual + _VALUES))])
+    wanted = sum(1 for f in declared if f[0] != "-")
+    for _ in range(draw(st.sampled_from([wanted] * 3 + [abs(wanted - 1), wanted + 1]))):
+        chunks.append([draw(st.sampled_from(["0/2 1/4 3/4", "S3", ""]))])
+    argv = [name] + [tok for chunk in draw(st.permutations(chunks)) for tok in chunk]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_VALUES + _FLAGS)))
+    return argv
+
+
+@example(["hs-search", "--max-order", "8", "C6"])
+@example(["level-gap", "--prime", " 7", "0/2", "--alpha", "\u0665"])
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+def test_read_args_agrees_with_argparse(argv):
+    # whatever the table reader accepts, argparse accepts and reads the same
+    args = cli._read_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser(argv).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["hs-search", "--max-order", "8", "C6"], True),
+        (["hs-search"], True),
+        (["level-gap", "--prime", " 7", "0/2", "--alpha", "\u0665"], True),
+        (["mu", "--seed", "3", "--seed", "4", "0/2"], False),  # repeated flag
+        (["mu", "--seed=3", "0/2"], False),
+        (["mu", "--form", "text", "0/2"], False),  # abbreviation
+        (["mu", "0/2", "--seed", "-3"], False),
+        (["mu", "--seed", "-1_0", "0/2"], False),  # an option to argparse, not -10
+        (["mu", "--", "0/2"], False),
+        (["mu", "0/2", "-h"], False),
+        (["bounds", "--M", ""], False),  # int('') fails
+        (["bounds"], False),  # --M is required
+        (["mu"], False),  # so is the cover
+        (["mu", "0/2", "0/3"], False),
+        (["mu", "0/2", "--budget", "3"], False),  # undeclared on mu
+        (["mu", "0/2", "--format", "xml"], False),
+        ([], False),
+        (["--version"], False),
+    ],
+)
+def test_read_args_leaves_all_but_well_formed_lines_to_argparse(argv, read):
+    assert (cli._read_args(argv) is not None) == read
 
 
 A4_IN_A5 = ["(1 2 3)", "(1 2)(3 4)"]
@@ -633,6 +709,21 @@ def test_commands_leave_numpy_unimported():
         "codes = [main(['group-info', 'S3']), main(['verify-cover', '0/2 1/4 3/4'])]; "
         "assert codes == [0, 0], codes; "
         "assert 'numpy' not in sys.modules",
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_well_formed_commands_load_no_argument_parser():
+    # argparse's first parser imports gettext's locale and compiles regexes,
+    # more time than a small check takes; an internal fault still imports
+    # traceback to print one (test_internal_fault_exits_3)
+    proc = _run_cli(
+        "import sys; from coverlab.cli import main; "
+        "codes = [main(['group-info', 'S3']), main(['verify-cover', '0/2 1/4 3/4'])]; "
+        "assert codes == [0, 0], codes; "
+        "loaded = {'argparse', 'gettext', 'locale', 'traceback'} & set(sys.modules); "
+        "assert not loaded, loaded",
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr.decode()

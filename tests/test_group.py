@@ -3,6 +3,8 @@
 import importlib.util
 import math
 import random
+import re
+import sys
 import time
 from importlib import resources
 from itertools import combinations
@@ -567,6 +569,30 @@ def test_parse_cycles_errors():
         parse_cycles(3, "(1 4)")
     with pytest.raises(ValueError, match="unparsed"):
         parse_cycles(3, "(1 2) junk")
+
+
+# every code point str.split() splits on
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def test_regex_whitespace_is_str_whitespace():
+    # so a cycle body split by str.split() and by the regex [,\s]+ is split
+    # at the same code points
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", every)) == _SPACES
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from("1234,\u0663") | st.sampled_from(_SPACES)))
+def test_cycle_points_split_as_the_regex_does(body):
+    def read(text):
+        try:
+            return parse_cycles(4, text)
+        except InputError:
+            return None
+
+    points = [t for t in re.split(r"[,\s]+", body.strip()) if t]
+    assert read(f"({body})") == read("(" + " ".join(points) + ")")
 
 
 @settings(max_examples=80)
