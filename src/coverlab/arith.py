@@ -3,8 +3,10 @@
 All rational arithmetic goes through fractions.Fraction, which already
 gives reduced arbitrary-precision fractions (denominator > 0, gcd of
 numerator and denominator equal to 1); it is the single rational type of
-the package, and nothing here ever compares floats where an exact
-comparison is possible.
+the package.  A float is compared only inside a proved bound: the
+binary64 product walk over the primes (euler_walk) comes with an error
+bound (rounding_slack) that turns each of its values into an enclosure of
+the exact product.
 
 Primes come from a lazily grown sieve of Eratosthenes with a hard
 capacity, SIEVE_CAPACITY (10**7).  Asking for primes beyond the capacity
@@ -16,7 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, SieveCapacityError
 
@@ -37,7 +40,7 @@ def _extend_sieve(limit: int) -> None:
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-    _primes = [i for i in range(limit + 1) if flags[i]]
+    _primes = list(compress(range(limit + 1), flags))
     _sieved_to = limit
 
 
@@ -160,9 +163,53 @@ def index_bound_factor(pairs: Iterable[tuple[int, int]], p: int, a: int) -> Frac
     return out
 
 
-def mertens_product(x: int) -> Fraction:
-    """prod_{p <= x} p/(p-1) as an exact fraction (1 for x < 2)."""
-    return euler_product(primes_upto(x))
+def euler_walk(primes: Iterable[int]) -> Iterator[float]:
+    """prod p/(p-1) over each prefix of the primes, in binary64.
+
+    Each step is r = r * p / (p - 1), two roundings, so the value after i
+    primes is 2i roundings away from the exact product (see rounding_slack).
+    """
+    r = 1.0
+    for p in primes:
+        r = r * p / (p - 1)
+        yield r
+
+
+def rounding_slack(k: int) -> float:
+    """A power of two eps that encloses the exact value of a binary64 result v
+    of k roundings in [v * (1 - eps), v * (1 + eps)], each product rounded.
+
+    v must come from exact positive operands (floats, integers below 2**53)
+    by k multiplications and divisions, with no overflow or underflow.
+    """
+    # IEEE 754 binary64 rounds each operation to nearest: fl(a op b) =
+    # (a op b)(1 + d) with |d| <= u = 2**-53.  So v = t prod (1 + d_j) over
+    # k roundings, and the exact value is t = v prod (1 + d_j)**-1 =
+    # v (1 + theta) with |theta| <= gamma_k = k u / (1 - k u) (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.1).
+    # 1 - eps and 1 + eps are exact floats, and one more rounding gives
+    #   fl(v (1 - eps)) <= v (1 - eps)(1 + u) <= v (1 - eps + u) <= t,
+    #   fl(v (1 + eps)) >= v (1 + eps)(1 - u) >= t,
+    # both as soon as eps (1 - u) >= gamma_k + u.  Here 2**e >= k + 2 for
+    # e = (k + 1).bit_length(), so eps = 2**e u >= (k + 2) u; and k < 2**22
+    # gives gamma_k + u <= (k + 1 + 2 k**2 u) u < (k + 1.01) u, which is
+    # below (k + 2)(1 - u) u.  The sieve capacity keeps k below 2**21.
+    if k >= 1 << 22:
+        raise ValueError(f"no slack is proved for {k} roundings")
+    return math.ldexp(1.0, (k + 1).bit_length() - 53)
+
+
+def mertens_product(x: int) -> tuple[float, float]:
+    """(lo, hi) with lo <= prod_{p <= x} p/(p-1) <= hi, from euler_walk.
+
+    hi / lo - 1 is below 8 (pi(x) + 1) 2**-53.
+    """
+    primes = primes_upto(x)
+    r = 1.0
+    for r in euler_walk(primes):
+        pass
+    eps = rounding_slack(2 * len(primes))
+    return r * (1 - eps), r * (1 + eps)
 
 
 def prime_counts(x: int) -> tuple[int, float]:

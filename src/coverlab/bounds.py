@@ -5,15 +5,22 @@ Since (1/x) prod_{p <= x} p/(p-1) never increases (equality at primes,
 strict decrease at composites), c(M) is the one x at which the inequality
 holds while it fails at x - 1, and c(M) can never be prime.
 
-The scan finds c(M) in two passes.  A binary64 walk over the primes sums
-log1p(1/(p-1)) and gives a candidate for every M of the range.  An exact
-pass then certifies the candidates in ascending order: it carries the
-unreduced pair (prod p, prod (p-1)) over the primes below the candidate,
-extended from the previous certified threshold, and checks by cross
-multiplication that the inequality holds at the candidate and fails one
-below it.  A candidate that fails either check is moved by an exact step
-walk until both hold.  No fraction, division or gcd enters the scan, so
-its cost grows about linearly with the size of the product.
+The scan finds c(M) in one walk over the primes.  On [p, next prime) the
+product is constant, so the first x there with x >= M * product is c(M)
+once every x below p fails.  The binary64 walk of arith.euler_walk, with
+its proved rounding slack, encloses M * product; it certifies that a
+segment holds no threshold when the whole enclosure lies past the
+segment's end, and certifies c(M) when the enclosure's ends have one
+ceiling inside the segment.  Every other M, where the enclosure straddles
+an integer or the segment's end, is settled exactly: the unreduced pair
+(prod p, prod (p-1)) over the primes below a candidate, extended from the
+last exactly settled threshold, is checked by cross multiplication at the
+candidate and one below it, and an exact step walk moves the candidate
+until both checks hold.  No fraction, integer division or gcd enters the
+scan.
+
+The q-bound's premise q < M prod_{p <= q} p/(p-1) is read from the same
+enclosure, and by cross multiplication only when it straddles q / M.
 
 alpha(M) = 2 + floor(log2(zeta(2) c(M))) is decided by integer comparison
 with a fixed-point bracket of pi, widened until both of its ends agree.
@@ -23,12 +30,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .arith import (
-    SIEVE_CAPACITY, euler_factors, mertens_product, prime_counts, primes_upto
+    SIEVE_CAPACITY,
+    euler_factors,
+    euler_walk,
+    mertens_product,
+    prime_counts,
+    primes_upto,
+    rounding_slack,
 )
 from .errors import InputError, SieveCapacityError
 
@@ -56,6 +69,12 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
         raise InputError(f"c(M) is defined here for M >= 2, got {m_lo}")
     if m_hi < m_lo:
         raise InputError("empty range")
+    if m_hi > SIEVE_CAPACITY // 2:
+        # the product is at least 2 from x = 2 on, so c(M) >= 2M; refused
+        # before M meets a float, where it may not even fit
+        raise SieveCapacityError(
+            f"c(M) >= 2M lies above the sieve capacity {SIEVE_CAPACITY} for M = {m_hi}"
+        )
     out = _try_c_range(m_lo, m_hi, min(_scan_bound(m_hi), SIEVE_CAPACITY))
     if out is None:
         raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
@@ -110,43 +129,43 @@ def _certify(
         pre = _Prefix(x + 1, count, num, den)
 
 
-def _float_candidates(
-    m_lo: int, m_hi: int, primes: list[int], bound: int
-) -> list[int] | None:
-    # on [p, next prime) the product is constant, so the first x there with
-    # x >= M * product is c(M); here the product is a binary64 estimate
-    out: list[int] = []
+def _try_c_range(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
+    primes = primes_upto(bound)
+    # v = m * r is one rounding past the walk's two per prime, so the exact
+    # m * product lies in [v * down, v * up], each end rounded once more
+    # (rounding_slack).  If ceil(v * down) >= nxt, it lies above nxt - 1 and
+    # no x of [p, nxt) reaches it; if both ends have the ceiling t, t is its
+    # ceiling, the first integer x >= m * product.  Floats meet integers only
+    # in math.ceil and in comparisons, both exact.
+    eps = rounding_slack(2 * len(primes) + 1)
+    down, up = 1 - eps, 1 + eps
+    out: dict[int, int] = {}
+    pre = _EMPTY
     m = m_lo
-    log_prod = 0.0
-    for idx, p in enumerate(primes):
-        log_prod += math.log1p(1 / (p - 1))
-        prod = math.exp(log_prod)
-        seg_hi = primes[idx + 1] - 1 if idx + 1 < len(primes) else bound
+    # the segments [p, nxt) in turn, p prime; every x below p fails for m,
+    # since it failed for a smaller M or for m itself
+    ends = chain(islice(primes, 1, None), (bound + 1,))
+    for nxt, r in zip(ends, euler_walk(primes)):
         while m <= m_hi:
-            t = math.ceil(m * prod)
-            if t > seg_hi:
+            v = m * r
+            t = math.ceil(v * down)
+            if t >= nxt:
                 break
-            out.append(max(t, p))
+            if t == math.ceil(v * up):
+                # t = c(m): it is the first x that holds on [p, nxt), and
+                # t <= p would make c(m) = p, a prime
+                out[m] = t
+            else:
+                # c(M) never decreases, so each exactly settled threshold
+                # is the base of the next
+                got = _certify(m, t, primes, bound, pre)
+                if got is None:
+                    return None
+                out[m], pre = got
             m += 1
         if m > m_hi:
             return out
     return None
-
-
-def _try_c_range(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
-    primes = primes_upto(bound)
-    candidates = _float_candidates(m_lo, m_hi, primes, bound)
-    if candidates is None:
-        return None
-    out: dict[int, int] = {}
-    pre = _EMPTY
-    # c(M) never decreases, so each certified threshold is the base of the next
-    for m, x in enumerate(candidates, m_lo):
-        got = _certify(m, x, primes, bound, pre)
-        if got is None:
-            return None
-        out[m], pre = got
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -240,11 +259,26 @@ class QBoundReport(NamedTuple):
         return (not self.premise) or self.conclusion
 
 
+def mertens_holds_at(x: int, M: int) -> bool:
+    """prod_{p <= x} p/(p-1) <= x/M, exactly, by cross multiplication."""
+    num, den = euler_factors(primes_upto(x))
+    return M * num <= x * den
+
+
+def _below(q: int, M: int, f: float) -> bool:
+    """q < M f, exactly."""
+    num, den = f.as_integer_ratio()
+    return q * den < M * num
+
+
 def check_q_bound(q: int, M: int) -> QBoundReport:
     if q < 1:
         raise InputError(f"need q >= 1, got {q}")
     if M < 2:
         raise InputError(f"need M >= 2, got {M}")
-    premise = Fraction(q) < M * mertens_product(q)
-    conclusion = q < c_of(M)
+    conclusion = q < c_of(M)  # first, so an M past the capacity walks no primes
+    lo, hi = mertens_product(q)
+    premise = _below(q, M, lo)
+    if premise != _below(q, M, hi):  # the enclosure straddles q / M
+        premise = not mertens_holds_at(q, M)
     return QBoundReport(q=q, m=M, premise=premise, conclusion=conclusion)

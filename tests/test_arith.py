@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverlab.arith as arith_module
 from coverlab.arith import (
     SIEVE_CAPACITY,
     Factorization,
     divisor_list,
+    euler_factors,
     euler_phi,
     euler_product,
     factorize,
@@ -52,6 +54,22 @@ def test_primes_upto_small():
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("limit", [1024, 65537, 401036])
+def test_sieve_list_matches_the_comprehension(limit, monkeypatch):
+    # a fresh sieve grown straight to the limit lists exactly the flagged
+    # numbers, as the comprehension over the flags did
+    monkeypatch.setattr(arith_module, "_sieved_to", 1)
+    monkeypatch.setattr(arith_module, "_primes", [])
+    arith_module._extend_sieve(limit)
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
+    assert arith_module._sieved_to == limit
+    assert arith_module._primes == [i for i in range(limit + 1) if flags[i]]
 
 
 def test_is_prime_against_sieve():
@@ -173,9 +191,17 @@ def test_index_bound_factor():
 # ------------------------------------------------------- mertens, counting
 
 
+def _encloses(lo: float, hi: float, num: int, den: int) -> bool:
+    """lo <= num/den <= hi, by cross multiplication with the floats' ratios."""
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return a * den <= num * b and num * d <= c * den
+
+
 def test_mertens_product_small():
-    assert mertens_product(1) == Fraction(1)
-    assert mertens_product(10) == Fraction(35, 8)
+    assert euler_product(primes_upto(1)) == Fraction(1)
+    assert euler_product(primes_upto(10)) == Fraction(35, 8)
+    for x in (1, 10):
+        assert _encloses(*mertens_product(x), *euler_factors(primes_upto(x)))
 
 
 def test_euler_product_matches_naive_loop():
@@ -193,7 +219,8 @@ def test_euler_product_matches_naive_loop():
 
 @given(st.integers(min_value=1, max_value=300))
 def test_mertens_monotone(x):
-    assert mertens_product(x + 1) >= mertens_product(x)
+    assert euler_product(primes_upto(x + 1)) >= euler_product(primes_upto(x))
+    assert _encloses(*mertens_product(x), *euler_factors(primes_upto(x)))
 
 
 @pytest.mark.parametrize("x", [10, 997, 10**4, 10**5, 10**6])
@@ -201,9 +228,17 @@ def test_mertens_float_agreement(x):
     # sum log p - sum log(p-1) evaluated as sum log1p(1/(p-1)): same
     # quantity, but each term is tiny so binary64 keeps 1e-15 accuracy
     log_ratio = math.fsum(math.log1p(1.0 / (p - 1)) for p in primes_upto(x))
-    exact = mertens_product(x)
     approx = math.exp(log_ratio)
-    assert abs(float(exact) - approx) <= 1e-12 * approx
+    num, den = euler_factors(primes_upto(x))
+    tol = 1e-12 * approx
+    assert _encloses(approx - tol, approx + tol, num, den)
+    # the walk's enclosure holds the exact product, and is as narrow as
+    # its proof says: 2 pi(x) roundings, so hi / lo - 1 < 8 (pi(x) + 1) u
+    lo, hi = mertens_product(x)
+    assert _encloses(lo, hi, num, den)
+    assert hi - lo <= 8 * (len(primes_upto(x)) + 1) * 2.0**-53 * lo
+    if x <= 10**4:
+        assert hi - lo <= 1e-12 * lo
 
 
 def test_prime_counts_small():

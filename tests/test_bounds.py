@@ -2,13 +2,16 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
 
 import coverlab.arith as arith_module
 import coverlab.bounds as bounds_module
-from coverlab.arith import euler_factors, is_prime, mertens_product, prime_counts, primes_upto
+from coverlab.arith import (
+    euler_factors, euler_product, is_prime, mertens_product, prime_counts, primes_upto
+)
 from coverlab.bounds import (
     _EMPTY,
     ZETA2,
@@ -22,14 +25,9 @@ from coverlab.bounds import (
     c_of,
     c_range,
     check_q_bound,
+    mertens_holds_at,
 )
 from coverlab.errors import InputError, SieveCapacityError
-
-
-def mertens_holds_at(x: int, M: int) -> bool:
-    """Exact check of the defining inequality prod_{p <= x} p/(p-1) <= x/M."""
-    num, den = euler_factors(primes_upto(x))
-    return M * num <= x * den
 
 
 def scan_c(M: int) -> int:
@@ -137,9 +135,46 @@ def test_threshold_scan_builds_no_fraction(monkeypatch):
         raise AssertionError("Fraction built")
 
     monkeypatch.setattr(arith_module, "Fraction", no_fraction)
-    monkeypatch.setattr(bounds_module, "Fraction", no_fraction)
+    assert "Fraction" not in vars(bounds_module)
     assert c_range(2, 50)[2] == 9
     assert mertens_holds_at(9, 2) and not mertens_holds_at(8, 2)
+    assert check_q_bound(8, 2).premise and not check_q_bound(9, 2).premise
+
+
+def test_forced_straddles_settle_exactly(monkeypatch):
+    # a slack of 2**20 puts every enclosure below 0 and far above its
+    # decision, so every c(M) and every premise takes the exact path
+    monkeypatch.setattr(bounds_module, "rounding_slack", lambda k: 2.0**20)
+    monkeypatch.setattr(arith_module, "rounding_slack", lambda k: 2.0**20)
+    certified, exact = [], []
+
+    def certify(M, *args):
+        certified.append(M)
+        return _certify(M, *args)
+
+    def holds_at(x, M):
+        exact.append((x, M))
+        return mertens_holds_at(x, M)
+
+    monkeypatch.setattr(bounds_module, "_certify", certify)
+    monkeypatch.setattr(bounds_module, "mertens_holds_at", holds_at)
+    assert c_range(2, 3000) == exact_segment_scan(2, 3000, _scan_bound(3000))
+    assert certified == list(range(2, 3001))
+    cases = [(q, M) for M in (2, 3, 17, 60) for q in range(1, 400, 7)]
+    for q, M in cases:
+        assert check_q_bound(q, M).premise == (not mertens_holds_at(q, M)), (q, M)
+    assert exact == cases
+
+
+def test_premise_matches_the_exact_oracle(monkeypatch):
+    # one walk per q serves all 59 M (the walk itself is tested in
+    # test_arith); the oracle is mertens_holds_at's cross multiplication,
+    # with the pair of products built once per q
+    monkeypatch.setattr(bounds_module, "mertens_product", lru_cache(None)(mertens_product))
+    for q in range(2, 5001):
+        num, den = euler_factors(primes_upto(q))
+        for M in range(2, 61):
+            assert check_q_bound(q, M).premise == (not M * num <= q * den), (q, M)
 
 
 def test_c_range_stops_at_the_sieve_capacity(monkeypatch):
@@ -150,6 +185,12 @@ def test_c_range_stops_at_the_sieve_capacity(monkeypatch):
     assert c_range(2000, 2000) == {2000: 37542}
     with pytest.raises(SieveCapacityError, match="40000"):
         c_range(3000, 3000)  # c(3000) = 58700
+    # c(M) >= 2M: refused before any prime is sieved above half the
+    # capacity, and by the scan itself at half of it
+    with pytest.raises(SieveCapacityError, match=r"c\(M\) >= 2M .* 40000 for M = 20001$"):
+        c_range(2, 20001)
+    with pytest.raises(SieveCapacityError, match=r"^c\(20000\) lies above"):
+        c_range(20000, 20000)
 
 
 def test_c_of_one_hundred_thousand():
@@ -297,5 +338,7 @@ def test_q_bound_small_sweep():
 def test_premise_boundary_is_exact():
     # at (8, 2) the margin is 3/4; at (9, 2) the premise flips because
     # 2 * 35/8 = 8.75 < 9, an exact rational comparison
-    assert Fraction(8) < 2 * mertens_product(8)
-    assert not Fraction(9) < 2 * mertens_product(9)
+    assert Fraction(8) < 2 * euler_product(primes_upto(8))
+    assert not Fraction(9) < 2 * euler_product(primes_upto(9))
+    assert not mertens_holds_at(8, 2) and mertens_holds_at(9, 2)
+    assert check_q_bound(8, 2).premise and not check_q_bound(9, 2).premise

@@ -284,6 +284,19 @@ def test_budget_flag_never_raises_the_cap(capsys):
     assert captured.err == "budget exceeded: period 19999982 exceeds budget 10000000\n"
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["qbound", "--q", "5"]], ids=["bounds", "qbound"])
+def test_m_past_the_float_range_is_refused_by_capacity(argv, capsys):
+    # c(M) >= 2M, so any M above half the sieve capacity is refused before
+    # it is turned into a float, which 10**400 cannot become
+    M = str(10**400)
+    assert main([*argv, "--M", M]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: c(M) >= 2M lies above the sieve capacity 10000000 for M = {M}\n"
+    )
+
+
 def test_exit_no_command(capsys):
     assert main([]) == 2
     assert capsys.readouterr().out == cli._build_parser().format_help()
