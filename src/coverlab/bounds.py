@@ -8,16 +8,14 @@ holds while it fails at x - 1, and c(M) can never be prime.
 The scan finds c(M) in one walk over the primes.  On [p, next prime) the
 product is constant, so the first x there with x >= M * product is c(M)
 once every x below p fails.  The binary64 walk of arith.euler_walk, with
-its proved rounding slack, encloses M * product; it certifies that a
-segment holds no threshold when the whole enclosure lies past the
-segment's end, and certifies c(M) when the enclosure's ends have one
-ceiling inside the segment.  Every other M, where the enclosure straddles
-an integer or the segment's end, is settled exactly: the unreduced pair
-(prod p, prod (p-1)) over the primes below a candidate, extended from the
-last exactly settled threshold, is checked by cross multiplication at the
-candidate and one below it, and an exact step walk moves the candidate
-until both checks hold.  No fraction, integer division or gcd enters the
-scan.
+its proved rounding slack, encloses M * product, so the first such x lies
+between the ceilings of the enclosure's ends.  A segment holds no
+threshold when the lower ceiling lies past its end, and the ceiling is
+c(M) when both ends share it.  Only when the enclosure straddles an
+integer is c(M) settled exactly, and only over the integers inside the
+enclosure: the unreduced pair (prod p, prod (p-1)), carried up the primes,
+is cross multiplied with each in turn, at real slacks with one.  No
+fraction, integer division or gcd enters the scan.
 
 The q-bound's premise q < M prod_{p <= q} p/(p-1) is read from the same
 enclosure, and by cross multiplication only when it straddles q / M.
@@ -75,72 +73,18 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
         raise SieveCapacityError(
             f"c(M) >= 2M lies above the sieve capacity {SIEVE_CAPACITY} for M = {m_hi}"
         )
-    out = _try_c_range(m_lo, m_hi, min(_scan_bound(m_hi), SIEVE_CAPACITY))
-    if out is None:
-        raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
-    return out
-
-
-class _Prefix(NamedTuple):
-    """prod p and prod (p-1) over the primes below x, which are primes[:count]."""
-
-    x: int
-    count: int
-    num: int
-    den: int
-
-
-_EMPTY = _Prefix(1, 0, 1, 1)
-
-
-def _extend(pre: _Prefix, primes: list[int], x: int) -> _Prefix:
-    """The prefix at x >= pre.x, from pre and the primes in [pre.x, x)."""
-    count = bisect_left(primes, x, pre.count)
-    num, den = euler_factors(primes[pre.count : count])
-    return _Prefix(x, count, pre.num * num, pre.den * den)
-
-
-def _certify(
-    M: int, x: int, primes: list[int], bound: int, base: _Prefix
-) -> tuple[int, _Prefix] | None:
-    """(c(M), prefix at c(M)) from the candidate x, exactly.
-
-    base is a prefix at some x0 <= c(M); the walk never goes below x0.
-    None when the walk passes bound, the end of the sieved primes.
-    """
-    pre = _extend(base, primes, max(x, base.x))
-    # down while the inequality already holds at x - 1 (pre's primes are
-    # exactly those <= x - 1); stepping below a prime rebuilds from base
-    while pre.x > base.x and M * pre.num <= (pre.x - 1) * pre.den:
-        x = pre.x - 1
-        if pre.count and primes[pre.count - 1] == x:
-            pre = _extend(base, primes, x)
-        else:
-            pre = pre._replace(x=x)
-    # up while it fails at x, taking x's own factor when x is prime
-    while True:
-        x, count, num, den = pre
-        if count < len(primes) and primes[count] == x:
-            num, den, count = num * x, den * (x - 1), count + 1
-        if M * num <= x * den:
-            return x, pre
-        if x >= bound:
-            return None
-        pre = _Prefix(x + 1, count, num, den)
-
-
-def _try_c_range(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
+    bound = min(_scan_bound(m_hi), SIEVE_CAPACITY)
     primes = primes_upto(bound)
     # v = m * r is one rounding past the walk's two per prime, so the exact
     # m * product lies in [v * down, v * up], each end rounded once more
-    # (rounding_slack).  If ceil(v * down) >= nxt, it lies above nxt - 1 and
-    # no x of [p, nxt) reaches it; if both ends have the ceiling t, t is its
-    # ceiling, the first integer x >= m * product.  Floats meet integers only
-    # in math.ceil and in comparisons, both exact.
+    # (rounding_slack), and its ceiling, the first x >= m * product, lies
+    # in [lo, hi] with lo = ceil(v * down), hi = ceil(v * up).  Floats meet
+    # integers only in math.ceil and in comparisons, both exact.
     eps = rounding_slack(2 * len(primes) + 1)
     down, up = 1 - eps, 1 + eps
     out: dict[int, int] = {}
-    pre = _EMPTY
+    num = den = 1  # prod p and prod (p-1) over primes[:count]
+    count = 0
     m = m_lo
     # the segments [p, nxt) in turn, p prime; every x below p fails for m,
     # since it failed for a smaller M or for m itself
@@ -148,24 +92,31 @@ def _try_c_range(m_lo: int, m_hi: int, bound: int) -> dict[int, int] | None:
     for nxt, r in zip(ends, euler_walk(primes)):
         while m <= m_hi:
             v = m * r
-            t = math.ceil(v * down)
-            if t >= nxt:
+            lo = math.ceil(v * down)
+            if lo >= nxt:  # no x of [p, nxt) reaches m * product
                 break
-            if t == math.ceil(v * up):
-                # t = c(m): it is the first x that holds on [p, nxt), and
-                # t <= p would make c(m) = p, a prime
-                out[m] = t
-            else:
-                # c(M) never decreases, so each exactly settled threshold
-                # is the base of the next
-                got = _certify(m, t, primes, bound, pre)
-                if got is None:
-                    return None
-                out[m], pre = got
+            hi = math.ceil(v * up)
+            if lo != hi:
+                # a straddle, settled exactly inside [lo, hi].  x = p - 1
+                # failed, so m * product > (p - 1) * p/(p - 1) = p on the
+                # segment: the clamp at p is sound, and c(m) is never
+                # prime.  The ceiling lies in [lo, hi], so the walk makes
+                # at most hi - lo cross multiplications, one at real
+                # slacks.
+                hi = min(hi, nxt)
+                end = bisect_left(primes, nxt, count)
+                n, d = euler_factors(primes[count:end])
+                num, den, count = num * n, den * d, end
+                lo = max(lo, primes[end - 1])
+                while lo < hi and m * num > lo * den:
+                    lo += 1
+                if lo == nxt:  # c(m) lies in a later segment
+                    break
+            out[m] = lo
             m += 1
         if m > m_hi:
             return out
-    return None
+    raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
 
 
 @lru_cache(maxsize=None)

@@ -486,14 +486,13 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBoun
 _FLAG_ROWS = {row: row for row in product((False, True), repeat=8)}
 
 
-def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int, r: int) -> tuple[bool, ...]:
+def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int) -> tuple[bool, ...]:
     """The hypothesis flags of check_uniform_cover, as the shared row of
     _FLAG_ROWS: cond_a, cond_a_vacuous, cond_b, cond_c, big_subnormal,
     via_subnormal, via_sylow, and p_r dividing the order of G over the
     intersected cores.  They read only the distinct subgroups subs, since
-    p_r, the largest prime of the index lcm, and r, its prime count, do
-    too; each subgroup's core, subnormality and G over its core are read
-    from the group memo."""
+    p_r, the largest prime of the index lcm, does too; each subgroup's
+    core, subnormality and G over its core are read from the group memo."""
 
     def over_core(sub: Subgroup) -> FiniteGroup:
         return quotient_group(core_of(sub))
@@ -517,8 +516,10 @@ def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int, r: int) -> tu
         cond_b,
         q_solvable and has_normal_sylow(Q, max(_prime_support(Q.order))),
         big_subn,
-        p_r > r and big_subn,
-        p_r > r and q_solvable and has_normal_sylow(Q, p_r),
+        # the hypothesis p_r > r always holds: the r primes of the index
+        # lcm are all <= p_r, so r <= pi(p_r) < p_r
+        big_subn,
+        q_solvable and has_normal_sylow(Q, p_r),
         Q.order % p_r == 0,
     )
     return _FLAG_ROWS[tuple(map(bool, flags))]
@@ -533,10 +534,10 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     G = cover.parent
     ns = cover.indices()
     head, tail, squarefree = _index_arithmetic(tuple(sorted(ns)))
-    pp, p_r, top_mult = head[3], head[4], head[8]  # prime_powers, prime, top_multiplicity
+    p_r, top_mult = head[4], head[8]  # prime, top_multiplicity
     subs = {sub.mask: sub for _, sub in cover.entries}
     masks = tuple(sorted(subs))
-    flags = G.memo("cover_flags", masks, _set_flags, G, subs.values(), p_r, len(pp))
+    flags = G.memo("cover_flags", masks, _set_flags, G, subs.values(), p_r)
     cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div = flags
     if not G.memo("squarefree", G.full_mask(), _squarefree_order, G):
         squarefree = None

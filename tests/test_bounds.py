@@ -10,14 +10,12 @@ import pytest
 import coverlab.arith as arith_module
 import coverlab.bounds as bounds_module
 from coverlab.arith import (
-    euler_factors, euler_product, is_prime, mertens_product, prime_counts, primes_upto
+    euler_factors, euler_product, mertens_product, prime_counts, primes_upto
 )
 from coverlab.bounds import (
-    _EMPTY,
     ZETA2,
     BoundReport,
     QBoundReport,
-    _certify,
     _pi_bracket,
     _scan_bound,
     alpha_floor,
@@ -104,32 +102,6 @@ def test_c_range_matches_exact_segment_scan():
     assert c_range(2, 3000) == exact_segment_scan(2, 3000, _scan_bound(3000))
 
 
-def test_certify_repairs_off_candidates():
-    table = c_range(2, 3000)
-    bound = _scan_bound(3000)
-    primes = primes_upto(bound)
-    crossed = 0
-    for M in (2, 3, 7, 17, 100, 999, 3000):
-        c = table[M]
-        below = [p for p in primes if p < c]
-        prefix = (c, len(below), *euler_factors(below))
-        bases = [_EMPTY]
-        if M > 2:  # the ascending pass certifies from the previous threshold
-            bases.append(_certify(M - 1, table[M - 1], primes, bound, _EMPTY)[1])
-        for base in bases:
-            for x in (c - 3, c - 1, c + 1, c + 4):
-                got, pre = _certify(M, x, primes, bound, base)
-                assert got == c, (M, x, base.x)
-                assert pre == prefix, (M, x, base.x)
-                crossed += any(is_prime(y) for y in range(min(x, c), max(x, c) + 1))
-    assert crossed  # some repairs step over a prime
-
-
-def test_certify_refuses_past_the_bound():
-    # c(2) = 9, but only 2..7 are sieved when the walk may not pass 8
-    assert _certify(2, 7, primes_upto(8), 8, _EMPTY) is None
-
-
 def test_threshold_scan_builds_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built")
@@ -141,29 +113,48 @@ def test_threshold_scan_builds_no_fraction(monkeypatch):
     assert check_q_bound(8, 2).premise and not check_q_bound(9, 2).premise
 
 
-def test_forced_straddles_settle_exactly(monkeypatch):
+@pytest.mark.parametrize("slack", [2.0**20, 2.0**-8, 2.0**-12], ids=["2**20", "2**-8", "2**-12"])
+def test_forced_straddles_settle_exactly(monkeypatch, slack):
     # a slack of 2**20 puts every enclosure below 0 and far above its
-    # decision, so every c(M) and every premise takes the exact path
-    monkeypatch.setattr(bounds_module, "rounding_slack", lambda k: 2.0**20)
-    monkeypatch.setattr(arith_module, "rounding_slack", lambda k: 2.0**20)
-    certified, exact = [], []
+    # decision, so every c(M) and every premise takes the exact path; the
+    # narrow slacks give windows of several integers, some across a
+    # segment's end
+    monkeypatch.setattr(bounds_module, "rounding_slack", lambda k: slack)
+    monkeypatch.setattr(arith_module, "rounding_slack", lambda k: slack)
+    extended = []
 
-    def certify(M, *args):
-        certified.append(M)
-        return _certify(M, *args)
+    def factors(primes):
+        extended.append(primes)
+        return euler_factors(primes)
+
+    monkeypatch.setattr(bounds_module, "euler_factors", factors)
+    table = c_range(2, 3000)
+    assert table == exact_segment_scan(2, 3000, _scan_bound(3000))
+    # each straddle extends the carried pair by the primes since the last
+    # one, up to the segment of the straddling M
+    assert extended
+    walked = [p for primes in extended for p in primes]
+    assert walked == primes_upto(walked[-1])
+    assert walked[-1] <= table[3000]
+    exact = []
 
     def holds_at(x, M):
         exact.append((x, M))
         return mertens_holds_at(x, M)
 
-    monkeypatch.setattr(bounds_module, "_certify", certify)
     monkeypatch.setattr(bounds_module, "mertens_holds_at", holds_at)
-    assert c_range(2, 3000) == exact_segment_scan(2, 3000, _scan_bound(3000))
-    assert certified == list(range(2, 3001))
     cases = [(q, M) for M in (2, 3, 17, 60) for q in range(1, 400, 7)]
     for q, M in cases:
         assert check_q_bound(q, M).premise == (not mertens_holds_at(q, M)), (q, M)
-    assert exact == cases
+    if slack > 1:
+        assert len(extended) >= 2999
+        assert exact == cases
+    # c(3000) = 58700 lies past a 40,000 sieve: the scan refuses when its
+    # segments run out, at 2**20 from a straddle in the last one
+    monkeypatch.setattr(arith_module, "SIEVE_CAPACITY", 40000)
+    monkeypatch.setattr(bounds_module, "SIEVE_CAPACITY", 40000)
+    with pytest.raises(SieveCapacityError, match=r"^c\(3000\) lies above"):
+        c_range(3000, 3000)
 
 
 def test_premise_matches_the_exact_oracle(monkeypatch):

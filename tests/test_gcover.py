@@ -363,6 +363,18 @@ def test_aligned_cases_b_c_none():
     assert (r.lhs, r.rhs) == (1, Fraction(3, 2))
 
 
+def test_aligned_case_a_from_subnormal_entries():
+    # the four left cosets of <(2 4)>, not normal in D4 but subnormal, as
+    # in every 2-group: case a rests on subnormality alone
+    D4 = catalog_group("D4")
+    K = Subgroup(D4, 0b101)
+    assert repr(K) == "Subgroup<0,2>" and not is_normal(K) and is_subnormal(K)
+    entries = [(min(_bits(coset)), K) for coset in group.left_cosets(D4, K.mask)]
+    r = check_aligned_union_bound(Subgroup(D4, D4.full_mask()), entries)
+    assert r.case == "a" and r.indices == (4, 4, 4, 4)
+    assert r.lhs == r.rhs == 4 and r.holds
+
+
 def test_aligned_rejects_misaligned_union():
     G = catalog_group("C12")
     with pytest.raises(ValueError, match="union of left H-cosets"):
