@@ -86,15 +86,17 @@ class Factorization(NamedTuple):
         """P(n): the set of prime divisors, ascending."""
         return tuple(p for p, _ in self.pairs)
 
-    def ord_of(self, p: int) -> int:
-        """ord_p(n): exponent of p in n (0 when p does not divide n)."""
-        for q, e in self.pairs:
-            if q == p:
-                return e
-        return 0
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.pairs)
+
+
+def ord_of(n: int, p: int) -> int:
+    """ord_p(n) for a prime p: the exponent of p in n, by division."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def factorize(n: int) -> Factorization:

@@ -11,13 +11,13 @@ branch the cut rules out is refused before it is entered.  Covers come
 out in lexicographic order of their canonical coset positions.  Cosets
 are bitmasks, computed once per system (the enumerator hands over the
 masks it already holds); the weight profile sums them into binary bit
-planes (`levels.profile`, shared with the residue layer) once per
-system.  A subgroup's left-coset partition, core, subnormality and
-quotient by its core are read from the group memo, which keeps them
-once per group; the arithmetic of an index multiset is computed once
-per multiset, and the hypothesis flags of a uniform cover once per set
-of subgroups.  Every inequality is evaluated in exact rational
-arithmetic.
+planes (`levels.add` and `levels.walk`, shared with the residue layer)
+once per system.  A subgroup's left-coset partition, core,
+subnormality and quotient by its core are read from the group memo,
+which keeps them once per group; the arithmetic of an index multiset
+is computed once per multiset, and the hypothesis flags of a uniform
+cover once per set of subgroups.  Every inequality is evaluated in
+exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .group import (
     prime_quotient_series,
     quotient_group,
 )
-from .levels import profile
+from .levels import add, walk
 
 # hard caps for the exhaustive explorers; exactness over coverage
 ENUM_ORDER_MAX = 24
@@ -149,7 +149,8 @@ def weight_profile(cover: CosetSystem) -> WeightProfile:
         return cover._profile
     G = cover.parent
     full = G.full_mask()
-    lo, hi, covered, planes = profile(full, cover.masks)
+    planes = add([], cover.masks)
+    lo, hi, covered = walk(full, planes)
     if lo == hi:
         counts = (lo,) * G.order
     else:

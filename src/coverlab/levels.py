@@ -1,9 +1,10 @@
 """Covering multiplicity of a multiset of bitmasks, held in binary bit planes.
 
 Bit j of the count of point x is bit x of planes[j], so k masks need
-only bit_length(k) planes.  Both layers use it: a residue system is a
-coset cover of Z/L, one mask per batch of classes, and a coset system
-one mask per coset.
+only bit_length(k) planes.  Both layers use it: a coset system adds one
+mask per coset, all at the width of the group; a residue system adds
+its batches of classes at a width that grows with them, and walks the
+planes once they span the whole period.
 """
 
 from __future__ import annotations
@@ -11,29 +12,36 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def profile(full: int, masks: Iterable[int]) -> tuple[int, int, int, list[int]]:
-    """(min, max, covered, planes) of the counts over the points of full."""
-    planes: list[int] = []
+def add(planes: list[int], masks: Iterable[int]) -> list[int]:
+    """Add each mask to the counts held in planes, in place, and return them."""
     for carry in masks:
-        # add the mask by a ripple carry, stopping once the carry is empty
+        # a ripple carry, stopping once the carry is empty
         for j, plane in enumerate(planes):
             planes[j], carry = plane ^ carry, plane & carry
             if not carry:
                 break
         if carry:
             planes.append(carry)
+    return planes
+
+
+def walk(full: int, planes: list[int]) -> tuple[int, int, int]:
+    """(min, max, covered) of the counts held in planes over the points of full."""
     # one walk down the planes: keep the points whose count agrees with
     # the max (the min) on every bit read so far
     hi_pts, lo_pts, hi, lo = full, full, 0, 0
     for j in range(len(planes) - 1, -1, -1):
-        if hi_pts & planes[j]:
-            hi_pts &= planes[j]
+        plane = planes[j]
+        pts = hi_pts & plane
+        if pts:
+            hi_pts = pts
             hi |= 1 << j
-        if lo_pts & ~planes[j]:
-            lo_pts &= ~planes[j]
+        pts = lo_pts & ~plane
+        if pts:
+            lo_pts = pts
         else:
             lo |= 1 << j
     covered = 0
     for plane in planes:
         covered |= plane
-    return lo, hi, covered.bit_count(), planes
+    return lo, hi, covered.bit_count()

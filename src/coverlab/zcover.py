@@ -4,8 +4,11 @@ The covering function w(x) counts the classes containing x; it is
 periodic with period L = lcm(n_1, ..., n_k), so every global statement
 about the system is decided by one scan over a full period, and each
 check runs that scan once per system.  Scans are exact integer counting,
-never floating point: the system is a coset cover of Z/L, its classes
-are L-bit masks, and `levels.profile` sums them into binary bit planes.
+never floating point: the system is a coset cover of Z/L.  Its classes
+are summed by `levels.add` into binary bit planes, in increasing
+modulus and at the running lcm W of the moduli added so far, so a class
+of modulus 2 costs 2 bits, not L; the planes are written out to a wider
+width only when W grows, and `levels.walk` reads them at width L.
 Periods beyond the period budget (default 10**7) are refused before any
 mask is built.
 """
@@ -15,14 +18,15 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import (
     divisor_list, euler_phi, euler_product, factorize, index_bound_factor, is_prime,
-    least_prime,
+    least_prime, ord_of,
 )
 from .errors import InputError, PeriodBudgetError
-from .levels import profile
+from .levels import add, walk
 
 DEFAULT_PERIOD_BUDGET = 10**7
 
@@ -119,42 +123,64 @@ class MultiplicityProfile(NamedTuple):
 def multiplicity_profile(
     system: ResidueSystem, period_budget: int = DEFAULT_PERIOD_BUDGET
 ) -> MultiplicityProfile:
-    """Scan one full period of the covering function, one mask per batch.
+    """Scan one full period of the covering function, one add per batch.
 
     A batch is the classes of one modulus n with distinct residues, the
     j-th copy of a class joining the j-th batch; they are disjoint, so
-    their residue pattern of width n doubles out to one mask of the period.
+    their residue pattern of width n is one mask.  Batches are added in
+    increasing modulus at the lcm W of the moduli seen so far: every
+    class added before is W-periodic, so when W grows the bit planes are
+    written out to the new width and the counts stay exact.  The last
+    width is the period.
     """
     period = system.period()
-    if period > period_budget:
-        raise PeriodBudgetError(f"period {period} exceeds budget {period_budget}")
-    full = (1 << period) - 1
-    min_w, max_w, covered, _ = profile(full, _batch_masks(system, full))
+    _check_budget(period, period_budget)
+    batches: defaultdict = defaultdict(list)
+    for c, copies in Counter(system.classes).items():
+        for j in range(copies):
+            batches[c.modulus, j].append(c.residue)
+    planes: list[int] = []
+    width = 1
+    for n, group in groupby(sorted(batches.items()), key=lambda item: item[0][0]):
+        grown = math.lcm(width, n)
+        if grown > width:
+            # by index: no name keeps a narrow plane alive past its lift
+            for j in range(len(planes)):
+                planes[j] = _lift(planes[j], width, grown)
+            width = grown
+        add(planes, _batch_masks(n, (residues for _, residues in group), width))
+    min_w, max_w, covered = walk((1 << period) - 1, planes)
     moduli = system.moduli()
     sum_w = sum(period // n for n in moduli)
     trivial = all(n == 1 for n in moduli)
     return MultiplicityProfile(len(system), period, min_w, max_w, sum_w, covered, trivial)
 
 
-def _batch_masks(system: ResidueSystem, full: int) -> Iterator[int]:
-    batches: defaultdict = defaultdict(list)
-    for c, copies in Counter(system.classes).items():
-        for j in range(copies):
-            batches[c.modulus, j].append(c.residue)
-    period = full.bit_length()
+def _check_budget(period: int, period_budget: int) -> None:
+    if period > period_budget:
+        raise PeriodBudgetError(f"period {period} exceeds budget {period_budget}")
+
+
+def _batch_masks(n: int, batches: Iterable[list[int]], width: int) -> Iterator[int]:
+    """Each batch of residues mod n as a mask of the given width."""
     key = mask = None
-    for (n, _), residues in batches.items():
-        if (n, residues) != key:  # the copies of a class reuse one mask
-            key = n, residues
+    for residues in batches:
+        if residues != key:  # the copies of a class reuse one mask
+            key = residues
             pattern = bytearray((n + 7) // 8)
             for a in residues:
                 pattern[a >> 3] |= 1 << (a & 7)
-            mask, width = int.from_bytes(pattern, "little"), n
-            while width < period:
-                mask |= mask << width
-                width *= 2
-            mask &= full
+            mask = _lift(int.from_bytes(pattern, "little"), n, width)
         yield mask
+
+
+def _lift(bits: int, width: int, target: int) -> int:
+    """A width-periodic pattern written out to target bits, width | target."""
+    while width < target:
+        step = min(width, target - width)
+        bits |= (bits if step == width else bits & ((1 << step) - 1)) << width
+        width += step
+    return bits
 
 
 def classify(
@@ -294,19 +320,24 @@ def check_level_gaps(
     The prime defaults to the largest prime of the period and the levels
     to every positive member of lam.  Bad designations are refused before
     the system is scanned; the one uniformity scan serves every level.
+    The period is factored only once it is within the budget: first when
+    the prime is its largest, after the scan otherwise.
     """
     moduli = system.moduli()
     period = system.period()
-    fact = factorize(period)
-    if not fact.pairs:
+    if period == 1:
         raise InputError("trivial period, no primes to designate")
-    p = fact.pairs[-1][0] if prime is None else prime
+    p, fact = prime, None
+    if p is None:
+        _check_budget(period, period_budget)
+        fact = factorize(period)
+        p = fact.pairs[-1][0]
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    alpha_top = fact.ord_of(p)
+    orders = [ord_of(n, p) for n in moduli]
+    alpha_top = max(orders)
     if alpha_top == 0:
         raise InputError(f"{p} does not divide the period {period}")
-    orders = [factorize(n).ord_of(p) if n % p == 0 else 0 for n in moduli]
     lam = tuple(sorted(set(orders)))
     levels = [v for v in lam if v > 0] if alphas is None else list(alphas)
     for alpha in levels:
@@ -314,6 +345,8 @@ def check_level_gaps(
             raise InputError(f"alpha must be a positive member of {lam}, got {alpha}")
     if classify(system, period_budget).uniform_m is None:
         raise InputError("system is not a uniform cover")
+    if fact is None:
+        fact = factorize(period)
     mult = Counter(moduli)
     mertens = euler_product(fact.primes())
     top_mult = max(mult[n] for n, o in zip(moduli, orders) if o == alpha_top)

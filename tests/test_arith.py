@@ -21,6 +21,7 @@ from coverlab.arith import (
     is_prime,
     least_prime,
     mertens_product,
+    ord_of,
     prime_counts,
     primes_upto,
 )
@@ -94,8 +95,8 @@ def test_factorize_unit():
 def test_factorize_12():
     f = factorize(12)
     assert f.pairs == ((2, 2), (3, 1))
-    assert f.ord_of(2) == 2
-    assert f.ord_of(5) == 0
+    assert ord_of(12, 2) == 2
+    assert ord_of(12, 5) == 0
     assert not f.is_squarefree()
 
 

@@ -284,6 +284,23 @@ def test_budget_flag_never_raises_the_cap(capsys):
     assert captured.err == "budget exceeded: period 19999982 exceeds budget 10000000\n"
 
 
+@pytest.mark.parametrize(
+    "cover, period",
+    [("0/9999991 1/9999973", 99999640000243), ("0/1000000007 1/1000000009", 1000000016000000063)],
+)
+def test_level_gap_refuses_an_over_budget_period_before_factoring(cover, period, monkeypatch, capsys):
+    # the default prime is the period's largest: the period must be within
+    # the budget before it is factored, as verify-cover refuses it
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) ran before the budget refusal")
+
+    monkeypatch.setattr(zcover, "factorize", no_factoring)
+    assert main(["level-gap", cover]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: period {period} exceeds budget 10000000\n"
+
+
 @pytest.mark.parametrize("argv", [["bounds"], ["qbound", "--q", "5"]], ids=["bounds", "qbound"])
 def test_m_past_the_float_range_is_refused_by_capacity(argv, capsys):
     # c(M) >= 2M, so any M above half the sieve capacity is refused before

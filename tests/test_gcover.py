@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from coverlab import gcover, group, levels
-from coverlab.arith import divisor_list, euler_product, factorize, least_prime
+from coverlab.arith import divisor_list, euler_product, factorize, least_prime, ord_of
 from coverlab.cli import main
 from coverlab.errors import InputError, SearchBudgetError
 from coverlab.gcover import (
@@ -855,7 +855,7 @@ def oracle_check_uniform_cover(cover):
     p_r, alpha_r = pp[-1]
     r = len(pp)
 
-    orders = [factorize(n).ord_of(p_r) for n in ns]
+    orders = [ord_of(n, p_r) for n in ns]
     beta = min(o for o in orders if o > 0)
     epsilon = 1 - Fraction(1, p_r ** (alpha_r - beta + 1))
     for p, a in pp[:-1]:
@@ -1087,11 +1087,11 @@ def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
 def test_three_checks_of_one_cover_sum_one_profile(monkeypatch):
     calls = []
 
-    def counted(full, masks):
+    def counted(planes, masks):
         calls.append(len(masks))
-        return levels.profile(full, masks)
+        return levels.add(planes, masks)
 
-    monkeypatch.setattr(gcover, "profile", counted)
+    monkeypatch.setattr(gcover, "add", counted)
     for cover in enumerate_uniform_covers(catalog_group("D4"), 5, 1):
         calls.clear()
         check_uniform_cover(cover)

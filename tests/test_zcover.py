@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 from coverlab import zcover
 from coverlab.arith import divisor_list, euler_phi
 from coverlab.errors import InputError, PeriodBudgetError
-from coverlab.levels import profile
+from coverlab.levels import add, walk
 from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
-    _batch_masks,
     _inclusion_exclusion_covered,
+    _lift,
     ResidueClass,
     ResidueSystem,
     check_density_identity,
@@ -128,6 +130,74 @@ def summary(p) -> tuple[int, int, int, int, int]:
     return (p.period, p.min_w, p.max_w, p.sum_w, p.covered)
 
 
+# the full-period scan that the lifted scan replaced, kept as its oracle:
+# every batch is written out to the whole period and summed there
+
+
+def oracle_batch_masks(system: ResidueSystem, full: int):
+    batches: defaultdict = defaultdict(list)
+    for c, copies in Counter(system.classes).items():
+        for j in range(copies):
+            batches[c.modulus, j].append(c.residue)
+    period = full.bit_length()
+    key = mask = None
+    for (n, _), residues in batches.items():
+        if (n, residues) != key:
+            key = n, residues
+            pattern = bytearray((n + 7) // 8)
+            for a in residues:
+                pattern[a >> 3] |= 1 << (a & 7)
+            mask, width = int.from_bytes(pattern, "little"), n
+            while width < period:
+                mask |= mask << width
+                width *= 2
+            mask &= full
+        yield mask
+
+
+def oracle_scan(system: ResidueSystem) -> tuple[int, int, int]:
+    """(min, max, covered) of w over one period, every batch at full width."""
+    full = (1 << system.period()) - 1
+    return walk(full, add([], oracle_batch_masks(system, full)))
+
+
+def scanned(system: ResidueSystem) -> tuple[int, int, int]:
+    p = multiplicity_profile(system)
+    return p.min_w, p.max_w, p.covered
+
+
+# classes drawn with up to three copies each; the moduli are divisors of
+# 55,440 or small integers, so that most draws have a period <= 10**5
+repeated_systems = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(divisor_list(55_440)), st.integers(min_value=1, max_value=40))
+        .flatmap(lambda n: st.tuples(st.integers(min_value=0, max_value=n - 1), st.just(n))),
+        st.integers(min_value=1, max_value=3),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda drawn: sys_of(*[pair for pair, copies in drawn for _ in range(copies)]))
+
+
+@given(repeated_systems.filter(lambda s: s.period() <= 10**5))
+@example(sys_of((1, 4), (1, 4), (3, 4), (0, 6), (0, 6), (5, 12), (0, 1)))
+@example(sys_of((2, 7), (0, 11), (5, 13), (2, 7), (1, 2)))
+def test_lifted_scan_matches_the_oracle(s):
+    assert scanned(s) == oracle_scan(s)
+
+
+@given(split_scripts, split_scripts, st.integers(min_value=0, max_value=10**6))
+def test_lifted_scan_matches_the_oracle_on_split_covers(raw, other, pick):
+    # an exact cover, the cover with one class removed, and the cover
+    # merged with a second one (a uniform 2-cover)
+    s = generate_exact_cover(normalize_script(raw))
+    classes = list(s.classes)
+    del classes[pick % len(classes)]
+    merged = s.classes + generate_exact_cover(normalize_script(other)).classes
+    for system in (s, ResidueSystem(classes or [ResidueClass(0, 2)]), ResidueSystem(merged)):
+        assert scanned(system) == oracle_scan(system)
+
+
 def test_profile_whole_line():
     p = multiplicity_profile(sys_of((0, 1)))
     assert summary(p) == (1, 1, 1, 1, 1) == scan(sys_of((0, 1)))
@@ -163,6 +233,7 @@ def test_profile_across_chunk_boundaries(period):
     pairs += [(d - 1, d) for d in small] + [(d // 2, d) for d in small]
     s = sys_of(*pairs)
     assert summary(multiplicity_profile(s)) == scan(s)
+    assert scanned(s) == oracle_scan(s)
 
 
 @pytest.mark.parametrize("copies", [2, 3, 4, 5])
@@ -179,33 +250,86 @@ def test_profile_at_primorial_period():
     p = multiplicity_profile(s)
     assert p.period == 9_699_690
     assert summary(p) == scan(s)
+    assert scanned(s) == oracle_scan(s)
 
 
-def test_profile_planes_grow_with_the_log_of_the_count():
-    # 300 copies of one class: bit planes, not one level mask per count
+def test_profile_planes_grow_with_the_log_of_the_count(monkeypatch):
+    # 300 copies of one class: bit planes, not one level mask per count;
+    # the planes counted are the ones the scan walks
+    walked = []
+
+    def spy(full, planes):
+        walked.append(len(planes))
+        return walk(full, planes)
+
+    monkeypatch.setattr(zcover, "walk", spy)
     s = sys_of(*[(0, 2)] * 300, (5, 9_699_690))
-    period = s.period()
-    full = (1 << period) - 1
-    lo, hi, covered, planes = profile(full, _batch_masks(s, full))
-    assert len(planes) <= math.ceil(math.log2(301)) == 9
-    assert (lo, hi, covered) == (0, 300, period // 2 + 1)
+    p = multiplicity_profile(s)
+    assert len(walked) == 1 and walked[0] <= math.ceil(math.log2(301)) == 9
+    assert (p.min_w, p.max_w, p.covered) == (0, 300, p.period // 2 + 1) == oracle_scan(s)
 
 
 def test_copies_of_a_class_share_one_mask(monkeypatch):
-    # the 300 batches of 0/2 hold the same residues of the same modulus:
-    # one period mask is built for them, not one per copy (at a period
-    # near 10**7 that is 1.2 MB per copy)
+    # the 300 batches of 1/30030 hold the same residues of the same
+    # modulus: one mask is built for them, not one per copy (a class of
+    # the period's modulus near 10**7 is 1.2 MB a copy); a mask of
+    # modulus 2 would be a cached small int, shared whatever the scan does
     received = []
 
-    def spy(full, masks):
-        received.extend(masks)
-        return profile(full, received)
+    def spy(planes, masks):
+        batch = list(masks)
+        received.extend(batch)
+        return add(planes, batch)
 
-    monkeypatch.setattr(zcover, "profile", spy)
-    p = multiplicity_profile(sys_of(*[(0, 2)] * 300, (1, 30_030)))
+    monkeypatch.setattr(zcover, "add", spy)
+    p = multiplicity_profile(sys_of((0, 2), *[(1, 30_030)] * 300))
     assert len(received) == 301
     assert len({id(mask) for mask in received}) == 2
     assert (p.min_w, p.max_w, p.covered) == (0, 300, 30_030 // 2 + 1)
+
+
+def test_few_masks_reach_the_period_width(monkeypatch):
+    # the class of the period's modulus comes first, yet the 600 classes
+    # of modulus 2 are summed at width 2: only the planes, lifted once,
+    # reach the period, where a full-period scan sums 601 masks there
+    s = sys_of((5, 9_699_690), *[(0, 2)] * 300, *[(1, 2)] * 300)
+    period = s.period()
+    wide = [0]
+
+    def lift(bits, width, target):
+        wide[0] += width < target == period
+        return _lift(bits, width, target)
+
+    def summed(planes, masks):
+        batch = list(masks)
+        wide[0] += sum(mask.bit_length() > period // 2 for mask in batch)
+        return add(planes, batch)
+
+    monkeypatch.setattr(zcover, "_lift", lift)
+    monkeypatch.setattr(zcover, "add", summed)
+    p = multiplicity_profile(s)
+    assert (p.min_w, p.max_w, p.covered) == (300, 301, period)
+    assert 0 < wide[0] <= p.max_w.bit_length() + 1
+
+
+def test_lifted_scan_peaks_below_the_full_period_scan():
+    # a chain of splits to an exact cover of period 8,154,432: each lift
+    # frees the narrower planes, and no batch mask outlives its add
+    script, k = [], 1
+    for d in (3, 2, 2, 4, 6, 11, 9, 11, 13, 2):
+        script.append((k - 1, d))
+        k += d - 1
+    s = generate_exact_cover(script)
+    assert s.period() == 8_154_432
+    peaks = []
+    for run in (multiplicity_profile, oracle_scan):
+        tracemalloc.start()
+        try:
+            run(s)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=40))
@@ -213,7 +337,8 @@ def test_planes_hold_each_count_in_binary(masks):
     # bit j of the count of x is bit x of planes[j]; min and max are over
     # the points of full only
     full = 2**12 - 1 - 0b1010
-    lo, hi, covered, planes = profile(full, masks)
+    planes = add([], masks)
+    lo, hi, covered = walk(full, planes)
     counts = [sum(m >> x & 1 for m in masks) for x in range(12)]
     assert [sum((p >> x & 1) << j for j, p in enumerate(planes)) for x in range(12)] == counts
     inside = [counts[x] for x in range(12) if full >> x & 1]
@@ -234,7 +359,8 @@ def test_period_refused_before_any_mask(monkeypatch):
     def no_masks(*args):
         raise AssertionError("a mask was built for a refused period")
 
-    monkeypatch.setattr(zcover, "_batch_masks", no_masks)
+    for name in ("_batch_masks", "_lift", "add"):
+        monkeypatch.setattr(zcover, name, no_masks)
     with pytest.raises(PeriodBudgetError):
         multiplicity_profile(sys_of((0, 11), (0, 13)), period_budget=100)
 
