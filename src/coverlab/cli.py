@@ -17,16 +17,15 @@ help and own arguments.  `main` reads a well-formed command line (a
 command, its positionals and `--flag value` pairs, each flag once, no
 value starting with '-') from that table and builds no parser.  Anything
 else goes to argparse: help pages, --version, usage errors, `--flag=value`,
-abbreviated or repeated flags and '-'-leading values.  There `main` builds
-the subparser of the one command argv names, and all of them for no
-command, -h, --version, an unknown command or a stray argument, so a
-usage message lists every command.  `main` makes the report; the
-handler fills its inputs and adds its verdicts.  Only a command with a
-period or node budget declares `--budget`, which lowers that budget and
-never raises it; to any other command it is a usage error.  A bound the
-paper asserts only under a hypothesis goes through `Report.claim`: when
-the hypothesis fails, the bound is printed unmarked, with a warning
-where the report gives one, and does not affect the status.
+abbreviated or repeated flags and '-'-leading values.  There `main`
+builds the full parser, so a usage message lists every command.  `main`
+makes the report; the handler fills its inputs and adds its verdicts.
+Only a command with a period or node budget declares `--budget`, which
+lowers that budget and never raises it; to any other command it is a
+usage error.  A bound the paper asserts only under a hypothesis goes
+through `Report.claim`: when the hypothesis fails, the bound is printed
+unmarked, with a warning where the report gives one, and does not
+affect the status.
 
 Cover files hold one residue class per line (or several per line) as
 `a/n` tokens with 0 <= a < n; `#` starts a comment.  Group files hold
@@ -134,7 +133,7 @@ def parse_cover_file(path_or_text: str) -> ResidueSystem:
             pairs.append((a, n))
     if not pairs:
         raise InputError("no residue classes found")
-    return ResidueSystem.from_pairs(pairs)
+    return ResidueSystem(pairs)
 
 
 def _parse_group_header(lines: list[tuple[int, str]]) -> tuple[FiniteGroup, int]:
@@ -764,8 +763,8 @@ def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return None if positionals else args
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The top parser, with only the subparser argv[0] names, if any, else all."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top parser, with the subparser of every command."""
     import argparse
 
     commands = _commands()
@@ -775,8 +774,7 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"coverlab {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for name in [argv[0]] if argv and argv[0] in commands else commands:
-        handler, help_text, arguments = commands[name]
+    for name, (handler, help_text, arguments) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in (_COMMON | arguments).items():
             p.add_argument(flag, **kwargs)
@@ -788,11 +786,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_args(argv)
     if args is None:
-        parser = _build_parser(argv)
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # refused by the full parser, whose usage lists every command
-            args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return 2

@@ -31,7 +31,7 @@ from itertools import groupby, product
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .arith import divisor_list, euler_product, factorize, index_bound_factor
+from .arith import divisor_list, euler_product, factorize, index_bound_factor, ord_of
 from .errors import InputError, SearchBudgetError
 from .group import (
     FiniteGroup,
@@ -466,7 +466,7 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBoun
     pp = factorize(N).pairs
     p_r, alpha_r = pp[-1]
     # beta: the least p_r-order among the indices p_r divides
-    orders = (next(e for e in range(alpha_r + 1) if n % p_r ** (e + 1)) for n in ns)
+    orders = (ord_of(n, p_r) for n in ns)
     beta = min(o for o in orders if o > 0)
     epsilon = index_bound_factor(pp, p_r, alpha_r - beta + 1)
     counts = Counter(ns)

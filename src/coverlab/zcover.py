@@ -1,11 +1,12 @@
 """Residue systems a_i + n_i Z and their covering behaviour.
 
-The covering function w(x) counts the classes containing x; it is
-periodic with period L = lcm(n_1, ..., n_k), so every global statement
-about the system is decided by one scan over a full period, and each
-check runs that scan once per system.  Scans are exact integer counting,
-never floating point: the system is a coset cover of Z/L.  Its classes
-are summed by `levels.add` into binary bit planes, in increasing
+A system is a validated tuple of its classes, each the pair (a, n) with
+0 <= a < n.  The covering function w(x) counts the classes containing x;
+it is periodic with period L = lcm(n_1, ..., n_k), so every global
+statement about the system is decided by one scan over a full period,
+and each check runs that scan once per system.  Scans are exact integer
+counting, never floating point: the system is a coset cover of Z/L.  Its
+classes are summed by `levels.add` into binary bit planes, in increasing
 modulus and at the running lcm W of the moduli added so far, so a class
 of modulus 2 costs 2 bits, not L; the planes are written out to a wider
 width only when W grows, and `levels.walk` reads them at width L.
@@ -31,63 +32,32 @@ from .levels import add, walk
 DEFAULT_PERIOD_BUDGET = 10**7
 
 
-class ResidueClass:
-    """The arithmetic progression residue + modulus * Z, 0 <= residue < modulus."""
+class ResidueSystem(tuple):
+    """A finite nonempty tuple of residue classes a + n*Z, each the pair
+    (a, n) with 0 <= a < n, input order preserved."""
 
-    __slots__ = ("residue", "modulus")
+    __slots__ = ()
 
-    def __init__(self, residue: int, modulus: int):
-        if modulus < 1:
-            raise InputError(f"modulus must be >= 1, got {modulus}")
-        if not 0 <= residue < modulus:
-            raise InputError(f"residue {residue} not in [0, {modulus})")
-        self.residue, self.modulus = residue, modulus
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueClass):
-            return NotImplemented
-        return (self.residue, self.modulus) == (other.residue, other.modulus)
-
-    def __hash__(self):
-        return hash((self.residue, self.modulus))
-
-    def __str__(self):
-        return f"{self.residue}/{self.modulus}"
-
-
-class ResidueSystem:
-    """A finite nonempty list of residue classes, input order preserved."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: Iterable[ResidueClass]):
-        self.classes = tuple(classes)
-        if not self.classes:
+    def __new__(cls, pairs: Iterable[tuple[int, int]]):
+        classes = []
+        for a, n in pairs:
+            if n < 1:
+                raise InputError(f"modulus must be >= 1, got {n}")
+            if not 0 <= a < n:
+                raise InputError(f"residue {a} not in [0, {n})")
+            classes.append((a, n))
+        if not classes:
             raise InputError("a residue system needs at least one class")
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueSystem):
-            return NotImplemented
-        return self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, int]]) -> "ResidueSystem":
-        return ResidueSystem(tuple(ResidueClass(a, n) for a, n in pairs))
+        return super().__new__(cls, classes)
 
     def moduli(self) -> tuple[int, ...]:
-        return tuple(c.modulus for c in self.classes)
+        return tuple(n for _, n in self)
 
     def period(self) -> int:
         return math.lcm(*self.moduli())
 
-    def __len__(self):
-        return len(self.classes)
-
     def __str__(self):
-        return " ".join(str(c) for c in self.classes)
+        return " ".join(f"{a}/{n}" for a, n in self)
 
 
 class MultiplicityProfile(NamedTuple):
@@ -136,9 +106,9 @@ def multiplicity_profile(
     period = system.period()
     _check_budget(period, period_budget)
     batches: defaultdict = defaultdict(list)
-    for c, copies in Counter(system.classes).items():
+    for (a, n), copies in Counter(system).items():
         for j in range(copies):
-            batches[c.modulus, j].append(c.residue)
+            batches[n, j].append(a)
     planes: list[int] = []
     width = 1
     for n, group in groupby(sorted(batches.items()), key=lambda item: item[0][0]):
@@ -253,7 +223,7 @@ def check_density_identity(
     """
     if not moduli:
         raise InputError("need at least one modulus")
-    system = ResidueSystem.from_pairs([(0, n) for n in moduli])
+    system = ResidueSystem((0, n) for n in moduli)
     lhs = density_union(system, period_budget)
     rhs = Fraction(_inclusion_exclusion_covered(moduli), math.lcm(*moduli))
     return DualCheck(lhs=lhs, rhs=rhs)
@@ -332,12 +302,14 @@ def check_level_gaps(
         _check_budget(period, period_budget)
         fact = factorize(period)
         p = fact.pairs[-1][0]
-    if not is_prime(p):
+    if p < 2:  # ord_of would never end at p = 1
         raise InputError(f"{p} is not prime")
     orders = [ord_of(n, p) for n in moduli]
     alpha_top = max(orders)
     if alpha_top == 0:
         raise InputError(f"{p} does not divide the period {period}")
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     lam = tuple(sorted(set(orders)))
     levels = [v for v in lam if v > 0] if alphas is None else list(alphas)
     for alpha in levels:
@@ -442,12 +414,12 @@ def generate_exact_cover(script: Sequence[tuple[int, int]]) -> ResidueSystem:
     a + j*n mod d*n for j = 0..d-1 at the same position.  Every system
     reachable this way partitions Z.
     """
-    classes = [ResidueClass(0, 1)]
+    classes = [(0, 1)]
     for step, (i, d) in enumerate(script):
         if not 0 <= i < len(classes):
             raise InputError(f"step {step}: class index {i} out of range")
         if d < 2:
             raise InputError(f"step {step}: split factor must be >= 2, got {d}")
-        a, n = classes[i].residue, classes[i].modulus
-        classes[i : i + 1] = [ResidueClass(a + j * n, d * n) for j in range(d)]
-    return ResidueSystem(tuple(classes))
+        a, n = classes[i]
+        classes[i : i + 1] = [(a + j * n, d * n) for j in range(d)]
+    return ResidueSystem(classes)

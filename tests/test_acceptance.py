@@ -67,7 +67,7 @@ def bounded_system(rng, k_max=6, n_max=30, period_max=10**6):
         for _ in range(k):
             n = rng.randint(1, n_max)
             pairs.append((rng.randrange(n), n))
-        s = ResidueSystem.from_pairs(pairs)
+        s = ResidueSystem(pairs)
         if s.period() <= period_max:
             return s
 

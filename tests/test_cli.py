@@ -54,7 +54,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def serialize_cover(system: ResidueSystem) -> str:
-    return "\n".join(str(c) for c in system.classes) + "\n"
+    return "\n".join(f"{a}/{n}" for a, n in system) + "\n"
 
 
 def serialize_group(G: FiniteGroup) -> str:
@@ -82,24 +82,20 @@ def serialize_group_cover(cover: CosetSystem, H: Subgroup | None = None) -> str:
 # ------------------------------------------------------------ cover files
 
 
-def pairs(system):
-    return tuple((c.residue, c.modulus) for c in system.classes)
-
-
 def test_cover_parse_inline():
     s = parse_cover_file("0/2 1/4 3/4")
-    assert pairs(s) == ((0, 2), (1, 4), (3, 4))
+    assert s == ((0, 2), (1, 4), (3, 4)) and str(s) == "0/2 1/4 3/4"
 
 
 def test_cover_parse_comments_and_lines():
     text = "# an exact cover\n0/2\n1/4  3/4   # two quarters\n"
-    assert pairs(parse_cover_file(text)) == ((0, 2), (1, 4), (3, 4))
+    assert parse_cover_file(text) == ((0, 2), (1, 4), (3, 4))
 
 
 def test_cover_parse_from_file(tmp_path):
     p = tmp_path / "cover.txt"
     p.write_text("0/2 1/2\n")
-    assert pairs(parse_cover_file(str(p))) == ((0, 2), (1, 2))
+    assert parse_cover_file(str(p)) == ((0, 2), (1, 2))
 
 
 def test_cover_round_trip_random():
@@ -109,7 +105,7 @@ def test_cover_round_trip_random():
         for _ in range(rng.randint(1, 8)):
             n = rng.randint(1, 60)
             pairs.append((rng.randrange(n), n))
-        system = ResidueSystem.from_pairs(pairs)
+        system = ResidueSystem(pairs)
         parsed = parse_cover_file(serialize_cover(system))
         assert parsed == system and hash(parsed) == hash(system)
 
@@ -366,9 +362,9 @@ def _exit_outcome(call):
 
 @pytest.mark.parametrize("argv", _usage_argv(), ids=" ".join)
 def test_usage_matches_the_full_parser(argv, monkeypatch):
-    # main builds only the parser argv names; its help pages and usage
-    # errors must be the full parser's, compared in this interpreter
-    # because help headings differ between Python versions
+    # main's help pages and usage errors must be the full parser's,
+    # compared in this interpreter because help headings differ between
+    # Python versions
     for columns in ("60", "200"):
         monkeypatch.setenv("COLUMNS", columns)
         expected = _exit_outcome(lambda: cli._build_parser().parse_args(argv))
@@ -392,9 +388,10 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
     assert main(["mu", "0/2 1/4 3/4"]) == 0
     assert built == []  # a well-formed command line is read from _commands
-    # an abbreviated flag goes to argparse: the top parser and mu's
+    # an abbreviated flag goes to argparse: the top parser and all 17
+    # command parsers
     assert main(["mu", "--form", "structured", "0/2 1/4 3/4"]) == 0
-    assert len(built) == 2
+    assert len(built) == 1 + len(COMMANDS) == 18
 
 
 def test_help_builds_every_command_parser(capsys, monkeypatch):
@@ -452,7 +449,7 @@ def test_read_args_agrees_with_argparse(argv):
     # whatever the table reader accepts, argparse accepts and reads the same
     args = cli._read_args(argv)
     if args is not None:
-        assert vars(args) == vars(cli._build_parser(argv).parse_args(argv))
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -580,6 +577,11 @@ def test_truncated_enumeration_report(capsys):
         (["0/2 1/4 3/4", "--prime", "4"], "4 is not prime"),
         (["0/2 1/4 3/4", "--prime", "1"], "1 is not prime"),
         (["0/2 1/4 3/4", "--prime", "-2"], "-2 is not prime"),
+        (["0/2 1/4 3/4", "--prime", "0"], "0 is not prime"),
+        # divisibility before primality: a prime past the sieve's square
+        # is refused for what it is, not by the sieve's capacity
+        (["0/2 1/2", "--prime", "100000000000000003"],
+         "100000000000000003 does not divide the period 2"),
     ],
 )
 def test_level_gap_refusals(argv, message, capsys):
@@ -881,7 +883,7 @@ def test_input_error_is_a_refusal(capsys, monkeypatch):
         lambda: factorize(0),
         lambda: bound_report(1),
         lambda: ResidueSystem(()),
-        lambda: check_simpson(ResidueSystem.from_pairs([(0, 2), (1, 3)])),
+        lambda: check_simpson(ResidueSystem([(0, 2), (1, 3)])),
         lambda: cyclic_group(0),
         lambda: parse_cycles(3, "(1 a)"),
         lambda: enumerate_uniform_covers(catalog_group("S3"), 9, 1),

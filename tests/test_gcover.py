@@ -196,7 +196,7 @@ def test_profile_matches_the_residue_layer(seed):
         for _ in range(rng.randint(1, 8)):
             n = rng.choice(ns)
             pairs += [(rng.randrange(n), n)] * rng.choice((1, 1, 2, 3))
-        system = ResidueSystem.from_pairs(pairs)
+        system = ResidueSystem(pairs)
         L = system.period()
         G = cyclic_group(L)
         cover = CosetSystem(

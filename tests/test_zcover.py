@@ -20,7 +20,6 @@ from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
     _inclusion_exclusion_covered,
     _lift,
-    ResidueClass,
     ResidueSystem,
     check_density_identity,
     check_level_gap,
@@ -37,7 +36,7 @@ from coverlab.zcover import (
 
 
 def sys_of(*pairs) -> ResidueSystem:
-    return ResidueSystem.from_pairs(pairs)
+    return ResidueSystem(pairs)
 
 
 EXACT4 = sys_of((0, 2), (1, 4), (3, 4))
@@ -74,14 +73,17 @@ def normalize_script(raw):
 
 def test_residue_class_validation():
     with pytest.raises(InputError, match=r"^residue 2 not in \[0, 2\)$"):
-        ResidueClass(2, 2)
+        sys_of((2, 2))
     with pytest.raises(InputError, match="^modulus must be >= 1, got 0$"):
-        ResidueClass(0, 0)
-    assert str(ResidueClass(3, 7)) == "3/7"
-    # equal and hashed by value, and never equal to a plain pair
-    assert ResidueClass(3, 7) == ResidueClass(3, 7)
-    assert hash(ResidueClass(3, 7)) == hash(ResidueClass(3, 7))
-    assert ResidueClass(3, 7) != ResidueClass(3, 8) and ResidueClass(3, 7) != (3, 7)
+        sys_of((0, 0))
+    # every pair is checked, not only the first
+    with pytest.raises(InputError, match=r"^residue 5 not in \[0, 3\)$"):
+        sys_of((0, 2), (5, 3))
+    assert str(sys_of((3, 7))) == "3/7"
+    # equal and hashed by value
+    assert sys_of((3, 7)) == sys_of((3, 7))
+    assert hash(sys_of((3, 7))) == hash(sys_of((3, 7)))
+    assert sys_of((3, 7)) != sys_of((3, 8))
 
 
 def test_system_requires_a_class():
@@ -93,15 +95,18 @@ def test_system_requires_a_class():
 
 def test_systems_compare_by_their_classes_in_order():
     s = sys_of((1, 4), (0, 2))
-    same = ResidueSystem([ResidueClass(1, 4), ResidueClass(0, 2)])
-    assert same.classes == s.classes and isinstance(same.classes, tuple)
+    # each class is stored as the pair it unpacks to, from any iterable
+    same = ResidueSystem(iter([[1, 4], (0, 2)]))
+    assert list(same) == [(1, 4), (0, 2)] and all(type(c) is tuple for c in same)
     assert same == s and hash(same) == hash(s)
-    assert s != sys_of((0, 2), (1, 4)) and s != s.classes
+    assert s != sys_of((0, 2), (1, 4))
+    # a system is its tuple of pairs
+    assert s == ((1, 4), (0, 2)) and hash(s) == hash(((1, 4), (0, 2)))
 
 
 def test_storage_preserves_input_order():
     s = sys_of((3, 4), (0, 2), (1, 4))
-    assert [c.modulus for c in s.classes] == [4, 2, 4]
+    assert [n for _, n in s] == [4, 2, 4]
     assert s.moduli() == (4, 2, 4) and str(s) == "3/4 0/2 1/4"
 
 
@@ -118,8 +123,8 @@ def scan(s: ResidueSystem) -> tuple[int, int, int, int, int]:
     """Reference scan: (period, min, max, sum, covered) of the per-residue
     count vector, one numpy slice add per class."""
     counts = np.zeros(s.period(), dtype=np.int32)
-    for c in s.classes:
-        counts[c.residue :: c.modulus] += 1
+    for a, n in s:
+        counts[a::n] += 1
     return (
         len(counts), int(counts.min()), int(counts.max()), int(counts.sum()),
         int(np.count_nonzero(counts)),
@@ -136,9 +141,9 @@ def summary(p) -> tuple[int, int, int, int, int]:
 
 def oracle_batch_masks(system: ResidueSystem, full: int):
     batches: defaultdict = defaultdict(list)
-    for c, copies in Counter(system.classes).items():
+    for (a, n), copies in Counter(system).items():
         for j in range(copies):
-            batches[c.modulus, j].append(c.residue)
+            batches[n, j].append(a)
     period = full.bit_length()
     key = mask = None
     for (n, _), residues in batches.items():
@@ -191,10 +196,10 @@ def test_lifted_scan_matches_the_oracle_on_split_covers(raw, other, pick):
     # an exact cover, the cover with one class removed, and the cover
     # merged with a second one (a uniform 2-cover)
     s = generate_exact_cover(normalize_script(raw))
-    classes = list(s.classes)
+    classes = list(s)
     del classes[pick % len(classes)]
-    merged = s.classes + generate_exact_cover(normalize_script(other)).classes
-    for system in (s, ResidueSystem(classes or [ResidueClass(0, 2)]), ResidueSystem(merged)):
+    merged = s + generate_exact_cover(normalize_script(other))
+    for system in (s, ResidueSystem(classes or [(0, 2)]), ResidueSystem(merged)):
         assert scanned(system) == oracle_scan(system)
 
 
@@ -368,7 +373,7 @@ def test_period_refused_before_any_mask(monkeypatch):
 @given(residue_systems)
 def test_double_counting(s):
     p = multiplicity_profile(s)
-    assert p.sum_w == sum(p.period // c.modulus for c in s.classes)
+    assert p.sum_w == sum(p.period // n for _, n in s)
     assert summary(p) == scan(s)
 
 
@@ -563,8 +568,8 @@ def test_rogers_zeroed_count_matches_scan():
     divisors = divisor_list(55440)
     for _ in range(300):
         moduli = rng.choices(divisors, k=rng.randint(1, 8))
-        s = ResidueSystem.from_pairs([(rng.randrange(n), n) for n in moduli])
-        zeroed = ResidueSystem.from_pairs([(0, n) for n in moduli])
+        s = ResidueSystem([(rng.randrange(n), n) for n in moduli])
+        zeroed = ResidueSystem([(0, n) for n in moduli])
         assert check_rogers(s).zeroed_covered == multiplicity_profile(zeroed).covered
 
 
@@ -664,12 +669,12 @@ def test_simpson_rejects_non_exact():
 
 def test_generate_empty_script():
     s = generate_exact_cover([])
-    assert [(c.residue, c.modulus) for c in s.classes] == [(0, 1)]
+    assert list(s) == [(0, 1)]
 
 
 def test_generate_two_splits():
     s = generate_exact_cover([(0, 2), (1, 2)])
-    assert [(c.residue, c.modulus) for c in s.classes] == [(0, 2), (1, 4), (3, 4)]
+    assert list(s) == [(0, 2), (1, 4), (3, 4)]
 
 
 def test_generate_rejects_bad_steps():
@@ -707,7 +712,7 @@ def test_uniform_reciprocal_sum(raw, m):
     # m stacked copies of an exact cover form a uniform m-cover with
     # reciprocal modulus sum exactly m
     base = generate_exact_cover(normalize_script(raw))
-    stacked = ResidueSystem(base.classes * m)
+    stacked = ResidueSystem(base * m)
     c = classify(stacked)
     assert c.uniform_m == m
     assert sum(Fraction(1, n) for n in stacked.moduli()) == m
