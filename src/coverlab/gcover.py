@@ -4,26 +4,27 @@ Classification by covering multiplicity, the multiplicity kernel, exact
 index bounds for uniform covers together with the hypothesis flags that
 make each bound a theorem instance, and two desk-scale exhaustive
 searches (uniform-cover enumeration and the distinct-index partition
-hunt), both by one exact-cover backtracker, which branches on the least
-coset, then on the least element still short of its multiplicity; a
-node is one coset tried at a branch, counted one at a time, and a
-branch the cut rules out is refused before it is entered.  Covers come
-out in lexicographic order of their canonical coset positions.  Cosets
-are bitmasks, computed once per system (the enumerator hands over the
-masks it already holds); the weight profile sums them into binary bit
-planes (`levels.add` and `levels.walk`, shared with the residue layer)
-once per system.  A subgroup's left-coset partition, core,
-subnormality and quotient by its core are read from the group memo,
-which keeps them once per group; the arithmetic of an index multiset
-is computed once per multiset, and the hypothesis flags of a uniform
-cover once per set of subgroups.  Every inequality is evaluated in
-exact rational arithmetic.
+hunt), both by one exact-cover backtracker on bitsets of coset
+positions, which branches on the least coset, then on the least element
+still short of its multiplicity; a node is one coset tried at a branch,
+the cosets skipped as blocked or too small are counted in bulk, to the
+same count as one at a time, and a branch the cut rules out is refused
+before it is entered.  Covers come out in lexicographic order of their
+canonical coset positions.  Cosets are bitmasks, computed once per
+system; the weight profile sums them into binary bit planes
+(`levels.add` and `levels.walk`, shared with the residue layer) once
+per system.  The enumerator hands each cover the masks it already
+holds and the profile it has proved, so neither is computed again.  A
+subgroup's left-coset partition, core, subnormality and quotient by
+its core are read from the group memo, which keeps them once per
+group; the arithmetic of an index multiset is computed once per
+multiset, and the hypothesis flags of a uniform cover once per set of
+subgroups.  Every inequality is evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -36,6 +37,7 @@ from .errors import InputError, SearchBudgetError
 from .group import (
     FiniteGroup,
     Subgroup,
+    _bits,
     _prime_support,
     all_subgroups,
     core_of,
@@ -68,15 +70,16 @@ class CosetSystem:
 
     Entries may repeat; n_i denotes the index of the i-th subgroup.
     masks holds the coset of each entry as a bitmask: computed here
-    unless a caller that already holds them hands them over.  Two
-    systems are equal when their parents and entries are; masks do not
-    take part, nor does the weight profile, computed on first use.
+    unless a caller that already holds them hands them over, and the
+    weight profile likewise, computed on first use unless handed over.
+    Two systems are equal when their parents and entries are; masks do
+    not take part, nor does the profile.
     """
 
     __slots__ = ("parent", "entries", "masks", "_profile")
 
     def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]],
-                 masks: tuple[int, ...] = ()):
+                 masks: tuple[int, ...] = (), profile: Optional[WeightProfile] = None):
         entries = tuple(entries)
         if not entries:
             raise InputError("coset system needs at least one entry")
@@ -90,7 +93,7 @@ class CosetSystem:
         elif len(masks) != len(entries):
             raise ValueError("one coset mask per entry needed")
         self.parent, self.entries, self.masks = parent, entries, masks
-        self._profile = None
+        self._profile = profile
 
     def __eq__(self, other):
         if not isinstance(other, CosetSystem):
@@ -611,54 +614,84 @@ def _exact_covers(
     grouped by it in increasing order, then on the least item still short
     of m, with picks made in a row for one item nondecreasing in position,
     so each multiset appears once.  A branch is cut when the mass missing
-    exceeds the free slots times the largest option allowed; the first
-    node past nodes.budget raises SearchBudgetError.  Each item lies in m
-    of the options picked, so none is found when m exceeds k_max, and that
-    answer comes before anything is sized by m.
+    exceeds the free slots times the largest option allowed.  Rows are
+    bitsets over option positions: the options blocked by a full item,
+    and those too small to leave the slots fillable, yield nothing and
+    are skipped, counted in bulk before the next option tried and at the
+    end of the row, so the count is the same as one at a time.  Past
+    nodes.budget, spent is set to budget + 1 and SearchBudgetError
+    raised, after the same multisets as a count one at a time.  Each item
+    lies in m of the options picked, so none is found when m exceeds
+    k_max, and that answer comes before anything is sized by m.
     """
     if m > k_max:
         return
     sizes = [mask.bit_count() for mask in masks]
-    holders = [[i for i, mk in enumerate(masks) if mk >> x & 1] for x in range(n_items)]
+    # meets[x]: the options holding item x; fits[s]: the options of size at
+    # least s, a prefix, since sizes are nonincreasing
+    meets = [0] * n_items
+    for i, mask in enumerate(masks):
+        for x in _bits(mask):
+            meets[x] |= 1 << i
+    fits = [(1 << sum(z >= s for z in sizes)) - 1 for s in range(m * n_items + 1)]
     n_opts, steps = len(masks), range(1, m + 1)
     picked: list[int] = []
+    reach: dict[int, int] = {}  # items made full -> the options meeting them
 
-    def rec(level, mass, live, last_item, last_pick):
+    def refuse():
+        nodes.spent = nodes.budget + 1
+        raise SearchBudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
+
+    def rec(level, mass, live, dead, last_item, last_pick):
         # level[j]: the items covered at least j times (level[0] = -1, all);
-        # an option meeting level[m] is blocked, masks[live] is the first
-        # option neither blocked nor before picked[0].  The caller has made
-        # the cut: mass > 0 and mass fits the free slots
-        top = level[m]
-        if picked:
-            x = (~top & (top + 1)).bit_length() - 1  # the least item short of m
-            row = holders[x]
-            row = row[bisect_left(row, last_pick if x == last_item else picked[0]) :]
-        else:
-            x, row = -1, [i for i in range(n_opts) if mass <= k_max * sizes[i]]
+        # dead: the options meeting level[m], blocked; masks[live] is the
+        # first option neither dead nor before picked[0].  The caller has
+        # made the cut: mass > 0 and mass fits the free slots
         slots = k_max - len(picked) - 1  # free after this pick
-        for i in row:
-            nodes.spent += 1
+        if picked:
+            top = level[m]
+            x = (~top & (top + 1)).bit_length() - 1  # the least item short of m
+            start = last_pick if x == last_item else picked[0]
+            row = meets[x] >> start << start
+            # no child's first live option is larger than masks[live], so the
+            # options smaller than least, the row's tail, are always cut
+            least = mass - slots * sizes[live]
+            go = row & ~dead & fits[least if least > 0 else 0]
+        else:
+            x, row = -1, fits[-(-mass // k_max)]
+            go = row
+        while go:
+            low = go & -go
+            go ^= low
+            i = low.bit_length() - 1
+            tried = row & (low << 1) - 1  # the skipped options before i, and i
+            row ^= tried
+            nodes.spent += tried.bit_count()
             if nodes.spent > nodes.budget:
-                raise SearchBudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
+                refuse()
             mask = masks[i]
-            if mask & top:
-                continue
             rest = mass - sizes[i]
             if not rest:
                 yield tuple(sorted(picked + [i]))
                 continue
-            # the child's first live option, from i on at the root
-            blocked, nxt = top | level[m - 1] & mask, live if picked else i
-            while nxt < n_opts and masks[nxt] & blocked:
-                nxt += 1
+            # the child's dead options and first live one, from i on at the root
+            full = level[m - 1] & mask
+            if full not in reach:
+                reach[full] = reduce(or_, (meets[y] for y in _bits(full)), 0)
+            kid, base = dead | reach[full], live if picked else i
+            free = ~kid >> base
+            nxt = base + (free & -free).bit_length() - 1
             if nxt < n_opts and rest <= slots * sizes[nxt]:
                 picked.append(i)
                 new = [-1] + [level[j] | level[j - 1] & mask for j in steps]
-                yield from rec(new, rest, nxt, x, i)
+                yield from rec(new, rest, nxt, kid, x, i)
                 picked.pop()
+        nodes.spent += row.bit_count()
+        if nodes.spent > nodes.budget:
+            refuse()
 
     if masks and m * n_items <= k_max * sizes[0]:  # the root's cut
-        yield from rec([-1] + [0] * m, m * n_items, 0, -1, 0)
+        yield from rec([-1] + [0] * m, m * n_items, 0, 0, -1, 0)
 
 
 # ------------------------------------------------------------ enumeration
@@ -691,7 +724,9 @@ def enumerate_uniform_covers(
     positions, each multiset once (see _exact_covers).  The whole-group
     entry is allowed as long as some entry is a proper coset.  Covers are
     sorted one least position at a time; past the budget, truncated is
-    set, after the covers found so far.
+    set, after the covers found so far.  Each cover is handed the masks
+    the search holds and the weight profile it has proved, every element
+    covered m times, so no check sums it again.
     """
     if G.order > ENUM_ORDER_MAX:
         raise InputError(f"enumeration capped at order {ENUM_ORDER_MAX}")
@@ -702,10 +737,12 @@ def enumerate_uniform_covers(
     cosets = _cosets(G, all_subgroups(G))
     stream = CoverStream()
     counter = _Nodes(node_budget, f"cover enumeration on {G.name}")
+    n = G.order
+    profile = WeightProfile((m,) * n, m, m, n, m, True, m == 1, False)
 
     def covers():
         try:
-            yield from _exact_covers(G.order, [c[3] for c in cosets], m, k_max, counter)
+            yield from _exact_covers(n, [c[3] for c in cosets], m, k_max, counter)
         except SearchBudgetError:
             stream.truncated = True
 
@@ -714,7 +751,7 @@ def enumerate_uniform_covers(
         for _, group in groupby(covers(), key=lambda picks: picks[0]):
             for picks in sorted(p for p in group if p[-1]):
                 entries = tuple((cosets[i][2], cosets[i][4]) for i in picks)
-                yield CosetSystem(G, entries, tuple(cosets[i][3] for i in picks))
+                yield CosetSystem(G, entries, tuple(cosets[i][3] for i in picks), profile)
         stream.nodes = counter.spent
 
     stream._gen = gen()

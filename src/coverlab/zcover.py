@@ -291,7 +291,10 @@ def check_level_gaps(
     to every positive member of lam.  Bad designations are refused before
     the system is scanned; the one uniformity scan serves every level.
     The period is factored only once it is within the budget: first when
-    the prime is its largest, after the scan otherwise.
+    the prime is its largest, after the scan otherwise.  A designated
+    prime that divides the period, with levels in lam, is tested for
+    primality only once the period is within the budget, so a large one
+    is refused for the period, not by the sieve's capacity.
     """
     moduli = system.moduli()
     period = system.period()
@@ -308,13 +311,14 @@ def check_level_gaps(
     alpha_top = max(orders)
     if alpha_top == 0:
         raise InputError(f"{p} does not divide the period {period}")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     lam = tuple(sorted(set(orders)))
     levels = [v for v in lam if v > 0] if alphas is None else list(alphas)
     for alpha in levels:
         if alpha < 1 or alpha not in lam:
             raise InputError(f"alpha must be a positive member of {lam}, got {alpha}")
+    _check_budget(period, period_budget)
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     if classify(system, period_budget).uniform_m is None:
         raise InputError("system is not a uniform cover")
     if fact is None:

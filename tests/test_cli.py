@@ -297,6 +297,20 @@ def test_level_gap_refuses_an_over_budget_period_before_factoring(cover, period,
     assert captured.err == f"budget exceeded: period {period} exceeds budget 10000000\n"
 
 
+@pytest.mark.parametrize("budget", [None, "5"])
+def test_level_gap_refuses_an_over_budget_period_before_testing_the_prime(budget, capsys):
+    # a designated prime past the sieve's square that divides the period:
+    # the period is over budget, and that is refused before is_prime sieves
+    p = 100000000000000003
+    argv = ["level-gap", f"0/{p}", "--prime", str(p)] + (["--budget", budget] if budget else [])
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: period {p} exceeds budget {budget or 10000000}\n"
+
+
 @pytest.mark.parametrize("argv", [["bounds"], ["qbound", "--q", "5"]], ids=["bounds", "qbound"])
 def test_m_past_the_float_range_is_refused_by_capacity(argv, capsys):
     # c(M) >= 2M, so any M above half the sieve capacity is refused before

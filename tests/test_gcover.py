@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -656,6 +657,152 @@ def test_enumerate_rejects():
         enumerate_uniform_covers(cyclic_group(30), 4, 1)
 
 
+# ---------------------------------------------------- exact-cover engine
+
+
+def oracle_exact_covers(n_items, masks, m, k_max, nodes):
+    """The engine one node at a time: each option of a row is tried and
+    counted in turn, a blocked one included, and the child's first live
+    option is found by a linear scan.  The reference for _exact_covers."""
+    if m > k_max:
+        return
+    sizes = [mask.bit_count() for mask in masks]
+    holders = [[i for i, mk in enumerate(masks) if mk >> x & 1] for x in range(n_items)]
+    n_opts, steps = len(masks), range(1, m + 1)
+    picked = []
+
+    def rec(level, mass, live, last_item, last_pick):
+        top = level[m]
+        if picked:
+            x = (~top & (top + 1)).bit_length() - 1
+            row = holders[x]
+            row = row[bisect_left(row, last_pick if x == last_item else picked[0]) :]
+        else:
+            x, row = -1, [i for i in range(n_opts) if mass <= k_max * sizes[i]]
+        slots = k_max - len(picked) - 1
+        for i in row:
+            nodes.spent += 1
+            if nodes.spent > nodes.budget:
+                raise SearchBudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
+            mask = masks[i]
+            if mask & top:
+                continue
+            rest = mass - sizes[i]
+            if not rest:
+                yield tuple(sorted(picked + [i]))
+                continue
+            blocked, nxt = top | level[m - 1] & mask, live if picked else i
+            while nxt < n_opts and masks[nxt] & blocked:
+                nxt += 1
+            if nxt < n_opts and rest <= slots * sizes[nxt]:
+                picked.append(i)
+                new = [-1] + [level[j] | level[j - 1] & mask for j in steps]
+                yield from rec(new, rest, nxt, x, i)
+                picked.pop()
+
+    if masks and m * n_items <= k_max * sizes[0]:
+        yield from rec([-1] + [0] * m, m * n_items, 0, -1, 0)
+
+
+class CheckLog:
+    """Stands in for _Nodes with no budget, logging the count at each
+    check against the budget: one run shows where a run at any budget
+    would be cut."""
+
+    what = "logged run"
+
+    def __init__(self):
+        self.spent, self.checks = 0, []
+
+    @property
+    def budget(self):
+        self.checks.append(self.spent)
+        return math.inf
+
+
+def logged_run(engine, *args):
+    """(covers, the count at the last check before each, the final count)."""
+    nodes = CheckLog()
+    covers, before = [], []
+    for picks in engine(*args, nodes):
+        covers.append(picks)
+        before.append(nodes.checks[-1])
+    # the count only grows, and the last nodes are checked too
+    assert nodes.checks == sorted(nodes.checks)
+    assert nodes.checks[-1:] == ([nodes.spent] if nodes.spent else [])
+    return covers, before, nodes.spent
+
+
+def budgeted_run(engine, *args, budget):
+    """(covers, final count, whether the budget cut the run)."""
+    nodes = _Nodes(budget, "differential run")
+    covers = []
+    try:
+        for picks in engine(*args, nodes):
+            covers.append(picks)
+    except SearchBudgetError:
+        return covers, nodes.spent, True
+    return covers, nodes.spent, False
+
+
+def assert_engine_matches_oracle(*args):
+    """The same covers in the same order and the same final count, and at
+    each budget from 1 to that count the same cut after the same covers.
+    Equal logs show it for every budget, since a run is cut at its first
+    check past the budget; budgeted runs of both engines confirm it, with
+    the count at budget + 1, at every budget up to 1000 nodes and past
+    that (where they would be quadratic in the count) at every 499th
+    budget and at the count of every 20th cover and the one before it."""
+    covers, before, total = logged_run(oracle_exact_covers, *args)
+    assert logged_run(gcover._exact_covers, *args) == (covers, before, total)
+    budgets = range(1, total + 1) if total <= 1000 else sorted(
+        {*range(1, total, 499), *(b + d for b in before[::20] for d in (-1, 0)), total}
+    )
+    for budget in budgets:
+        want = covers[: bisect_right(before, budget)], min(budget + 1, total), budget < total
+        assert budgeted_run(oracle_exact_covers, *args, budget=budget) == want
+        assert budgeted_run(gcover._exact_covers, *args, budget=budget) == want
+    return covers, total
+
+
+def coset_masks(G):
+    return [c[3] for c in gcover._cosets(G, all_subgroups(G))]
+
+
+@pytest.mark.parametrize("name, k, m, counts", [
+    ("S3", 5, 2, (35, 351)), ("D4", 6, 2, (598, 10234)), ("C2xC2xC2", 5, 1, (673, 6961)),
+])
+def test_engine_matches_the_oracle_at_every_budget(name, k, m, counts):
+    G = catalog_group(name)
+    covers, total = assert_engine_matches_oracle(G.order, coset_masks(G), m, k)
+    assert (len(covers), total) == counts
+
+
+def test_engine_matches_the_oracle_on_the_labelled_path(monkeypatch):
+    # m = 1 with a label item per index: every call the partition search
+    # makes, two index sets on each group
+    engine, calls = gcover._exact_covers, []
+
+    def recorded(*args):
+        calls.append(args[:4])
+        return engine(*args)
+
+    monkeypatch.setattr(gcover, "_exact_covers", recorded)
+    for name in ("D6", "C6xC2"):
+        search_distinct_index_partition(catalog_group(name))
+    monkeypatch.undo()
+    assert len(calls) == 4
+    for args in calls:
+        assert_engine_matches_oracle(*args)
+
+
+def test_engine_matches_the_oracle_on_sd16():
+    args = 16, coset_masks(catalog_group("SD16")), 2, 8
+    want = budgeted_run(oracle_exact_covers, *args, budget=DEFAULT_NODE_BUDGET)
+    assert budgeted_run(gcover._exact_covers, *args, budget=DEFAULT_NODE_BUDGET) == want
+    assert (len(want[0]), want[1]) == (26315, 999857)  # one is the whole group twice
+
+
 # --------------------------------------------------- distinct-index hunt
 
 
@@ -1093,11 +1240,14 @@ def test_three_checks_of_one_cover_sum_one_profile(monkeypatch):
 
     monkeypatch.setattr(gcover, "add", counted)
     for cover in enumerate_uniform_covers(catalog_group("D4"), 5, 1):
-        calls.clear()
-        check_uniform_cover(cover)
-        probe_max_index_multiplicity(cover)
-        kernel_of(cover)
-        assert calls == [len(cover)]
+        # an enumerated cover is handed the profile the search proved, and
+        # the same entries built by hand sum theirs once
+        for system, want in ((cover, []), (CosetSystem(cover.parent, cover.entries), [len(cover)])):
+            calls.clear()
+            check_uniform_cover(system)
+            probe_max_index_multiplicity(system)
+            kernel_of(system)
+            assert calls == want
 
 
 def test_flags_are_computed_once_per_subgroup_set(monkeypatch):
