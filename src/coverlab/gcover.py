@@ -10,16 +10,17 @@ still short of its multiplicity; a node is one coset tried at a branch,
 the cosets skipped as blocked or too small are counted in bulk, to the
 same count as one at a time, and a branch the cut rules out is refused
 before it is entered.  Covers come out in lexicographic order of their
-canonical coset positions.  Cosets are bitmasks, computed once per
-system; the weight profile sums them into binary bit planes
-(`levels.add` and `levels.walk`, shared with the residue layer) once
-per system.  The enumerator hands each cover the masks it already
-holds and the profile it has proved, so neither is computed again.  A
-subgroup's left-coset partition, core, subnormality and quotient by
-its core are read from the group memo, which keeps them once per
-group; the arithmetic of an index multiset is computed once per
-multiset, and the hypothesis flags of a uniform cover once per set of
-subgroups.  Every inequality is evaluated in exact rational arithmetic.
+canonical coset positions.  A system computes its coset bitmasks, its
+indices and its sorted distinct subgroup masks once; the weight profile
+sums the cosets into binary bit planes (`levels.add` and `levels.walk`,
+shared with the residue layer) once per system, and the enumerator
+hands each cover the masks and the profile it already holds.  A
+subgroup's cosets, core, subnormality and quotient by its core are read
+from the group memo, once per group; the arithmetic of an index
+multiset is computed once per multiset, and one row of flags per set of
+subgroups, the uniform-cover hypotheses and whether all are subnormal,
+serves both the check and the probe.  The kernel's union test reads the
+cosets of each D once per call.  Inequalities are exact rationals.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby, product
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisor_list, euler_product, factorize, index_bound_factor, ord_of
 from .errors import InputError, SearchBudgetError
@@ -72,11 +73,13 @@ class CosetSystem:
     masks holds the coset of each entry as a bitmask: computed here
     unless a caller that already holds them hands them over, and the
     weight profile likewise, computed on first use unless handed over.
-    Two systems are equal when their parents and entries are; masks do
-    not take part, nor does the profile.
+    The indices and sub_masks, the sorted distinct subgroup masks (the
+    key of the flag row in the group memo), are computed here.  Two
+    systems are equal when their parents and entries are; no mask,
+    profile or other fact takes part.
     """
 
-    __slots__ = ("parent", "entries", "masks", "_profile")
+    __slots__ = ("parent", "entries", "masks", "sub_masks", "_indices", "_profile")
 
     def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]],
                  masks: tuple[int, ...] = (), profile: Optional[WeightProfile] = None):
@@ -93,6 +96,8 @@ class CosetSystem:
         elif len(masks) != len(entries):
             raise ValueError("one coset mask per entry needed")
         self.parent, self.entries, self.masks = parent, entries, masks
+        self.sub_masks = tuple(sorted({sub.mask for _, sub in entries}))
+        self._indices = tuple(parent.order // mask.bit_count() for mask in masks)
         self._profile = profile
 
     def __eq__(self, other):
@@ -107,8 +112,7 @@ class CosetSystem:
         return len(self.entries)
 
     def indices(self) -> tuple[int, ...]:
-        n = self.parent.order
-        return tuple(n // mask.bit_count() for mask in self.masks)
+        return self._indices
 
     def canonical(self) -> "CosetSystem":
         """Reps replaced by the least member of their coset, entries
@@ -189,7 +193,11 @@ def _cosets(G: FiniteGroup, subs: Sequence[Subgroup]) -> list[tuple]:
 
 
 def _is_union_of(union: int, cosets: Sequence[int]) -> bool:
-    return all(union & c in (0, c) for c in cosets)
+    for c in cosets:
+        meet = union & c
+        if meet and meet != c:
+            return False
+    return True
 
 
 # ------------------------------------------------------------------- kernel
@@ -211,7 +219,9 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
     Also verifies that K contains the intersection of the subgroups, and
     that for every nonempty entry subset I the partial union over I is a
     union of left cosets of D, the intersection of K with the subgroups
-    outside I.  Subset sweeps consider only the first KERNEL_SUBSET_CAP
+    outside I: one plain loop over the subsets by their bits, stopping at
+    the first that fails, which reads the cosets of each distinct D once
+    per call.  Subset sweeps consider only the first KERNEL_SUBSET_CAP
     entries; capped is set when entries were left out.
     """
     G = cover.parent
@@ -229,32 +239,25 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
 
     subs = [sub.mask for _, sub in cover.entries]
     scope = min(len(subs), KERNEL_SUBSET_CAP)
-    every = (1 << scope) - 1
     # union and subgroup intersection of each subset of the first scope
-    # entries, from the same subset minus its lowest bit
-    union = [0] * (every + 1)
-    inside = [G.full_mask()] * (every + 1)
-    for bits in range(1, every + 1):
-        i = (bits & -bits).bit_length() - 1
-        union[bits] = union[bits & (bits - 1)] | masks[i]
-        inside[bits] = inside[bits & (bits - 1)] & subs[i]
-    beyond = reduce(and_, subs[scope:], G.full_mask())  # the subgroups past the cap
-    inter = inside[every] & beyond
-    ok = True
-    checked = 0
-    for bits in range(1, every + 1):
-        checked += 1
-        dmask = kmask & beyond & inside[every ^ bits]
-        if dmask != 1 and not _is_union_of(union[bits], left_cosets(G, dmask)):
-            ok = False
-            break
-    return KernelReport(
-        kernel=kernel,
-        contains_intersection=kmask & inter == inter,
-        union_property_verified=ok,
-        subsets_checked=checked,
-        capped=len(subs) > KERNEL_SUBSET_CAP,
-    )
+    # entries by bits: those holding entry i are those without it, plus i
+    union, inside = [0], [G.full_mask()]
+    for mask, sub in zip(masks[:scope], subs):
+        union += [u | mask for u in union]
+        inside += [d & sub for d in inside]
+    past = reduce(and_, subs[scope:], G.full_mask())  # the subgroups past the cap
+    ok, checked, cosets = True, 0, {}  # cosets: each D's left cosets
+    # each subset's union, beside the intersection over its complement
+    for checked, (part, rest) in enumerate(zip(union[1:], inside[-2::-1]), 1):
+        dmask = kmask & past & rest
+        if dmask != 1:
+            if dmask not in cosets:
+                cosets[dmask] = left_cosets(G, dmask)
+            ok = _is_union_of(part, cosets[dmask])
+            if not ok:
+                break
+    inter = inside[-1] & past
+    return KernelReport(kernel, kmask & inter == inter, ok, checked, len(subs) > KERNEL_SUBSET_CAP)
 
 
 # ------------------------------------------------- union-of-cosets bounds
@@ -365,14 +368,7 @@ def check_aligned_union_bound(
         if gh_solvable or cores_solvable:
             case = "d"
             d_both = gh_solvable and cores_solvable
-    return AlignedUnionReport(
-        case=case,
-        d_both_branches=d_both,
-        index_h=h,
-        indices=ns,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return AlignedUnionReport(case, d_both, h, ns, lhs, rhs)
 
 
 # ------------------------------------------------------- uniform covers
@@ -486,17 +482,26 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBoun
     return head, tail, squarefree
 
 
-# each combination of the eight flags, once: every memo fact is one of these
-_FLAG_ROWS = {row: row for row in product((False, True), repeat=8)}
+# each combination of the nine flags, once: every memo fact is one of these
+_FLAG_ROWS = {row: row for row in product((False, True), repeat=9)}
 
 
-def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int) -> tuple[bool, ...]:
-    """The hypothesis flags of check_uniform_cover, as the shared row of
-    _FLAG_ROWS: cond_a, cond_a_vacuous, cond_b, cond_c, big_subnormal,
-    via_subnormal, via_sylow, and p_r dividing the order of G over the
-    intersected cores.  They read only the distinct subgroups subs, since
-    p_r, the largest prime of the index lcm, does too; each subgroup's
-    core, subnormality and G over its core are read from the group memo."""
+def _flag_row(cover: CosetSystem) -> tuple[bool, ...]:
+    return cover.parent.memo("cover_flags", cover.sub_masks, _set_flags, cover)
+
+
+def _set_flags(cover: CosetSystem) -> tuple[bool, ...]:
+    """The hypothesis flags of check_uniform_cover and the probe's
+    all_subnormal, as the shared row of _FLAG_ROWS: cond_a,
+    cond_a_vacuous, cond_b, cond_c, big_subnormal, via_subnormal,
+    via_sylow, p_r dividing the order of G over the intersected cores,
+    and every subgroup subnormal.  They read only the distinct subgroups,
+    since p_r, the largest prime of the index lcm (from _index_arithmetic's
+    cache), does too; each subgroup's core, subnormality and G over its
+    core are read from the group memo."""
+    G = cover.parent
+    subs = {sub.mask: sub for _, sub in cover.entries}.values()
+    p_r = _index_arithmetic(tuple(sorted(cover.indices())))[0][4]
 
     def over_core(sub: Subgroup) -> FiniteGroup:
         return quotient_group(core_of(sub))
@@ -525,8 +530,9 @@ def _set_flags(G: FiniteGroup, subs: Iterable[Subgroup], p_r: int) -> tuple[bool
         big_subn,
         q_solvable and has_normal_sylow(Q, p_r),
         Q.order % p_r == 0,
+        all(is_subnormal(s) for s in subs),
     )
-    return _FLAG_ROWS[tuple(map(bool, flags))]
+    return _FLAG_ROWS[flags]  # the flags are bools, so flags is a key
 
 
 def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
@@ -539,10 +545,7 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     ns = cover.indices()
     head, tail, squarefree = _index_arithmetic(tuple(sorted(ns)))
     p_r, top_mult = head[4], head[8]  # prime, top_multiplicity
-    subs = {sub.mask: sub for _, sub in cover.entries}
-    masks = tuple(sorted(subs))
-    flags = G.memo("cover_flags", masks, _set_flags, G, subs.values(), p_r)
-    cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div = flags
+    cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div, _ = _flag_row(cover)
     if not G.memo("squarefree", G.full_mask(), _squarefree_order, G):
         squarefree = None
     pair = None
@@ -578,16 +581,13 @@ class MaxIndexReport(NamedTuple):
 
 def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     """Check that the largest index occurs at least as often as its least
-    prime factor.  Informational unless every subgroup is subnormal."""
+    prime factor.  Informational unless every subgroup is subnormal, which
+    is the last flag of the cover's row (_flag_row), shared with
+    check_uniform_cover and filled by whichever runs first."""
     _require_nontrivial_uniform(cover)
     ns = cover.indices()
     n_max = max(ns)
-    return MaxIndexReport(
-        n_max=n_max,
-        multiplicity=ns.count(n_max),
-        least_prime=min(_prime_support(n_max)),
-        all_subnormal=all(is_subnormal(sub) for _, sub in cover.entries),
-    )
+    return MaxIndexReport(n_max, ns.count(n_max), min(_prime_support(n_max)), _flag_row(cover)[8])
 
 
 # ------------------------------------------------------------ exact covers

@@ -466,6 +466,31 @@ def test_max_index_probe():
     assert r.all_subnormal and r.holds
 
 
+def test_probe_fills_the_flag_row_of_a_fresh_cover():
+    # on groups built here, with empty memos, every probe runs before any
+    # check_uniform_cover, so the probe fills the shared flag row itself;
+    # S3's non-normal order-2 subgroup is not subnormal, nor is it times C5
+    # in S3xC5, where the index-5 S3 beside it is (big_subnormal holds)
+    S3 = group_from_generators(3, ["(1 2 3)", "(1 2)"], name="S3")
+    D4 = group_from_generators(4, ["(1 2 3 4)", "(1 3)"], name="D4")
+    S3xC5 = group_from_generators(8, ["(1 2 3)", "(1 2)", "(4 5 6 7 8)"], name="S3xC5")
+    fresh = [CosetSystem(S3, left_cosets(S3, sub_of_size(S3, 2)))]
+    fresh += [*enumerate_uniform_covers(S3, 4, 1), *enumerate_uniform_covers(D4, 5, 2)]
+    fresh.append(CosetSystem(S3xC5, left_cosets(S3xC5, sub_of_size(S3xC5, 10, 1))
+                             + left_cosets(S3xC5, sub_of_size(S3xC5, 6))))
+    groups = (S3, D4, S3xC5)
+    assert not any(fact == "cover_flags" for G in groups for fact, _ in G._memo)
+    probes = [probe_max_index_multiplicity(cover) for cover in fresh]
+    for cover, probe in zip(fresh, probes):
+        assert probe == oracle_probe_max_index_multiplicity(cover)
+        assert cover.parent._memo["cover_flags", cover.sub_masks][8] == probe.all_subnormal
+        assert check_uniform_cover(cover) == oracle_check_uniform_cover(cover)
+        assert cover.canonical().indices() == tuple(sorted(cover.indices()))
+    assert not probes[0].all_subnormal and probes[0].n_max == 3
+    assert not probes[-1].all_subnormal and check_uniform_cover(fresh[-1]).big_subnormal
+    assert {probe.all_subnormal for probe in probes} == {False, True}
+
+
 # ------------------------------------------------------------ enumeration
 
 

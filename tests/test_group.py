@@ -7,7 +7,7 @@ import re
 import sys
 import time
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -1006,6 +1006,34 @@ def test_index_intersection_instances():
             assert check_index_intersection((a, b))
 
 
+def test_index_intersection_sweep_matches_the_check_on_every_combination():
+    # the suite's one-pass sweep over flat rows against check_index_intersection
+    # on every combination with replacement of one to three subnormal
+    # subgroups: the same verdict, and checked is their number
+    groups = [*load_catalog(), elementary_abelian(4)]
+    groups += [group_from_generators(*INLINE_RECORDS[name], name=name) for name in ("A5", "C3xS4")]
+    for G in groups:
+        subnormal = [H for H in all_subgroups(G) if is_subnormal(H)]
+        combos = [c for r in (1, 2, 3) for c in combinations_with_replacement(subnormal, r)]
+        want = all(check_index_intersection(combo) for combo in combos)
+        rows = [(H.mask, H.index) for H in subnormal]
+        assert group_module._index_intersection_sweep(G.order, rows) == want, G.name
+        line = structural_suite(G)[0]
+        assert (line.name, line.holds, line.checked) == ("index-intersection", want, len(combos))
+    # rows no group has, each failing one conjunct alone: |G| over the
+    # intersection 8 does not divide the index product 4, though both are
+    # powers of 2; 2 divides 6, but the primes {2} and {2, 3} differ
+    sweep = group_module._index_intersection_sweep
+    assert not sweep(8, [(0b1, 4)])
+    assert not sweep(6, [(0b111, 6)])
+    # and three rows of index 2 on 12 points, meeting two at a time in 3
+    # points and all three in 1: every pair passes, the triple does not
+    points = [(0, 1, 2, 3, 4, 7), (0, 1, 2, 5, 6, 8), (0, 3, 4, 5, 6, 9)]
+    rows = [(sum(1 << x for x in p), 2) for p in points]
+    assert all(sweep(12, pair) for pair in combinations(rows, 2))
+    assert not sweep(12, rows)
+
+
 def test_check_preconditions():
     S3 = catalog_group("S3")
     two = [H for H in all_subgroups(S3) if H.size == 2][0]
@@ -1139,7 +1167,7 @@ def test_suite_refuses_index_intersection_sweep_over_its_cap(monkeypatch):
     G = elementary_abelian(6)
     checked = []
     monkeypatch.setattr(
-        group_module, "check_index_intersection", lambda *a: checked.append(a) or True
+        group_module, "_index_intersection_sweep", lambda *a: checked.append(a) or True
     )
     cap = group_module.INDEX_INTERSECTION_CAP
     with pytest.raises(BudgetError) as e:
