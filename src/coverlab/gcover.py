@@ -10,17 +10,16 @@ still short of its multiplicity; a node is one coset tried at a branch,
 the cosets skipped as blocked or too small are counted in bulk, to the
 same count as one at a time, and a branch the cut rules out is refused
 before it is entered.  Covers come out in lexicographic order of their
-canonical coset positions.  A system computes its coset bitmasks, its
-indices and its sorted distinct subgroup masks once; the weight profile
-sums the cosets into binary bit planes (`levels.add` and `levels.walk`,
-shared with the residue layer) once per system, and the enumerator
-hands each cover the masks and the profile it already holds.  A
-subgroup's cosets, core, subnormality and quotient by its core are read
-from the group memo, once per group; the arithmetic of an index
-multiset is computed once per multiset, and one row of flags per set of
-subgroups, the uniform-cover hypotheses and whether all are subnormal,
-serves both the check and the probe.  The kernel's union test reads the
-cosets of each D once per call.  Inequalities are exact rationals.
+canonical coset positions.  A system computes its coset bitmasks once,
+and the weight profile, summed into binary bit planes (`levels.add` and
+`levels.walk`, shared with the residue layer), once; its indices,
+sorted distinct subgroup masks and the check's and probe's reports are
+one record per subgroup sequence, which the enumerator shares among
+the covers of one sequence, with the masks and profile it holds.  A
+subgroup's cosets, core, subnormality and quotient by its core are
+group memo facts; an index multiset's arithmetic is cached per
+multiset, and one memo row of flags per set of subgroups serves both
+the check and the probe.  Inequalities are exact rationals.
 """
 
 from __future__ import annotations
@@ -66,23 +65,37 @@ KERNEL_SUBSET_CAP = 12
 # ------------------------------------------------------------------ systems
 
 
+class SequenceFacts:
+    """What the checks read of a system's subgroup sequence (the entries'
+    subgroups in entry order) alone: the indices, sub_masks (the sorted
+    distinct subgroup masks, the key of the flag row in the group memo),
+    and the reports of check_uniform_cover and the probe, None until
+    first asked for.  Every report field, m = sum 1/n_i included, is a
+    function of the sequence, so covers with one sequence can share one."""
+
+    __slots__ = ("indices", "sub_masks", "check", "probe")
+
+    def __init__(self, indices: tuple[int, ...], sub_masks: tuple[int, ...]):
+        self.indices, self.sub_masks, self.check, self.probe = indices, sub_masks, None, None
+
+
 class CosetSystem:
     """Left cosets rep*sub over one parent group, in given order.
 
     Entries may repeat; n_i denotes the index of the i-th subgroup.
     masks holds the coset of each entry as a bitmask: computed here
     unless a caller that already holds them hands them over, and the
-    weight profile likewise, computed on first use unless handed over.
-    The indices and sub_masks, the sorted distinct subgroup masks (the
-    key of the flag row in the group memo), are computed here.  Two
+    weight profile likewise, computed on first use unless handed over;
+    facts, the SequenceFacts of the entries' subgroup sequence, too.  Two
     systems are equal when their parents and entries are; no mask,
     profile or other fact takes part.
     """
 
-    __slots__ = ("parent", "entries", "masks", "sub_masks", "_indices", "_profile")
+    __slots__ = ("parent", "entries", "masks", "facts", "_profile")
 
     def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]],
-                 masks: tuple[int, ...] = (), profile: Optional[WeightProfile] = None):
+                 masks: tuple[int, ...] = (), profile: Optional[WeightProfile] = None,
+                 facts: Optional[SequenceFacts] = None):
         entries = tuple(entries)
         if not entries:
             raise InputError("coset system needs at least one entry")
@@ -95,10 +108,11 @@ class CosetSystem:
             masks = tuple(left_coset_mask(rep, sub) for rep, sub in entries)
         elif len(masks) != len(entries):
             raise ValueError("one coset mask per entry needed")
+        if facts is None:
+            subs = tuple(sorted({sub.mask for _, sub in entries}))
+            facts = SequenceFacts(tuple(parent.order // c.bit_count() for c in masks), subs)
         self.parent, self.entries, self.masks = parent, entries, masks
-        self.sub_masks = tuple(sorted({sub.mask for _, sub in entries}))
-        self._indices = tuple(parent.order // mask.bit_count() for mask in masks)
-        self._profile = profile
+        self.facts, self._profile = facts, profile
 
     def __eq__(self, other):
         if not isinstance(other, CosetSystem):
@@ -112,7 +126,7 @@ class CosetSystem:
         return len(self.entries)
 
     def indices(self) -> tuple[int, ...]:
-        return self._indices
+        return self.facts.indices
 
     def canonical(self) -> "CosetSystem":
         """Reps replaced by the least member of their coset, entries
@@ -487,7 +501,7 @@ _FLAG_ROWS = {row: row for row in product((False, True), repeat=9)}
 
 
 def _flag_row(cover: CosetSystem) -> tuple[bool, ...]:
-    return cover.parent.memo("cover_flags", cover.sub_masks, _set_flags, cover)
+    return cover.parent.memo("cover_flags", cover.facts.sub_masks, _set_flags, cover)
 
 
 def _set_flags(cover: CosetSystem) -> tuple[bool, ...]:
@@ -539,14 +553,17 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     """Evaluate the index bound and its hypothesis flags for a
     nontrivial uniform cover, with the squarefree-order bound and the
     equal-index-pair consequence attached when their hypotheses apply.
-    The flags are one group memo fact per set of subgroup masks."""
-    prof = _require_nontrivial_uniform(cover)
+    The flags are one group memo fact per set of subgroup masks, and the
+    report is computed once per cover.facts, then returned as it is."""
+    prof, facts = _require_nontrivial_uniform(cover), cover.facts
+    if facts.check is not None:
+        return facts.check
     G = cover.parent
     ns = cover.indices()
     head, tail, squarefree = _index_arithmetic(tuple(sorted(ns)))
     p_r, top_mult = head[4], head[8]  # prime, top_multiplicity
     cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div, _ = _flag_row(cover)
-    if not G.memo("squarefree", G.full_mask(), _squarefree_order, G):
+    if not G.memo("squarefree", G.full_mask(), lambda: factorize(G.order).is_squarefree()):
         squarefree = None
     pair = None
     if top_mult >= 2:
@@ -556,14 +573,11 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     equal_pair = EqualPairReport(
         p_r, (via_subn or via_sylow) and q_div, via_subn, via_sylow, pair
     )
-    return UniformCoverReport(
+    facts.check = UniformCoverReport(
         prof.uniform_m, *head, cond_a, vacuous, cond_b, cond_c, big_subn, *tail,
         squarefree, equal_pair,
     )
-
-
-def _squarefree_order(G: FiniteGroup) -> bool:
-    return factorize(G.order).is_squarefree()
+    return facts.check
 
 
 class MaxIndexReport(NamedTuple):
@@ -583,11 +597,15 @@ def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     """Check that the largest index occurs at least as often as its least
     prime factor.  Informational unless every subgroup is subnormal, which
     is the last flag of the cover's row (_flag_row), shared with
-    check_uniform_cover and filled by whichever runs first."""
+    check_uniform_cover and filled by whichever runs first; the report is
+    computed once per cover.facts."""
     _require_nontrivial_uniform(cover)
-    ns = cover.indices()
-    n_max = max(ns)
-    return MaxIndexReport(n_max, ns.count(n_max), min(_prime_support(n_max)), _flag_row(cover)[8])
+    facts, ns = cover.facts, cover.indices()
+    if facts.probe is None:
+        n_max = max(ns)
+        all_subn = _flag_row(cover)[8]
+        facts.probe = MaxIndexReport(n_max, ns.count(n_max), min(_prime_support(n_max)), all_subn)
+    return facts.probe
 
 
 # ------------------------------------------------------------ exact covers
@@ -726,7 +744,8 @@ def enumerate_uniform_covers(
     sorted one least position at a time; past the budget, truncated is
     set, after the covers found so far.  Each cover is handed the masks
     the search holds and the weight profile it has proved, every element
-    covered m times, so no check sums it again.
+    covered m times, so no check sums it again, and one SequenceFacts per
+    subgroup sequence, shared by its covers for the life of the stream.
     """
     if G.order > ENUM_ORDER_MAX:
         raise InputError(f"enumeration capped at order {ENUM_ORDER_MAX}")
@@ -747,11 +766,17 @@ def enumerate_uniform_covers(
             stream.truncated = True
 
     def gen():
+        shared: dict[tuple[int, ...], SequenceFacts] = {}  # subgroup masks -> facts
         # position 0 is the whole group, which must not stand alone
         for _, group in groupby(covers(), key=lambda picks: picks[0]):
             for picks in sorted(p for p in group if p[-1]):
                 entries = tuple((cosets[i][2], cosets[i][4]) for i in picks)
-                yield CosetSystem(G, entries, tuple(cosets[i][3] for i in picks), profile)
+                key = tuple(cosets[i][1] for i in picks)
+                if key not in shared:
+                    ns = tuple(cosets[i][0] for i in picks)
+                    shared[key] = SequenceFacts(ns, tuple(sorted(set(key))))
+                masks = tuple(cosets[i][3] for i in picks)
+                yield CosetSystem(G, entries, masks, profile, shared[key])
         stream.nodes = counter.spent
 
     stream._gen = gen()

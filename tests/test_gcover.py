@@ -230,6 +230,18 @@ def test_kernel_on_named_partition():
     assert r.subsets_checked == 7 and not r.capped
 
 
+def test_kernel_contains_the_intersection_of_the_entries_past_the_cap():
+    # twelve whole-group entries, then one coset aH of S3's non-normal H past
+    # the subset cap: w is 13 on aH and 12 off it, so the kernel is H, and
+    # so is the intersection of the subgroups, read from the last entry alone
+    G = catalog_group("S3")
+    H = sub_of_size(G, 2)
+    cover = CosetSystem(G, [(0, Subgroup(G, G.full_mask()))] * KERNEL_SUBSET_CAP + [(1, H)])
+    r = kernel_of(cover)
+    assert r.kernel == H and r.contains_intersection and r.capped
+    assert r == oracle_kernel_of(cover)
+
+
 def test_constant_weight_kernel_matches_the_translation_test():
     # a uniform cover's kernel is G with no translation tested; the loop of
     # oracle_kernel_of is the reference
@@ -483,7 +495,7 @@ def test_probe_fills_the_flag_row_of_a_fresh_cover():
     probes = [probe_max_index_multiplicity(cover) for cover in fresh]
     for cover, probe in zip(fresh, probes):
         assert probe == oracle_probe_max_index_multiplicity(cover)
-        assert cover.parent._memo["cover_flags", cover.sub_masks][8] == probe.all_subnormal
+        assert cover.parent._memo["cover_flags", cover.facts.sub_masks][8] == probe.all_subnormal
         assert check_uniform_cover(cover) == oracle_check_uniform_cover(cover)
         assert cover.canonical().indices() == tuple(sorted(cover.indices()))
     assert not probes[0].all_subnormal and probes[0].n_max == 3
@@ -1173,6 +1185,22 @@ def test_checks_match_oracles_on_sd16_sample():
     assert len(covers) == 26314
     for cover in covers[::97]:
         assert_matches_oracles(cover)
+
+
+def test_covers_of_one_subgroup_sequence_share_their_reports():
+    # every SD16 (8, 2) cover against its entries rebuilt with nothing handed
+    # over, which compute their own reports; the enumerated covers of one
+    # subgroup sequence (in entry order) return one report object each
+    G = catalog_group("SD16")
+    first, n = {}, 0
+    for n, cover in enumerate(enumerate_uniform_covers(G, 8, 2), 1):
+        got = check_uniform_cover(cover), probe_max_index_multiplicity(cover)
+        rebuilt = CosetSystem(G, cover.entries)
+        assert got == (check_uniform_cover(rebuilt), probe_max_index_multiplicity(rebuilt))
+        want = first.setdefault(tuple(sub.mask for _, sub in cover.entries), got)
+        assert got[0] is want[0] and got[1] is want[1]
+    assert (n, len(first)) == (26314, 2867)
+    assert check_uniform_cover(rebuilt) is not got[0]
 
 
 def test_checks_match_oracles_on_random_systems():

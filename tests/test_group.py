@@ -1077,6 +1077,60 @@ def test_core_sylow_exclusion_without_an_excluded_prime():
     assert check_core_sylow_exclusion(three)
 
 
+def oracle_quotient_has_normal_sylow(G: FiniteGroup, N: int, p: int) -> bool:
+    """Is a Sylow p-subgroup of G/N normal, read in G: PN/N is one, for P a
+    Sylow p-subgroup of G, and it is normal in G/N iff PN is in G."""
+    PN = oracle_closure_mask(G, sylow_subgroup(G, p).mask | N)
+    return brute_is_normal(G, Subgroup(G, PN))
+
+
+def test_sylow_theorem_checks_evaluate_every_instance_the_oracles_name(monkeypatch):
+    # both checks are theorems, so their verdicts are always true; what pins
+    # them is what they ask: has_normal_sylow is spied on, and each call must
+    # be an instance the oracles name, with the oracle's answer
+    asked = []
+    real = group_module.has_normal_sylow
+
+    def spy(Q, p):
+        asked.append((Q, p, real(Q, p)))
+        return asked[-1][2]
+
+    monkeypatch.setattr(group_module, "has_normal_sylow", spy)
+
+    def primes(n):
+        return {p for p in range(2, n + 1) if n % p == 0 and is_prime(p)}
+
+    pairs = pyramidal = 0
+    for G in load_catalog():
+        for H in all_subgroups(G):
+            core = brute_core_mask(G, H)
+            excluded = sorted(primes(G.order // core.bit_count()) - primes(H.index))
+            assert core_excluded_primes(H) == tuple(excluded), (G.name, H)
+            asked.clear()
+            assert check_core_sylow_exclusion(H), (G.name, H)
+            assert [(Q.order * core.bit_count(), p, normal) for Q, p, normal in asked] == [
+                (G.order, p, oracle_quotient_has_normal_sylow(G, core, p)) for p in excluded
+            ]
+            pairs += len(excluded)
+        asked.clear()
+        assert check_pyramidal_sylow(G), G.name
+        if G.order > 1 and oracle_pyramidal_chain(G) is not None:
+            top = max(primes(G.order))
+            assert asked == [(G, top, brute_is_normal(G, sylow_subgroup(G, top)))]
+            pyramidal += 1
+        else:
+            assert asked == [], G.name
+    assert (pairs, pyramidal) == (25, 40)  # every catalog group but C1 and A4
+    # and each verdict is the answer it was given: every Sylow subgroup
+    # reported normal fails every excluded prime, none fails every pyramid
+    for answer in (True, False):
+        monkeypatch.setattr(group_module, "has_normal_sylow", lambda Q, p: answer)
+        for G in load_catalog():
+            for H in all_subgroups(G):
+                assert check_core_sylow_exclusion(H) == (not answer or not core_excluded_primes(H))
+            assert check_pyramidal_sylow(G) == (answer or not (G.order > 1 and is_pyramidal(G)))
+
+
 # ------------------------------------------------------ non-solvable groups
 
 
