@@ -10,16 +10,15 @@ still short of its multiplicity; a node is one coset tried at a branch,
 the cosets skipped as blocked or too small are counted in bulk, to the
 same count as one at a time, and a branch the cut rules out is refused
 before it is entered.  Covers come out in lexicographic order of their
-canonical coset positions.  A system computes its coset bitmasks once,
-and the weight profile, summed into binary bit planes (`levels.add` and
-`levels.walk`, shared with the residue layer), once; its indices,
-sorted distinct subgroup masks and the check's and probe's reports are
-one record per subgroup sequence, which the enumerator shares among
-the covers of one sequence, with the masks and profile it holds.  A
-subgroup's cosets, core, subnormality and quotient by its core are
-group memo facts; an index multiset's arithmetic is cached per
-multiset, and one memo row of flags per set of subgroups serves both
-the check and the probe.  Inequalities are exact rationals.
+canonical coset positions.  Each fact has one owner.  A system holds
+its coset bitmasks and its weight profile, summed once into binary bit
+planes (`levels.add` and `levels.walk`, shared with the residue layer).
+Its indices and the check's and probe's reports, hypothesis flags
+included, are one record per subgroup sequence, which the enumerator
+shares among the covers of one sequence.  A subgroup's cosets, core,
+subnormality and quotient by its core are group memo facts, and an
+index multiset's arithmetic is cached per multiset.  Inequalities are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby, product
+from itertools import groupby
 from operator import and_, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -67,35 +66,31 @@ KERNEL_SUBSET_CAP = 12
 
 class SequenceFacts:
     """What the checks read of a system's subgroup sequence (the entries'
-    subgroups in entry order) alone: the indices, sub_masks (the sorted
-    distinct subgroup masks, the key of the flag row in the group memo),
-    and the reports of check_uniform_cover and the probe, None until
-    first asked for.  Every report field, m = sum 1/n_i included, is a
+    subgroups in entry order) alone: the indices, and the reports of
+    check_uniform_cover and the probe, None until first asked for.  Every
+    report field, the hypothesis flags and m = sum 1/n_i included, is a
     function of the sequence, so covers with one sequence can share one."""
 
-    __slots__ = ("indices", "sub_masks", "check", "probe")
+    __slots__ = ("indices", "check", "probe")
 
-    def __init__(self, indices: tuple[int, ...], sub_masks: tuple[int, ...]):
-        self.indices, self.sub_masks, self.check, self.probe = indices, sub_masks, None, None
+    def __init__(self, indices: tuple[int, ...]):
+        self.indices, self.check, self.probe = indices, None, None
 
 
 class CosetSystem:
     """Left cosets rep*sub over one parent group, in given order.
 
-    Entries may repeat; n_i denotes the index of the i-th subgroup.
-    masks holds the coset of each entry as a bitmask: computed here
-    unless a caller that already holds them hands them over, and the
-    weight profile likewise, computed on first use unless handed over;
-    facts, the SequenceFacts of the entries' subgroup sequence, too.  Two
+    Entries may repeat; n_i denotes the index of the i-th subgroup.  The
+    constructor checks every entry and computes masks, the coset of each
+    entry as a bitmask, and facts, the SequenceFacts of the entries'
+    subgroup sequence; the weight profile is summed on first use.  Two
     systems are equal when their parents and entries are; no mask,
     profile or other fact takes part.
     """
 
     __slots__ = ("parent", "entries", "masks", "facts", "_profile")
 
-    def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]],
-                 masks: tuple[int, ...] = (), profile: Optional[WeightProfile] = None,
-                 facts: Optional[SequenceFacts] = None):
+    def __init__(self, parent: FiniteGroup, entries: Sequence[tuple[int, Subgroup]]):
         entries = tuple(entries)
         if not entries:
             raise InputError("coset system needs at least one entry")
@@ -104,15 +99,20 @@ class CosetSystem:
                 raise ValueError("entry subgroup belongs to a different group")
             if not 0 <= rep < parent.order:
                 raise InputError(f"representative {rep} out of range")
-        if not masks:
-            masks = tuple(left_coset_mask(rep, sub) for rep, sub in entries)
-        elif len(masks) != len(entries):
-            raise ValueError("one coset mask per entry needed")
-        if facts is None:
-            subs = tuple(sorted({sub.mask for _, sub in entries}))
-            facts = SequenceFacts(tuple(parent.order // c.bit_count() for c in masks), subs)
-        self.parent, self.entries, self.masks = parent, entries, masks
-        self.facts, self._profile = facts, profile
+        self._fill(parent, entries, tuple(left_coset_mask(rep, sub) for rep, sub in entries))
+
+    @classmethod
+    def _trusted(cls, parent, entries, masks, profile=None, facts=None) -> "CosetSystem":
+        """The system of entries and masks taken from parent's own coset
+        table or a checked system, built without the constructor's checks;
+        profile and facts, when given, are what the caller has proved."""
+        system = cls.__new__(cls)
+        system._fill(parent, entries, masks, profile, facts)
+        return system
+
+    def _fill(self, parent, entries, masks, profile=None, facts=None):
+        self.parent, self.entries, self.masks, self._profile = parent, entries, masks, profile
+        self.facts = facts or SequenceFacts(tuple(parent.order // c.bit_count() for c in masks))
 
     def __eq__(self, other):
         if not isinstance(other, CosetSystem):
@@ -137,7 +137,7 @@ class CosetSystem:
             keyed.append((sub.index, sub.mask, least, sub, mask))
         keyed.sort(key=lambda t: t[:3])
         entries = tuple((least, sub) for _, _, least, sub, _ in keyed)
-        return CosetSystem(self.parent, entries, tuple(t[4] for t in keyed))
+        return CosetSystem._trusted(self.parent, entries, tuple(t[4] for t in keyed))
 
     def __repr__(self):
         return (
@@ -496,26 +496,13 @@ def _index_arithmetic(ns: tuple[int, ...]) -> tuple[tuple, tuple, SquarefreeBoun
     return head, tail, squarefree
 
 
-# each combination of the nine flags, once: every memo fact is one of these
-_FLAG_ROWS = {row: row for row in product((False, True), repeat=9)}
-
-
-def _flag_row(cover: CosetSystem) -> tuple[bool, ...]:
-    return cover.parent.memo("cover_flags", cover.facts.sub_masks, _set_flags, cover)
-
-
-def _set_flags(cover: CosetSystem) -> tuple[bool, ...]:
-    """The hypothesis flags of check_uniform_cover and the probe's
-    all_subnormal, as the shared row of _FLAG_ROWS: cond_a,
-    cond_a_vacuous, cond_b, cond_c, big_subnormal, via_subnormal,
-    via_sylow, p_r dividing the order of G over the intersected cores,
-    and every subgroup subnormal.  They read only the distinct subgroups,
-    since p_r, the largest prime of the index lcm (from _index_arithmetic's
-    cache), does too; each subgroup's core, subnormality and G over its
-    core are read from the group memo."""
-    G = cover.parent
-    subs = {sub.mask: sub for _, sub in cover.entries}.values()
-    p_r = _index_arithmetic(tuple(sorted(cover.indices())))[0][4]
+def _set_flags(G: FiniteGroup, subs: Sequence[Subgroup], p_r: int) -> tuple[bool, ...]:
+    """The hypothesis flags of check_uniform_cover: cond_a,
+    cond_a_vacuous, cond_b, cond_c, big_subnormal, via_sylow, and p_r
+    dividing the order of G over the intersected cores.  They read only
+    the distinct subgroups subs and p_r, the largest prime of the index
+    lcm; each subgroup's core, subnormality and G over its core are read
+    from the group memo."""
 
     def over_core(sub: Subgroup) -> FiniteGroup:
         return quotient_group(core_of(sub))
@@ -532,29 +519,23 @@ def _set_flags(cover: CosetSystem) -> tuple[bool, ...]:
     icore = reduce(and_, (core_of(s).mask for s in subs))
     Q = quotient_group(Subgroup(G, icore))  # icore is normal
     q_solvable = is_solvable(Q)
-    big_subn = all(is_subnormal(s) for s in subs if s.index >= p_r)
-    flags = (
+    return (
         cond_a,
         cond_a and not top_ok and not rest,
         cond_b,
         q_solvable and has_normal_sylow(Q, max(_prime_support(Q.order))),
-        big_subn,
-        # the hypothesis p_r > r always holds: the r primes of the index
-        # lcm are all <= p_r, so r <= pi(p_r) < p_r
-        big_subn,
+        all(is_subnormal(s) for s in subs if s.index >= p_r),
         q_solvable and has_normal_sylow(Q, p_r),
         Q.order % p_r == 0,
-        all(is_subnormal(s) for s in subs),
     )
-    return _FLAG_ROWS[flags]  # the flags are bools, so flags is a key
 
 
 def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     """Evaluate the index bound and its hypothesis flags for a
     nontrivial uniform cover, with the squarefree-order bound and the
     equal-index-pair consequence attached when their hypotheses apply.
-    The flags are one group memo fact per set of subgroup masks, and the
-    report is computed once per cover.facts, then returned as it is."""
+    The report, flags included, is computed once per cover.facts, then
+    returned as it is."""
     prof, facts = _require_nontrivial_uniform(cover), cover.facts
     if facts.check is not None:
         return facts.check
@@ -562,7 +543,8 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
     ns = cover.indices()
     head, tail, squarefree = _index_arithmetic(tuple(sorted(ns)))
     p_r, top_mult = head[4], head[8]  # prime, top_multiplicity
-    cond_a, vacuous, cond_b, cond_c, big_subn, via_subn, via_sylow, q_div, _ = _flag_row(cover)
+    subs = tuple({sub.mask: sub for _, sub in cover.entries}.values())
+    cond_a, vacuous, cond_b, cond_c, big_subn, via_sylow, q_div = _set_flags(G, subs, p_r)
     if not G.memo("squarefree", G.full_mask(), lambda: factorize(G.order).is_squarefree()):
         squarefree = None
     pair = None
@@ -570,8 +552,10 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
         witness = next(n for n in ns if n % p_r == 0 and ns.count(n) == top_mult)
         first = ns.index(witness)
         pair = (first, ns.index(witness, first + 1))
+    # via_subnormal is big_subnormal, since its p_r > r always holds: the
+    # r primes of the index lcm are all <= p_r, so r <= pi(p_r) < p_r
     equal_pair = EqualPairReport(
-        p_r, (via_subn or via_sylow) and q_div, via_subn, via_sylow, pair
+        p_r, (big_subn or via_sylow) and q_div, big_subn, via_sylow, pair
     )
     facts.check = UniformCoverReport(
         prof.uniform_m, *head, cond_a, vacuous, cond_b, cond_c, big_subn, *tail,
@@ -595,15 +579,13 @@ class MaxIndexReport(NamedTuple):
 
 def probe_max_index_multiplicity(cover: CosetSystem) -> MaxIndexReport:
     """Check that the largest index occurs at least as often as its least
-    prime factor.  Informational unless every subgroup is subnormal, which
-    is the last flag of the cover's row (_flag_row), shared with
-    check_uniform_cover and filled by whichever runs first; the report is
-    computed once per cover.facts."""
+    prime factor.  Informational unless every subgroup is subnormal, read
+    from the group memo; the report is computed once per cover.facts."""
     _require_nontrivial_uniform(cover)
     facts, ns = cover.facts, cover.indices()
     if facts.probe is None:
         n_max = max(ns)
-        all_subn = _flag_row(cover)[8]
+        all_subn = all(is_subnormal(sub) for _, sub in cover.entries)
         facts.probe = MaxIndexReport(n_max, ns.count(n_max), min(_prime_support(n_max)), all_subn)
     return facts.probe
 
@@ -742,10 +724,11 @@ def enumerate_uniform_covers(
     positions, each multiset once (see _exact_covers).  The whole-group
     entry is allowed as long as some entry is a proper coset.  Covers are
     sorted one least position at a time; past the budget, truncated is
-    set, after the covers found so far.  Each cover is handed the masks
-    the search holds and the weight profile it has proved, every element
-    covered m times, so no check sums it again, and one SequenceFacts per
-    subgroup sequence, shared by its covers for the life of the stream.
+    set, after the covers found so far.  Each cover is built without the
+    entry checks, from the coset table, and handed the masks the search
+    holds, the weight profile it has proved, every element covered m
+    times, so no check sums it again, and one SequenceFacts per subgroup
+    sequence, shared by its covers for the life of the stream.
     """
     if G.order > ENUM_ORDER_MAX:
         raise InputError(f"enumeration capped at order {ENUM_ORDER_MAX}")
@@ -773,10 +756,9 @@ def enumerate_uniform_covers(
                 entries = tuple((cosets[i][2], cosets[i][4]) for i in picks)
                 key = tuple(cosets[i][1] for i in picks)
                 if key not in shared:
-                    ns = tuple(cosets[i][0] for i in picks)
-                    shared[key] = SequenceFacts(ns, tuple(sorted(set(key))))
+                    shared[key] = SequenceFacts(tuple(cosets[i][0] for i in picks))
                 masks = tuple(cosets[i][3] for i in picks)
-                yield CosetSystem(G, entries, masks, profile, shared[key])
+                yield CosetSystem._trusted(G, entries, masks, profile, shared[key])
         stream.nodes = counter.spent
 
     stream._gen = gen()
@@ -834,7 +816,7 @@ def _partition_with_indices(
     masks = [c[3] | label for c, label in offers]
     for picks in _exact_covers(n + len(S), masks, 1, len(S), counter):
         entries = tuple((offers[i][0][2], offers[i][0][4]) for i in picks)
-        return CosetSystem(G, entries, tuple(offers[i][0][3] for i in picks)).canonical()
+        return CosetSystem._trusted(G, entries, tuple(offers[i][0][3] for i in picks)).canonical()
     return None
 
 

@@ -116,8 +116,8 @@ def test_systems_compare_by_parent_and_entries_not_masks():
     G = catalog_group("C4")
     entries = ((0, sub_of_size(G, 2)), (1, trivial_subgroup(G)), (3, trivial_subgroup(G)))
     computed = CosetSystem(G, entries)
-    handed = CosetSystem(G, entries, computed.masks)
-    other = CosetSystem(G, entries, (G.full_mask(),) * 3)  # masks take no part
+    handed = CosetSystem._trusted(G, entries, computed.masks)
+    other = CosetSystem._trusted(G, entries, (G.full_mask(),) * 3)  # masks take no part
     assert computed == handed == other
     assert hash(computed) == hash(handed) == hash(other)
     assert computed != CosetSystem(G, entries[::-1])
@@ -128,10 +128,26 @@ def test_systems_compare_by_parent_and_entries_not_masks():
         ((G, ()), InputError, "coset system needs at least one entry"),
         ((G, ((4, entries[1][1]),)), InputError, "representative 4 out of range"),
         ((twin, entries), ValueError, "entry subgroup belongs to a different group"),
-        ((G, entries, (1, 2)), ValueError, "one coset mask per entry needed"),
     ]:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             CosetSystem(*args)
+
+
+def test_public_constructor_takes_entries_only():
+    # one coset of C4's index-2 subgroup covers half the group; handed the
+    # whole group's mask, profile or facts it would read as a cover
+    G = catalog_group("C4")
+    half = [(0, sub_of_size(G, 2))]
+    whole = CosetSystem(G, [(0, Subgroup(G, G.full_mask()))])
+    for args, kwargs in [
+        ((G, half, whole.masks), {}),
+        ((G, half), {"masks": whole.masks}),
+        ((G, half), {"profile": weight_profile(whole)}),
+        ((G, half), {"facts": whole.facts}),
+    ]:
+        with pytest.raises(TypeError):
+            CosetSystem(*args, **kwargs)
+    assert weight_profile(whole).is_cover and not weight_profile(CosetSystem(G, half)).is_cover
 
 
 def test_canonical_form():
@@ -388,6 +404,19 @@ def test_aligned_case_a_from_subnormal_entries():
     assert r.lhs == r.rhs == 4 and r.holds
 
 
+def test_aligned_case_d_by_one_branch_on_a_non_solvable_group():
+    # S5 over A5 is C2, solvable, while S5 over the trivial core of a point
+    # stabilizer S4 is not: case d by the first branch alone, which fails
+    # if the branches' "or" is made "and" or d_both's "and" is made "or"
+    G = group_from_generators(5, ["(1 2 3 4 5)", "(1 2)"], name="S5")
+    a5 = Subgroup(G, perm_mask(G, is_even))
+    s4 = Subgroup(G, perm_mask(G, lambda p: p[4] == 4))
+    entries = [(min(_bits(coset)), s4) for coset in group.left_cosets(G, s4.mask)]
+    r = check_aligned_union_bound(a5, entries)
+    assert (r.case, r.d_both_branches, r.index_h, r.indices) == ("d", False, 2, (5,) * 5)
+    assert r.lhs == r.rhs == 5 and r.holds
+
+
 def test_aligned_rejects_misaligned_union():
     G = catalog_group("C12")
     with pytest.raises(ValueError, match="union of left H-cosets"):
@@ -478,9 +507,9 @@ def test_max_index_probe():
     assert r.all_subnormal and r.holds
 
 
-def test_probe_fills_the_flag_row_of_a_fresh_cover():
+def test_probe_first_on_fresh_groups_matches_the_oracles():
     # on groups built here, with empty memos, every probe runs before any
-    # check_uniform_cover, so the probe fills the shared flag row itself;
+    # check_uniform_cover, so the probe reads subnormality first itself;
     # S3's non-normal order-2 subgroup is not subnormal, nor is it times C5
     # in S3xC5, where the index-5 S3 beside it is (big_subnormal holds)
     S3 = group_from_generators(3, ["(1 2 3)", "(1 2)"], name="S3")
@@ -490,12 +519,10 @@ def test_probe_fills_the_flag_row_of_a_fresh_cover():
     fresh += [*enumerate_uniform_covers(S3, 4, 1), *enumerate_uniform_covers(D4, 5, 2)]
     fresh.append(CosetSystem(S3xC5, left_cosets(S3xC5, sub_of_size(S3xC5, 10, 1))
                              + left_cosets(S3xC5, sub_of_size(S3xC5, 6))))
-    groups = (S3, D4, S3xC5)
-    assert not any(fact == "cover_flags" for G in groups for fact, _ in G._memo)
+    assert not any(fact == "subnormal" for G in (S3, D4, S3xC5) for fact, _ in G._memo)
     probes = [probe_max_index_multiplicity(cover) for cover in fresh]
     for cover, probe in zip(fresh, probes):
         assert probe == oracle_probe_max_index_multiplicity(cover)
-        assert cover.parent._memo["cover_flags", cover.facts.sub_masks][8] == probe.all_subnormal
         assert check_uniform_cover(cover) == oracle_check_uniform_cover(cover)
         assert cover.canonical().indices() == tuple(sorted(cover.indices()))
     assert not probes[0].all_subnormal and probes[0].n_max == 3
@@ -1243,8 +1270,6 @@ def test_masks_handed_over_match_the_cosets():
     for cover in enumerate_uniform_covers(G, 5, 1):
         assert cover.masks == oracle_masks(cover)
         assert cover.canonical().masks == oracle_masks(cover.canonical())
-    with pytest.raises(ValueError, match="one coset mask per entry"):
-        CosetSystem(G, ((0, Subgroup(G, G.full_mask())),), (G.full_mask(), 1))
 
 
 def test_checking_a_cover_costs_no_coset_walk_and_no_factorization(monkeypatch):
@@ -1303,28 +1328,40 @@ def test_three_checks_of_one_cover_sum_one_profile(monkeypatch):
             assert calls == want
 
 
-def test_flags_are_computed_once_per_subgroup_set(monkeypatch):
-    # a D4 2-cover with three subgroups whose equal pair opens it, and the
-    # same entries read backwards
+def test_flags_are_computed_once_per_subgroup_sequence(monkeypatch):
+    # the flags are part of the check's report, computed once per subgroup
+    # sequence of a D4 stream from its distinct subgroups, and never by the
+    # probe; a 2-cover with three subgroups whose equal pair opens it, read
+    # backwards, is a new sequence with the same flags and another pair
     G = catalog_group("D4")
-    cover = next(
-        c for c in enumerate_uniform_covers(G, 6, 2)
-        if len({sub.mask for _, sub in c.entries}) == 3
-        and check_uniform_cover(c).equal_pair.pair == (0, 1)
-    )
-    moved = CosetSystem(G, cover.entries[::-1])
     calls = []
-    monkeypatch.setattr(gcover, "is_solvable", lambda Q: calls.append(Q) or is_solvable(Q))
-    report = check_uniform_cover(moved)
+    set_flags = gcover._set_flags
+    monkeypatch.setattr(gcover, "_set_flags", lambda *args: calls.append(args) or set_flags(*args))
+    covers = list(enumerate_uniform_covers(G, 6, 2))
+    for cover in covers:
+        probe_max_index_multiplicity(cover)
     assert calls == []
-    # the flags are shared, the equal pair names positions in moved
-    assert report == oracle_check_uniform_cover(moved)
-    assert report.equal_pair.pair != (0, 1)
+    reports = [check_uniform_cover(cover) for cover in covers]
+    sequences = {tuple(sub.mask for _, sub in cover.entries) for cover in covers}
+    assert len(calls) == len(sequences) < len(covers)
+    assert all(len({sub.mask for sub in subs}) == len(subs) for _, subs, _ in calls)
+    cover, report = next(
+        (c, r) for c, r in zip(covers, reports)
+        if len({sub.mask for _, sub in c.entries}) == 3 and r.equal_pair.pair == (0, 1)
+    )
+    calls.clear()
+    backwards = CosetSystem(G, cover.entries[::-1])
+    moved = check_uniform_cover(backwards)
+    assert len(calls) == 1 and moved == oracle_check_uniform_cover(backwards)
+    assert moved.equal_pair.pair != (0, 1)
+    assert moved._replace(equal_pair=None) == report._replace(equal_pair=None)
+    assert moved.equal_pair._replace(pair=None) == report.equal_pair._replace(pair=None)
 
 
 def test_subgroup_facts_of_a_cover_check_are_the_group_memos(monkeypatch):
-    # gcover keeps only its per-set facts in a group's memo; a subgroup's
-    # core, subnormality and quotient are memoized by group alone
+    # gcover keeps only the group order's squarefree test in a group's
+    # memo; a subgroup's core, subnormality and quotient are memoized by
+    # group alone, and every report lives in its sequence's record
     plain = group.FiniteGroup.memo
     keepers = set()
 
@@ -1337,9 +1374,7 @@ def test_subgroup_facts_of_a_cover_check_are_the_group_memos(monkeypatch):
     for cover in enumerate_uniform_covers(G, 5, 2):
         check_uniform_cover(cover)
         probe_max_index_multiplicity(cover)
-    assert {fact for keeper, fact in keepers if keeper == "coverlab.gcover"} == {
-        "cover_flags", "squarefree"
-    }
+    assert {fact for keeper, fact in keepers if keeper == "coverlab.gcover"} == {"squarefree"}
     assert {"core", "subnormal", "quotient"} <= {fact for _, fact in keepers}
 
 
