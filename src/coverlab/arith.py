@@ -10,7 +10,7 @@ the exact product.
 
 Primes come from a lazily grown sieve of Eratosthenes with a hard
 capacity, SIEVE_CAPACITY (10**7).  Asking for primes beyond the capacity
-raises SieveCapacityError instead of silently thrashing.
+raises BudgetError instead of silently thrashing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InputError, SieveCapacityError
+from .errors import BudgetError, InputError
 
 SIEVE_CAPACITY = 10_000_000
 
@@ -49,7 +49,7 @@ def primes_upto(x: int) -> list[int]:
     if x < 2:
         return []
     if x > SIEVE_CAPACITY:
-        raise SieveCapacityError(f"primes up to {x} requested, capacity is {SIEVE_CAPACITY}")
+        raise BudgetError(f"primes up to {x} requested, capacity is {SIEVE_CAPACITY}")
     _extend_sieve(x)
     return _primes[: bisect_right(_primes, x)]
 

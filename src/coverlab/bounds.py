@@ -41,7 +41,7 @@ from .arith import (
     primes_upto,
     rounding_slack,
 )
-from .errors import InputError, SieveCapacityError
+from .errors import BudgetError, InputError
 
 ZETA2 = math.pi**2 / 6
 EULER_GAMMA = 0.5772156649015329
@@ -70,7 +70,7 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
     if m_hi > SIEVE_CAPACITY // 2:
         # the product is at least 2 from x = 2 on, so c(M) >= 2M; refused
         # before M meets a float, where it may not even fit
-        raise SieveCapacityError(
+        raise BudgetError(
             f"c(M) >= 2M lies above the sieve capacity {SIEVE_CAPACITY} for M = {m_hi}"
         )
     bound = min(_scan_bound(m_hi), SIEVE_CAPACITY)
@@ -116,7 +116,7 @@ def c_range(m_lo: int, m_hi: int) -> dict[int, int]:
             m += 1
         if m > m_hi:
             return out
-    raise SieveCapacityError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
+    raise BudgetError(f"c({m_hi}) lies above the sieve capacity {SIEVE_CAPACITY}")
 
 
 @lru_cache(maxsize=None)

@@ -284,10 +284,6 @@ class Report:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     if value is None:
         return "none"
     if isinstance(value, (tuple, list)):
@@ -320,28 +316,23 @@ def render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _jsonable(value):
+def _json_default(value):
+    """What json.dumps writes for a value JSON has no type for."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     return str(value)
 
 
 def render_json(report: Report) -> str:
     tree = {
         "command": report.command,
-        "inputs": _jsonable(report.inputs),
+        "inputs": report.inputs,
         "seed": report.seed,
         "verdicts": [
             {
                 "name": v.name,
-                "value": _jsonable(v.value),
-                "witness": _jsonable(v.witness),
+                "value": v.value,
+                "witness": v.witness,
                 "asserted": v.asserted,
             }
             for v in report.verdicts
@@ -351,7 +342,7 @@ def render_json(report: Report) -> str:
         "status": "pass" if report.passed else "fail",
         "version": __version__,
     }
-    return json.dumps(tree, sort_keys=True, indent=2)
+    return json.dumps(tree, sort_keys=True, indent=2, default=_json_default)
 
 
 # ------------------------------------------------------------------ budgets

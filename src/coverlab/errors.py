@@ -6,8 +6,9 @@ ValueError, which stays plain only for a broken invariant of coverlab's
 own objects or shipped data (a subgroup of another group object, a mask
 count mismatch, the catalog's counts and fingerprints): a fault of the
 program.  BudgetError refuses a computation over a resource cap (sieve
-capacity, scan period, search nodes, group order).  The CLI exits 2 on
-either and 3, with a traceback, on any other exception.
+capacity, scan period, search nodes, group order); its message names
+the cap.  The CLI exits 2 on either and 3, with a traceback, on any
+other exception.
 """
 
 
@@ -17,15 +18,3 @@ class InputError(ValueError):
 
 class BudgetError(RuntimeError):
     """A computation was refused or cut short by a resource cap."""
-
-
-class SieveCapacityError(BudgetError):
-    """Requested primes beyond the configured sieve capacity."""
-
-
-class PeriodBudgetError(BudgetError):
-    """A residue scan period exceeds the configured budget."""
-
-
-class SearchBudgetError(BudgetError):
-    """A backtracking search exceeded its node budget."""

@@ -32,7 +32,7 @@ from operator import and_, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisor_list, euler_product, factorize, index_bound_factor, ord_of
-from .errors import InputError, SearchBudgetError
+from .errors import BudgetError, InputError
 from .group import (
     FiniteGroup,
     Subgroup,
@@ -405,7 +405,6 @@ class EqualPairReport(NamedTuple):
 
     prime: int
     applicable: bool
-    via_subnormal: bool
     via_sylow: bool
     pair: Optional[tuple[int, int]]
 
@@ -552,11 +551,10 @@ def check_uniform_cover(cover: CosetSystem) -> UniformCoverReport:
         witness = next(n for n in ns if n % p_r == 0 and ns.count(n) == top_mult)
         first = ns.index(witness)
         pair = (first, ns.index(witness, first + 1))
-    # via_subnormal is big_subnormal, since its p_r > r always holds: the
-    # r primes of the index lcm are all <= p_r, so r <= pi(p_r) < p_r
-    equal_pair = EqualPairReport(
-        p_r, (big_subn or via_sylow) and q_div, big_subn, via_sylow, pair
-    )
+    # the subnormal branch, p_r > r and big_subnormal, is big_subnormal:
+    # p_r > r always holds, since the r primes of the index lcm are all
+    # <= p_r, so r <= pi(p_r) < p_r
+    equal_pair = EqualPairReport(p_r, (big_subn or via_sylow) and q_div, via_sylow, pair)
     facts.check = UniformCoverReport(
         prof.uniform_m, *head, cond_a, vacuous, cond_b, cond_c, big_subn, *tail,
         squarefree, equal_pair,
@@ -619,7 +617,7 @@ def _exact_covers(
     and those too small to leave the slots fillable, yield nothing and
     are skipped, counted in bulk before the next option tried and at the
     end of the row, so the count is the same as one at a time.  Past
-    nodes.budget, spent is set to budget + 1 and SearchBudgetError
+    nodes.budget, spent is set to budget + 1 and BudgetError
     raised, after the same multisets as a count one at a time.  Each item
     lies in m of the options picked, so none is found when m exceeds
     k_max, and that answer comes before anything is sized by m.
@@ -640,7 +638,7 @@ def _exact_covers(
 
     def refuse():
         nodes.spent = nodes.budget + 1
-        raise SearchBudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
+        raise BudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
 
     def rec(level, mass, live, dead, last_item, last_pick):
         # level[j]: the items covered at least j times (level[0] = -1, all);
@@ -745,7 +743,7 @@ def enumerate_uniform_covers(
     def covers():
         try:
             yield from _exact_covers(n, [c[3] for c in cosets], m, k_max, counter)
-        except SearchBudgetError:
+        except BudgetError:
             stream.truncated = True
 
     def gen():
@@ -771,7 +769,6 @@ def enumerate_uniform_covers(
 class HsSearchResult(NamedTuple):
     """Outcome of the distinct-index partition hunt on one group."""
 
-    group: str
     found: Optional[CosetSystem]
     nodes_explored: int
     index_multisets_tried: tuple[tuple[int, ...], ...]
@@ -846,5 +843,5 @@ def search_distinct_index_partition(
         if system is not None:
             if not weight_profile(system).is_partition:
                 raise RuntimeError("search produced a non-partition, logic error")
-            return HsSearchResult(G.name, system, counter.spent, tuple(tried))
-    return HsSearchResult(G.name, None, counter.spent, tuple(tried))
+            return HsSearchResult(system, counter.spent, tuple(tried))
+    return HsSearchResult(None, counter.spent, tuple(tried))

@@ -732,12 +732,14 @@ def _quotient(N: Subgroup) -> FiniteGroup:
 # ------------------------------------------------------------------- catalog
 
 class GroupRecord(NamedTuple):
-    """One parsed group file record."""
+    """One parsed group file record; gen_lines are the generators' line
+    numbers, which a refused generator's message names."""
 
     name: str
     degree: int
     generators: tuple[str, ...]
     expected_order: int
+    gen_lines: tuple[int, ...]
 
 
 def _positive_field(lineno: int, key: str, rest: str) -> int:
@@ -771,7 +773,7 @@ def read_group_records(lines: Sequence[tuple[int, str]]) -> list[GroupRecord]:
     """
     records = []
     name = degree = order = start = None  # start: the record's group line
-    gens: list[str] = []
+    gens: list[tuple[int, str]] = []
     in_block = False
     for lineno, line in lines:
         key, _, rest = line.partition(" ")
@@ -789,11 +791,12 @@ def read_group_records(lines: Sequence[tuple[int, str]]) -> list[GroupRecord]:
         elif key == "order":
             order = _positive_field(lineno, key, rest)
         elif key == "gen":
-            gens.append(rest)
+            gens.append((lineno, rest))
         elif key == "end":
             if degree is None or order is None:
                 raise InputError(f"line {start}: record {name!r} is missing degree or order")
-            records.append(GroupRecord(name, degree, tuple(gens), order))
+            gen_lines, texts = zip(*gens) if gens else ((), ())
+            records.append(GroupRecord(name, degree, texts, order, gen_lines))
             in_block = False
         else:
             raise InputError(f"line {lineno}: unknown key {key!r}")
@@ -810,7 +813,18 @@ def realize_record(rec: GroupRecord) -> FiniteGroup:
             f"group {rec.name}: record says order {rec.expected_order}, "
             f"above the order cap {ORDER_CAP}"
         )
-    G = group_from_generators(rec.degree, rec.generators, name=rec.name)
+    try:
+        G = group_from_generators(rec.degree, rec.generators, name=rec.name)
+    except InputError:
+        # group_from_generators refuses only a cycle text with InputError,
+        # parsing each generator once with no line number; the refused one
+        # is parsed again here to name its line
+        for lineno, text in zip(rec.gen_lines, rec.generators):
+            try:
+                parse_cycles(rec.degree, text)
+            except InputError as e:
+                raise InputError(f"line {lineno}: {e}") from None
+        raise
     if G.order != rec.expected_order:
         raise InputError(
             f"group {rec.name}: generators close to order {G.order}, "

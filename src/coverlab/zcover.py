@@ -26,7 +26,7 @@ from .arith import (
     divisor_list, euler_phi, euler_product, factorize, index_bound_factor, is_prime,
     least_prime, ord_of,
 )
-from .errors import InputError, PeriodBudgetError
+from .errors import BudgetError, InputError
 from .levels import add, walk
 
 DEFAULT_PERIOD_BUDGET = 10**7
@@ -128,7 +128,7 @@ def multiplicity_profile(
 
 def _check_budget(period: int, period_budget: int) -> None:
     if period > period_budget:
-        raise PeriodBudgetError(f"period {period} exceeds budget {period_budget}")
+        raise BudgetError(f"period {period} exceeds budget {period_budget}")
 
 
 def _batch_masks(n: int, batches: Iterable[list[int]], width: int) -> Iterator[int]:

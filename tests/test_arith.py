@@ -25,7 +25,7 @@ from coverlab.arith import (
     prime_counts,
     primes_upto,
 )
-from coverlab.errors import SieveCapacityError
+from coverlab.errors import BudgetError
 
 
 def brute_phi(n: int) -> int:
@@ -80,7 +80,7 @@ def test_is_prime_against_sieve():
 
 
 def test_capacity_refusal():
-    with pytest.raises(SieveCapacityError):
+    with pytest.raises(BudgetError, match="capacity is"):
         primes_upto(SIEVE_CAPACITY + 1)
 
 

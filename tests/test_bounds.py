@@ -25,7 +25,7 @@ from coverlab.bounds import (
     check_q_bound,
     mertens_holds_at,
 )
-from coverlab.errors import InputError, SieveCapacityError
+from coverlab.errors import BudgetError, InputError
 
 
 def scan_c(M: int) -> int:
@@ -153,7 +153,7 @@ def test_forced_straddles_settle_exactly(monkeypatch, slack):
     # segments run out, at 2**20 from a straddle in the last one
     monkeypatch.setattr(arith_module, "SIEVE_CAPACITY", 40000)
     monkeypatch.setattr(bounds_module, "SIEVE_CAPACITY", 40000)
-    with pytest.raises(SieveCapacityError, match=r"^c\(3000\) lies above"):
+    with pytest.raises(BudgetError, match=r"^c\(3000\) lies above"):
         c_range(3000, 3000)
 
 
@@ -174,13 +174,13 @@ def test_c_range_stops_at_the_sieve_capacity(monkeypatch):
     monkeypatch.setattr(arith_module, "SIEVE_CAPACITY", 40000)
     monkeypatch.setattr(bounds_module, "SIEVE_CAPACITY", 40000)
     assert c_range(2000, 2000) == {2000: 37542}
-    with pytest.raises(SieveCapacityError, match="40000"):
+    with pytest.raises(BudgetError, match="40000"):
         c_range(3000, 3000)  # c(3000) = 58700
     # c(M) >= 2M: refused before any prime is sieved above half the
     # capacity, and by the scan itself at half of it
-    with pytest.raises(SieveCapacityError, match=r"c\(M\) >= 2M .* 40000 for M = 20001$"):
+    with pytest.raises(BudgetError, match=r"c\(M\) >= 2M .* 40000 for M = 20001$"):
         c_range(2, 20001)
-    with pytest.raises(SieveCapacityError, match=r"^c\(20000\) lies above"):
+    with pytest.raises(BudgetError, match=r"^c\(20000\) lies above"):
         c_range(20000, 20000)
 
 

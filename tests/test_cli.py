@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -165,16 +166,28 @@ BAD_RECORDS = [
     ("group X\ndegree 3\n\norder 0\nend\n", "line 4: order must be a positive integer, got '0'"),
     ("# C3\ngroup X\ngen (1 2 3)\norder 3\nend\n", "line 2: record 'X' is missing degree or order"),
     ("\ngroup X\ndegree 3\norder 3\n", "line 2: record 'X' not closed with end"),
+] + [
+    # a refused generator is named by its own line, here the second one's
+    (f"group X\ndegree 3\ngen (1 2)\ngen {gen}\norder 6\nend\n", f"line 4: {message}")
+    for gen, message in [
+        ("(1 a)", "invalid literal for int() with base 10: 'a'"),
+        ("(1 2) x", "unparsed cycle text '(1 2) x'"),
+        ("(1 2 1)", "repeated point in cycle (1 2 1)"),
+        ("(1 4)", "point out of range 1..3 in (1 4)"),
+    ]
 ]
 
 
 @pytest.mark.parametrize(
     "text, message",
     BAD_RECORDS,
-    ids=["degree-not-a-number", "degree-negative", "order-zero", "no-degree", "no-end"],
+    ids=[
+        "degree-not-a-number", "degree-negative", "order-zero", "no-degree", "no-end",
+        "gen-bad-integer", "gen-unparsed-text", "gen-repeated-point", "gen-point-out-of-range",
+    ],
 )
 def test_group_record_field_errors_name_their_line(text, message, capsys):
-    with pytest.raises(InputError, match=f"^{message}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         parse_group_file(text)
     assert main(["group-info", text]) == 2
     captured = capsys.readouterr()
@@ -1100,6 +1113,48 @@ def test_structured_output_shape(capsys):
     names = {v["name"]: v for v in doc["verdicts"]}
     assert names["density"]["value"] == {"num": "2", "den": "3"}
     assert names["period"]["value"] == 6
+
+
+def test_render_json_writes_fractions_as_pairs_and_other_values_as_str():
+    # a Fraction nested in a witness's tuple is a {"num", "den"} pair of
+    # strings; a value JSON has no type for, a Subgroup here, is its str()
+    G = catalog_group("C4")
+    rep = cli.Report("render", None)
+    rep.info("subgroup", Subgroup(G, G.full_mask()))
+    rep.check("bound", True, {"pair": (2, Fraction(-1, 3))})
+    assert cli.render_json(rep) == "\n".join([
+        '{',
+        '  "command": "render",',
+        '  "inputs": {},',
+        '  "seed": null,',
+        '  "status": "pass",',
+        '  "truncated": false,',
+        '  "verdicts": [',
+        '    {',
+        '      "asserted": false,',
+        '      "name": "subgroup",',
+        '      "value": "Subgroup<0,1,2,3>",',
+        '      "witness": null',
+        '    },',
+        '    {',
+        '      "asserted": true,',
+        '      "name": "bound",',
+        '      "value": true,',
+        '      "witness": {',
+        '        "pair": [',
+        '          2,',
+        '          {',
+        '            "den": "3",',
+        '            "num": "-1"',
+        '          }',
+        '        ]',
+        '      }',
+        '    }',
+        '  ],',
+        f'  "version": "{cli.__version__}",',
+        '  "warnings": []',
+        '}',
+    ])  # fmt: skip
 
 
 def test_structured_output_deterministic(capsys):

@@ -14,7 +14,7 @@ import pytest
 from coverlab import gcover, group, levels
 from coverlab.arith import divisor_list, euler_product, factorize, least_prime, ord_of
 from coverlab.cli import main
-from coverlab.errors import InputError, SearchBudgetError
+from coverlab.errors import BudgetError, InputError
 from coverlab.gcover import (
     DEFAULT_NODE_BUDGET,
     KERNEL_SUBSET_CAP,
@@ -747,7 +747,7 @@ def oracle_exact_covers(n_items, masks, m, k_max, nodes):
         for i in row:
             nodes.spent += 1
             if nodes.spent > nodes.budget:
-                raise SearchBudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
+                raise BudgetError(f"{nodes.what} exceeded {nodes.budget} nodes")
             mask = masks[i]
             if mask & top:
                 continue
@@ -804,7 +804,7 @@ def budgeted_run(engine, *args, budget):
     try:
         for picks in engine(*args, nodes):
             covers.append(picks)
-    except SearchBudgetError:
+    except BudgetError:
         return covers, nodes.spent, True
     return covers, nodes.spent, False
 
@@ -934,7 +934,7 @@ def oracle_search(G):
 
 def test_search_d6_trace():
     r = search_distinct_index_partition(catalog_group("D6"))
-    assert r.group == "D6" and r.found is None
+    assert r.found is None
     assert r.index_multisets_tried == ((2, 3, 6), (2, 4, 6, 12))
     assert r.nodes_explored == 151
     assert oracle_search(catalog_group("D6")) == (None, 750, r.index_multisets_tried)
@@ -959,7 +959,7 @@ def test_search_finds_repeated_index_partition():
 
 
 def test_search_budget():
-    with pytest.raises(SearchBudgetError, match="partition search on D6 exceeded 10 nodes"):
+    with pytest.raises(BudgetError, match="partition search on D6 exceeded 10 nodes"):
         search_distinct_index_partition(catalog_group("D6"), node_budget=10)
 
 
@@ -1131,7 +1131,6 @@ def oracle_check_uniform_cover(cover):
     equal_pair = EqualPairReport(
         prime=p_r,
         applicable=(via_subnormal or via_sylow) and Q.order % p_r == 0,
-        via_subnormal=via_subnormal,
         via_sylow=via_sylow,
         pair=pair,
     )

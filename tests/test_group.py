@@ -562,6 +562,29 @@ def test_record_order_mismatch():
         realize_record(recs[0])
 
 
+def _record(*lines):
+    (rec,) = read_group_records(clean_lines("\n".join(("group X",) + lines + ("end",))))
+    return rec
+
+
+def test_record_refusals_keep_their_order(monkeypatch):
+    # declared order cap, then degree cap, then cycle text, then the
+    # closure's order
+    with pytest.raises(BudgetError, match="record says order 300"):
+        realize_record(_record("degree 20000", "gen (1 a)", "order 300"))
+    with pytest.raises(BudgetError, match="degree 20000 is above"):
+        realize_record(_record("degree 20000", "gen (1 a)", "order 6"))
+    with pytest.raises(InputError, match="^line 3: invalid literal"):
+        realize_record(_record("degree 3", "gen (1 a)", "order 5"))
+    # a valid record parses each generator once
+    parse = group_module.parse_cycles
+    seen = []
+    monkeypatch.setattr(group_module, "parse_cycles", lambda d, t: seen.append(t) or parse(d, t))
+    with pytest.raises(InputError, match="close to order 6, record says 5"):
+        realize_record(_record("degree 3", "gen (1 2)", "gen (1 2 3)", "order 5"))
+    assert seen == ["(1 2)", "(1 2 3)"]
+
+
 def test_parse_cycles_errors():
     with pytest.raises(ValueError, match="repeated"):
         parse_cycles(4, "(1 2 1)")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from coverlab import zcover
 from coverlab.arith import divisor_list, euler_phi
-from coverlab.errors import InputError, PeriodBudgetError
+from coverlab.errors import BudgetError, InputError
 from coverlab.levels import add, walk
 from coverlab.zcover import (
     DEFAULT_PERIOD_BUDGET,
@@ -354,9 +354,9 @@ def test_planes_hold_each_count_in_binary(masks):
 
 def test_period_budget_refusal():
     primorial = sys_of(*[(0, n) for n in (2, 3, 5, 7, 11, 13, 17, 19, 23)])
-    with pytest.raises(PeriodBudgetError):
+    with pytest.raises(BudgetError, match="exceeds budget"):
         multiplicity_profile(primorial)
-    with pytest.raises(PeriodBudgetError):
+    with pytest.raises(BudgetError, match="exceeds budget"):
         multiplicity_profile(sys_of((0, 11), (0, 13)), period_budget=100)
 
 
@@ -366,7 +366,7 @@ def test_period_refused_before_any_mask(monkeypatch):
 
     for name in ("_batch_masks", "_lift", "add"):
         monkeypatch.setattr(zcover, name, no_masks)
-    with pytest.raises(PeriodBudgetError):
+    with pytest.raises(BudgetError, match="exceeds budget"):
         multiplicity_profile(sys_of((0, 11), (0, 13)), period_budget=100)
 
 
@@ -424,7 +424,7 @@ OVER_BUDGET_MODULI = ([7, 11, 13, 16, 25, 27], [11, 13, 17, 19, 20, 21])
 def test_density_inclusion_exclusion(moduli):
     s = sys_of(*[(0, n) for n in moduli])
     if math.lcm(*moduli) > DEFAULT_PERIOD_BUDGET:
-        with pytest.raises(PeriodBudgetError):
+        with pytest.raises(BudgetError, match="exceeds budget"):
             density_union(s)
         return
     expected = Fraction(0)
@@ -491,7 +491,7 @@ def test_density_identity_examples():
 @example(OVER_BUDGET_MODULI[1])
 def test_density_identity_random(moduli):
     if math.lcm(*moduli) > DEFAULT_PERIOD_BUDGET:
-        with pytest.raises(PeriodBudgetError):
+        with pytest.raises(BudgetError, match="exceeds budget"):
             check_density_identity(moduli)
         return
     assert check_density_identity(moduli).holds
@@ -637,7 +637,7 @@ def test_level_gaps_refuse_before_scanning():
         check_level_gaps(big, prime=3, period_budget=10)
     with pytest.raises(ValueError, match="alpha must be"):
         check_level_gaps(big, prime=2, alphas=(3,), period_budget=10)
-    with pytest.raises(PeriodBudgetError):
+    with pytest.raises(BudgetError, match="exceeds budget"):
         check_level_gaps(big, prime=2, period_budget=10)
 
 
