@@ -1,24 +1,26 @@
 """Finite systems of left cosets a_i G_i inside a finite group.
 
-Classification by covering multiplicity, the multiplicity kernel, exact
-index bounds for uniform covers together with the hypothesis flags that
-make each bound a theorem instance, and two desk-scale exhaustive
-searches (uniform-cover enumeration and the distinct-index partition
-hunt), both by one exact-cover backtracker on bitsets of coset
-positions, which branches on the least coset, then on the least element
-still short of its multiplicity; a node is one coset tried at a branch,
-the cosets skipped as blocked or too small are counted in bulk, to the
-same count as one at a time, and a branch the cut rules out is refused
-before it is entered.  Covers come out in lexicographic order of their
-canonical coset positions.  Each fact has one owner.  A system holds
-its coset bitmasks and its weight profile, summed once into binary bit
-planes (`levels.add` and `levels.walk`, shared with the residue layer).
-Its indices and the check's and probe's reports, hypothesis flags
-included, are one record per subgroup sequence, which the enumerator
-shares among the covers of one sequence.  A subgroup's cosets, core,
-subnormality and quotient by its core are group memo facts, and an
-index multiset's arithmetic is cached per multiset.  Inequalities are
-exact rationals.
+Classification by covering multiplicity, the multiplicity kernel (its
+partial-union property checked once per distinct subgroup D, not once
+per entry subset), exact index bounds for uniform covers together with
+the hypothesis flags that make each bound a theorem instance, and two
+desk-scale exhaustive searches (uniform-cover enumeration and the
+distinct-index partition hunt), both by one exact-cover backtracker on
+bitsets of coset positions, which branches on the least coset, then on
+the least element still short of its multiplicity; a node is one coset
+tried at a branch, the cosets skipped as blocked or too small are
+counted in bulk, to the same count as one at a time, a branch the cut
+rules out is refused before it is entered, and the last pick is made in
+its parent's loop, with no call of its own.  Covers come out in
+lexicographic order of their canonical coset positions.  Each fact has
+one owner.  A system holds its coset bitmasks and its weight profile,
+summed once into binary bit planes (`levels.add` and `levels.walk`,
+shared with the residue layer).  Its indices and the check's and
+probe's reports, hypothesis flags included, are one record per subgroup
+sequence, which the enumerator shares among the covers of one sequence.
+A subgroup's cosets, core, subnormality and quotient by its core are
+group memo facts, and an index multiset's arithmetic is cached per
+multiset.  Inequalities are exact rationals.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisor_list, euler_product, factorize, index_bound_factor, ord_of
@@ -232,11 +234,16 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
 
     Also verifies that K contains the intersection of the subgroups, and
     that for every nonempty entry subset I the partial union over I is a
-    union of left cosets of D, the intersection of K with the subgroups
-    outside I: one plain loop over the subsets by their bits, stopping at
-    the first that fails, which reads the cosets of each distinct D once
-    per call.  Subset sweeps consider only the first KERNEL_SUBSET_CAP
-    entries; capped is set when entries were left out.
+    union of left cosets of D, the meet of K with the subgroups outside I.
+    That holds for all I iff, for each distinct D, the union U_D of the
+    entries whose subgroups do not contain D is a union of D-cosets: an
+    entry whose subgroup contains D is such a union, as is each entry
+    outside I, so the union over I is U_D with some of those added; and
+    U_D is empty or the union over the entries not containing D, whose D
+    is D again.  So one check per D; only after a failure are the subsets
+    scanned by their bits, and subsets_checked counts them up to the
+    first that fails, or all.  Subset checks consider only the first
+    KERNEL_SUBSET_CAP entries; capped is set when entries were left out.
     """
     G = cover.parent
     masks = cover.masks
@@ -253,24 +260,23 @@ def kernel_of(cover: CosetSystem) -> KernelReport:
 
     subs = [sub.mask for _, sub in cover.entries]
     scope = min(len(subs), KERNEL_SUBSET_CAP)
-    # union and subgroup intersection of each subset of the first scope
-    # entries by bits: those holding entry i are those without it, plus i
-    union, inside = [0], [G.full_mask()]
-    for mask, sub in zip(masks[:scope], subs):
-        union += [u | mask for u in union]
-        inside += [d & sub for d in inside]
     past = reduce(and_, subs[scope:], G.full_mask())  # the subgroups past the cap
-    ok, checked, cosets = True, 0, {}  # cosets: each D's left cosets
-    # each subset's union, beside the intersection over its complement
-    for checked, (part, rest) in enumerate(zip(union[1:], inside[-2::-1]), 1):
-        dmask = kmask & past & rest
-        if dmask != 1:
-            if dmask not in cosets:
-                cosets[dmask] = left_cosets(G, dmask)
-            ok = _is_union_of(part, cosets[dmask])
-            if not ok:
-                break
-    inter = inside[-1] & past
+    pairs = tuple(zip(masks, subs[:scope]))
+    ds = {kmask & past}  # each subset's D, and the meet of all, where U_D is empty
+    for sub in set(subs[:scope]):
+        ds |= {d & sub for d in ds}
+    ok = all(_is_union_of(reduce(or_, (c for c, s in pairs if d & s != d), 0),
+                          left_cosets(G, d)) for d in ds - {1})  # U_D, once per D
+    checked = (1 << scope) - 1
+    if not ok:  # union and intersection of each subset by its bits
+        union, inside = [0], [G.full_mask()]
+        for mask, sub in pairs:  # those holding entry i: those without it, and i
+            union += [u | mask for u in union]
+            inside += [d & sub for d in inside]
+        # each subset's union, beside the meet over its complement
+        checked = next(b for b, (part, rest) in enumerate(zip(union[1:], inside[-2::-1]), 1)
+                       if not _is_union_of(part, left_cosets(G, kmask & past & rest)))
+    inter = reduce(and_, subs, G.full_mask())
     return KernelReport(kernel, kmask & inter == inter, ok, checked, len(subs) > KERNEL_SUBSET_CAP)
 
 
@@ -679,11 +685,28 @@ def _exact_covers(
             kid, base = dead | reach[full], live if picked else i
             free = ~kid >> base
             nxt = base + (free & -free).bit_length() - 1
-            if nxt < n_opts and rest <= slots * sizes[nxt]:
+            if slots > 1 and nxt < n_opts and rest <= slots * sizes[nxt]:
                 picked.append(i)
                 new = [-1] + [level[j] | level[j - 1] & mask for j in steps]
                 yield from rec(new, rest, nxt, kid, x, i)
                 picked.pop()
+            elif slots == 1 and nxt < n_opts and rest <= sizes[nxt]:  # the last pick, made here
+                top = level[m] | full
+                y = (~top & (top + 1)).bit_length() - 1
+                start = i if y == x or not picked else picked[0]
+                last = meets[y] >> start << start
+                ends, done = last & ~kid & fits[rest], picked + [i]
+                while ends:  # the child's live options: each has size rest, ends a cover
+                    bit = ends & -ends
+                    ends ^= bit
+                    nodes.spent += (last & (bit << 1) - 1).bit_count()
+                    last &= -(bit << 1)
+                    if nodes.spent > nodes.budget:
+                        refuse()
+                    yield tuple(sorted(done + [bit.bit_length() - 1]))
+                nodes.spent += last.bit_count()
+                if nodes.spent > nodes.budget:
+                    refuse()
         nodes.spent += row.bit_count()
         if nodes.spent > nodes.budget:
             refuse()
@@ -723,10 +746,11 @@ def enumerate_uniform_covers(
     entry is allowed as long as some entry is a proper coset.  Covers are
     sorted one least position at a time; past the budget, truncated is
     set, after the covers found so far.  Each cover is built without the
-    entry checks, from the coset table, and handed the masks the search
-    holds, the weight profile it has proved, every element covered m
-    times, so no check sums it again, and one SequenceFacts per subgroup
-    sequence, shared by its covers for the life of the stream.
+    entry checks, by itemgetter from per-position tables of the cosets,
+    and handed the masks the search holds, the weight profile it has
+    proved, every element covered m times, so no check sums it again, and
+    one SequenceFacts per subgroup sequence, shared by its covers for the
+    life of the stream.
     """
     if G.order > ENUM_ORDER_MAX:
         raise InputError(f"enumeration capped at order {ENUM_ORDER_MAX}")
@@ -734,7 +758,8 @@ def enumerate_uniform_covers(
         raise InputError(f"k_max must be in 1..{ENUM_K_MAX}")
     if m < 1:
         raise InputError("m must be positive")
-    cosets = _cosets(G, all_subgroups(G))
+    index, sub_mask, least, masks, subs = zip(*_cosets(G, all_subgroups(G)))
+    entry = tuple(zip(least, subs))
     stream = CoverStream()
     counter = _Nodes(node_budget, f"cover enumeration on {G.name}")
     n = G.order
@@ -742,21 +767,20 @@ def enumerate_uniform_covers(
 
     def covers():
         try:
-            yield from _exact_covers(n, [c[3] for c in cosets], m, k_max, counter)
+            yield from _exact_covers(n, masks, m, k_max, counter)
         except BudgetError:
             stream.truncated = True
 
     def gen():
         shared: dict[tuple[int, ...], SequenceFacts] = {}  # subgroup masks -> facts
-        # position 0 is the whole group, which must not stand alone
-        for _, group in groupby(covers(), key=lambda picks: picks[0]):
+        # position 0, the whole group, must not stand alone, so itemgetter gives tuples
+        for _, group in groupby(covers(), key=itemgetter(0)):
             for picks in sorted(p for p in group if p[-1]):
-                entries = tuple((cosets[i][2], cosets[i][4]) for i in picks)
-                key = tuple(cosets[i][1] for i in picks)
+                get = itemgetter(*picks)
+                key = get(sub_mask)
                 if key not in shared:
-                    shared[key] = SequenceFacts(tuple(cosets[i][0] for i in picks))
-                masks = tuple(cosets[i][3] for i in picks)
-                yield CosetSystem._trusted(G, entries, masks, profile, shared[key])
+                    shared[key] = SequenceFacts(get(index))
+                yield CosetSystem._trusted(G, get(entry), get(masks), profile, shared[key])
         stream.nodes = counter.spent
 
     stream._gen = gen()

@@ -18,7 +18,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import coverlab.group as group_module
-from coverlab import cli, zcover
+from coverlab import cli, gcover, zcover
 from coverlab.arith import factorize
 from coverlab.bounds import bound_report
 from coverlab.cli import (
@@ -1263,6 +1263,19 @@ def test_hs_search_reports_multisets(capsys):
     out = capsys.readouterr().out
     assert "* no-counterexample[D6] = true" in out
     assert "nodes=151" in out
+
+
+def test_hs_search_reports_a_counterexample(monkeypatch, capsys):
+    # no group has a distinct-index partition, so the found path runs only
+    # when S3 is offered the index multiset (2, 2): its two cosets of A3,
+    # found through the engine's last pick, made at the root's child
+    monkeypatch.setattr(gcover, "feasible_distinct_index_sets", lambda order: [(2, 2)])
+    assert main(["hs-search", "S3"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "* no-counterexample[S3] = false"
+        "  (nodes=3, index-multisets=1, counterexample=[0:2, 1:2])"
+    ) in out.splitlines()
 
 
 # ------------------------------------------------------------ golden reports

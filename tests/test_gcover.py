@@ -289,18 +289,83 @@ def test_kernel_union_property_exhaustive_small():
 
 
 def test_kernel_union_property_random():
+    # random systems, nearly all with a weight that is not constant, so K
+    # and the D of each subset vary; every 25th has more entries than the
+    # subset cap, so the subgroups past it narrow every D, and is drawn from
+    # the eight smallest groups, which keeps the oracle's scan short
     rng = random.Random(20924)
     groups = [G for G in load_catalog() if 1 < G.order <= 12]
-    for _ in range(500):
-        G = rng.choice(groups)
+    seen = Counter()
+    for trial in range(500):
+        G = rng.choice(groups if trial % 25 else groups[:8])
         subs = all_subgroups(G)
-        k = rng.randint(1, 4)
+        k = rng.randint(1, 5) if trial % 25 else KERNEL_SUBSET_CAP + 1 + trial % 2
         cov = CosetSystem(
             G, [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)]
         )
         r = kernel_of(cov)
         assert r.contains_intersection
         assert r.union_property_verified
+        assert r == oracle_kernel_of(cov), cov
+        seen.update(capped=r.capped, nonuniform=weight_profile(cov).uniform_m is None,
+                    proper=r.kernel.index > 1)
+    assert seen["capped"] == 20 and seen["nonuniform"] > 400 and seen["proper"] > 200, seen
+
+
+def first_failing_subset(cover, kmask):
+    """The first nonempty subset of the entries within the cap, by its
+    bits, whose union is not a union of left cosets of D, the meet of kmask
+    with the subgroups of the entries outside it; None if none is."""
+    G, k = cover.parent, len(cover)
+    masks, subs = oracle_masks(cover), [sub.mask for _, sub in cover.entries]
+    scope = min(k, KERNEL_SUBSET_CAP)
+    for bits in range(1, 1 << scope):
+        union, dmask = 0, kmask
+        for j in range(k):
+            if j < scope and bits >> j & 1:
+                union |= masks[j]
+            else:
+                dmask &= subs[j]
+        if not oracle_is_union_of_left_cosets(G, union, dmask):
+            return bits
+    return None
+
+
+def forged_uniform(cover):
+    """cover with a profile that claims a uniform weight, so kernel_of takes
+    K to be the whole group without testing a translation."""
+    prof = weight_profile(cover)._replace(uniform_m=1)
+    return CosetSystem._trusted(cover.parent, cover.entries, cover.masks, prof)
+
+
+def test_kernel_union_property_failure_names_the_first_failing_subset():
+    # with K taken as G, a subset's D is the meet of the subgroups outside
+    # it: two whole-group entries and one coset of S3's non-normal order-2
+    # subgroup H fail first at the subset of the coset alone, whose D is G
+    G = catalog_group("S3")
+    whole, H = Subgroup(G, G.full_mask()), sub_of_size(G, 2)
+    r = kernel_of(forged_uniform(CosetSystem(G, [(0, whole), (0, whole), (1, H)])))
+    assert r.kernel.index == 1 and r.contains_intersection
+    assert not r.union_property_verified and r.subsets_checked == 0b100 and not r.capped
+    # random forged systems, some past the cap: a failure is reported at the
+    # first subset the direct scan finds, and a pass counts every subset
+    rng = random.Random(36)
+    groups = [G for G in load_catalog() if 1 < G.order <= 12]
+    failed = 0
+    for trial in range(300):
+        G = rng.choice(groups)
+        subs = all_subgroups(G)
+        k = rng.randint(1, 6) if trial % 30 else KERNEL_SUBSET_CAP + 2
+        cover = forged_uniform(
+            CosetSystem(G, [(rng.randrange(G.order), rng.choice(subs)) for _ in range(k)])
+        )
+        r = kernel_of(cover)
+        first = first_failing_subset(cover, G.full_mask())
+        assert r.kernel.index == 1 and r.capped == (k > KERNEL_SUBSET_CAP)
+        assert r.union_property_verified == (first is None), cover
+        assert r.subsets_checked == (first or 2 ** min(k, KERNEL_SUBSET_CAP) - 1), cover
+        failed += first is not None
+    assert 100 < failed < 280, failed
 
 
 # ----------------------------------------------------- union lower bound
@@ -835,6 +900,9 @@ def coset_masks(G):
 
 @pytest.mark.parametrize("name, k, m, counts", [
     ("S3", 5, 2, (35, 351)), ("D4", 6, 2, (598, 10234)), ("C2xC2xC2", 5, 1, (673, 6961)),
+    # k = 2: the root's child makes the last pick, with nothing picked yet,
+    # and S3's one 2-cover picks the whole group twice
+    ("C2xC2", 2, 1, (4, 16)), ("C4", 2, 1, (2, 5)), ("S3", 2, 2, (1, 7)),
 ])
 def test_engine_matches_the_oracle_at_every_budget(name, k, m, counts):
     G = catalog_group(name)
